@@ -26,10 +26,11 @@ from .forge import (
     SplitSpec,
     build_lexicon,
     build_splits,
-    emit_module_datasets,
     forge_dataset,
     generate_examples,
+    module_records,
     read_dataset,
+    read_registry,
     write_dataset,
 )
 from .harness import EvalReport, PredictionRecord, dataset_stats, evaluate, exact_match
@@ -46,11 +47,13 @@ from .pipeline import (
     Lexicon,
     Percept,
     Plan,
+    SolveTrace,
     goal_satisfied,
     perceive,
     plan_interaction,
     plan_navigation,
     solve,
+    solve_trace,
     transform,
 )
 from .world import (

@@ -15,10 +15,10 @@ from importlib import resources
 
 from .dsl import apply_program, builtin_adverbs, ground, parse_program, serialize_program
 from .errors import MannerforgeError
-from .forge import ForgeConfig, forge_dataset, read_dataset
+from .forge import ForgeConfig, forge_dataset, read_dataset, read_registry
 from .harness import dataset_stats, evaluate, read_predictions
-from .metagrammar import ADVERB_TYPES, LexiconEntry, MetaGrammarConfig, sample_registry
-from .pipeline import Lexicon, solve
+from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
+from .pipeline import solve
 from .seeding import derive_rng
 from .symbols import parse_symbols, require_heading
 from .world import parse_command, render_world, world_from_dict
@@ -127,15 +127,7 @@ def _cmd_solve(args) -> int:
     with open(args.world, encoding="utf-8") as fh:
         world = world_from_dict(json.load(fh))
     command = parse_command(args.command.split())
-    lexicon = None
-    if args.registry:
-        entries = []
-        text = open(args.registry, encoding="utf-8").read()
-        for block in text.split("\n\n"):
-            if block.strip():
-                program = parse_program(block)
-                entries.append(LexiconEntry(surface=program.name, program=program))
-        lexicon = Lexicon.build(entries)
+    lexicon = read_registry(args.registry) if args.registry else None
     print(" ".join(solve(command, world, lexicon)))
     return 0
 
@@ -144,7 +136,7 @@ def _cmd_evaluate(args) -> int:
     dataset = read_dataset(args.dataset)
     predictions = read_predictions(args.predictions)
     names = [args.split] if args.split else None
-    report = evaluate(dataset, predictions, split_names=names, jobs=args.jobs)
+    report = evaluate(dataset, predictions, split_names=names)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -222,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", help="evaluate one split (default: all)")
     p.add_argument("--predictions", required=True)
     p.add_argument("--report", help="also write the report JSON here")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for semantic checks")
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("stats", help="print dataset statistics")

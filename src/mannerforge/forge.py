@@ -12,38 +12,36 @@ import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields
 
-from .dsl import apply_program, parse_program, serialize_program
+from .dsl import parse_program, serialize_program
 from .errors import (
     DigestMismatch,
     InsufficientExamples,
     MalformedRecord,
     MannerforgeError,
+    MissingTrace,
     RetryExhausted,
     SchemaMismatch,
+    UnknownConfigKey,
 )
 from .metagrammar import ADVERB_TYPES, LexiconEntry, MetaGrammarConfig, sample_registry
 from .pipeline import (
     BUILTIN_SURFACES,
     Lexicon,
-    Percept,
     Plan,
+    SolveTrace,
     goal_satisfied,
-    perceive,
-    plan_interaction,
-    plan_navigation,
-    solve,
+    solve_trace,
     transform,
 )
 from .seeding import derive_rng
-from .symbols import final_heading
 from .world import (
     VERBS,
     Command,
     WorldState,
     execute,
-    parse_command,
     sample_situation,
     world_from_dict,
     world_to_dict,
@@ -75,6 +73,18 @@ class Example:
     verb: str
     adverb_surface: str | None = None
     adverb_type: str | None = None
+    trace: SolveTrace | None = field(default=None, compare=False, repr=False)  # not persisted
+
+
+def _check_keys(data: dict, cls, where: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise UnknownConfigKey(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _with_tuples(data: dict, *keys: str) -> dict:
+    """A copy of config JSON with the lists under `keys` made tuples."""
+    return {k: tuple(v) if k in keys else v for k, v in data.items()}
 
 
 @dataclass(frozen=True)
@@ -133,17 +143,8 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SplitSpec":
-        return cls(
-            kind=data["kind"],
-            name=data["name"],
-            test_fraction=data.get("test_fraction"),
-            surface=data.get("surface"),
-            k=data.get("k"),
-            verb=data.get("verb"),
-            allowed_types=tuple(data["allowed_types"]) if "allowed_types" in data else None,
-            surfaces=tuple(data["surfaces"]) if "surfaces" in data else None,
-            predicate=data.get("predicate"),
-        )
+        _check_keys(data, cls, "split spec")
+        return cls(**_with_tuples(data, "allowed_types", "surfaces"))
 
 
 @dataclass(frozen=True)
@@ -209,26 +210,16 @@ class ForgeConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ForgeConfig":
-        meta_data = data.get("meta", {})
-        meta = MetaGrammarConfig(
-            type_weights=dict(meta_data.get("type_weights", {"spinning_type": 0.4, "cautiously_type": 0.3, "detour_type": 0.3})),
-            prefix_len_range=tuple(meta_data.get("prefix_len_range", (2, 8))),
-            detour_rhs_max=meta_data.get("detour_rhs_max", 5),
-            max_rejects=meta_data.get("max_rejects", 1000),
-        )
-        return cls(
-            seed=data.get("seed", 0),
-            grid_size=data.get("grid_size", 6),
-            num_examples=data.get("num_examples", 1000),
-            extra_adverbs=data.get("extra_adverbs", 0),
-            meta=meta,
-            splits=tuple(SplitSpec.from_dict(s) for s in data.get("splits", [])),
-            max_depth=data.get("max_depth", 10),
-            no_adverb_prob=data.get("no_adverb_prob", 0.2),
-            distractors=tuple(data.get("distractors", (0, 3))),
-            retry_limit=data.get("retry_limit", 50),
-            pinned_adverbs=tuple(data.get("pinned_adverbs", ())),
-        )
+        """Inverse of to_dict.  A missing key takes the field's default; an
+        unknown key, here or in `meta` or a split spec, raises UnknownConfigKey."""
+        _check_keys(data, cls, "config")
+        kwargs = _with_tuples(data, "distractors", "pinned_adverbs")
+        if "meta" in kwargs:
+            _check_keys(kwargs["meta"], MetaGrammarConfig, "meta")
+            kwargs["meta"] = MetaGrammarConfig(**_with_tuples(kwargs["meta"], "prefix_len_range"))
+        if "splits" in kwargs:
+            kwargs["splits"] = tuple(SplitSpec.from_dict(s) for s in kwargs["splits"])
+        return cls(**kwargs)
 
 
 def build_lexicon(cfg: ForgeConfig) -> Lexicon:
@@ -261,8 +252,8 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> E
             adverb=tuple(surface.split()) if surface else None,
         )
         try:
-            target = solve(command, world, lexicon, cfg.max_depth)
-            trajectory = execute(world, target)
+            trace = solve_trace(command, world, lexicon, cfg.max_depth)
+            trajectory = execute(world, trace.target)
         except MannerforgeError:
             continue
         if not goal_satisfied(verb, world, trajectory):
@@ -271,10 +262,11 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> E
             index=index,
             command=command.tokens(),
             world=world,
-            target=target,
+            target=trace.target,
             verb=verb,
             adverb_surface=surface,
             adverb_type=lexicon.types[surface] if surface else None,
+            trace=trace,
         )
     raise RetryExhausted(
         f"example {index}: could not realize verb {verb!r}"
@@ -392,67 +384,52 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
 
 # --- per-module records --------------------------------------------------------
 
-def _percept_to_dict(percept: Percept) -> dict:
-    return {
-        "agent": {"row": percept.agent_position.row, "col": percept.agent_position.col},
-        "heading": percept.agent_heading,
-        "target": {"row": percept.target_position.row, "col": percept.target_position.col},
+def module_records(example: Example) -> dict[str, dict]:
+    """One example's perception, navigation, interaction and transformation
+    records, read from the oracle trace kept at generation.  Their targets
+    recompose to the example's end-to-end target."""
+    trace = example.trace
+    if trace is None:
+        raise MissingTrace(f"example {example.index} has no oracle trace (read from disk?)")
+    p = trace.percept
+    percept = {
+        "agent": {"row": p.agent_position.row, "col": p.agent_position.col},
+        "heading": p.agent_heading,
+        "target": {"row": p.target_position.row, "col": p.target_position.col},
     }
-
-
-def emit_module_datasets(examples, lexicon: Lexicon, max_depth: int = 10) -> dict[str, list[dict]]:
-    """Per-module training records whose targets recompose to each example's
-    end-to-end target."""
-    streams: dict[str, list[dict]] = {name: [] for name in MODULE_FILES}
-    for ex in examples:
-        command = parse_command(ex.command)
-        adverb = lexicon.lookup(command.adverb) if command.adverb else None
-        percept = perceive(command, ex.world)
-        plan = plan_navigation(percept, adverb)
-        executed_plan = (
-            apply_program(adverb, plan.symbols, max_depth) if adverb else plan.symbols
-        )
-        arrival = final_heading(executed_plan, ex.world.agent_heading)
-        interactions = plan_interaction(percept, ex.world, command, arrival)
-
-        percept_dict = _percept_to_dict(percept)
-        streams["perception"].append(
-            {
-                "index": ex.index,
-                "command": list(ex.command),
-                "situation": world_to_dict(ex.world),
-                "target": percept_dict,
-            }
-        )
-        streams["navigation"].append(
-            {
-                "index": ex.index,
-                "percept": percept_dict,
-                "adverb": ex.adverb_surface,
-                "target": {"mode": plan.mode, "symbols": list(plan.symbols)},
-            }
-        )
-        streams["interaction"].append(
-            {
-                "index": ex.index,
-                "percept": percept_dict,
-                "situation": world_to_dict(ex.world),
-                "verb": ex.verb,
-                "arrival_heading": arrival,
-                "target": list(interactions),
-            }
-        )
-        streams["transformation"].append(
-            {
-                "index": ex.index,
-                "plan": {"mode": plan.mode, "symbols": list(plan.symbols)},
-                "interactions": list(interactions),
-                "adverb": ex.adverb_surface,
-                "start_heading": ex.world.agent_heading,
-                "target": list(ex.target),
-            }
-        )
-    return streams
+    plan = {"mode": trace.plan.mode, "symbols": list(trace.plan.symbols)}
+    situation = world_to_dict(example.world)
+    interactions = list(trace.interactions)
+    return {
+        "perception": {
+            "index": example.index,
+            "command": list(example.command),
+            "situation": situation,
+            "target": percept,
+        },
+        "navigation": {
+            "index": example.index,
+            "percept": percept,
+            "adverb": example.adverb_surface,
+            "target": plan,
+        },
+        "interaction": {
+            "index": example.index,
+            "percept": percept,
+            "situation": situation,
+            "verb": example.verb,
+            "arrival_heading": trace.arrival_heading,
+            "target": interactions,
+        },
+        "transformation": {
+            "index": example.index,
+            "plan": plan,
+            "interactions": interactions,
+            "adverb": example.adverb_surface,
+            "start_heading": example.world.agent_heading,
+            "target": list(example.target),
+        },
+    }
 
 
 def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str, ...]:
@@ -542,23 +519,27 @@ def write_dataset(
     cfg: ForgeConfig,
     out_dir: str,
 ) -> dict:
-    """Persist examples, module records, registry, splits, and manifest."""
+    """Persist examples, module records (in the same pass, from each example's
+    trace), registry, splits, and manifest."""
     examples = list(examples)
+    untraced = [ex.index for ex in examples if ex.trace is None]
+    if untraced:  # fail before any existing file is truncated
+        raise MissingTrace(f"{len(untraced)} example(s) have no oracle trace, first {untraced[0]}")
     os.makedirs(out_dir, exist_ok=True)
 
     base_split = next((s for s in cfg.splits if s.kind == "random"), None)
     base_test = set(splits[base_split.name].test) if base_split else set()
 
-    with open(os.path.join(out_dir, EXAMPLES_FILE), "w", encoding="utf-8") as fh:
+    with ExitStack() as stack:
+        out = {
+            name: stack.enter_context(open(os.path.join(out_dir, filename), "w", encoding="utf-8"))
+            for name, filename in {"examples": EXAMPLES_FILE, **MODULE_FILES}.items()
+        }
         for ex in examples:
             split = "test" if ex.index in base_test else "train"
-            fh.write(_dumps(example_to_record(ex, split)) + "\n")
-
-    streams = emit_module_datasets(examples, lexicon, cfg.max_depth)
-    for module, filename in MODULE_FILES.items():
-        with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as fh:
-            for record in streams[module]:
-                fh.write(_dumps(record) + "\n")
+            records = {"examples": example_to_record(ex, split), **module_records(ex)}
+            for name, record in records.items():
+                out[name].write(_dumps(record) + "\n")
 
     registry_path = os.path.join(out_dir, REGISTRY_FILE)
     with open(registry_path, "w", encoding="utf-8") as fh:
@@ -615,6 +596,15 @@ def _read_records(path: str) -> list[dict]:
     return records
 
 
+def read_registry(path: str) -> Lexicon:
+    """The built-in adverbs plus every program of a registry file: program
+    blocks separated by blank lines, in slot order."""
+    with open(path, encoding="utf-8") as fh:
+        blocks = fh.read().split("\n\n")
+    programs = [parse_program(block) for block in blocks if block.strip()]
+    return Lexicon.build(LexiconEntry(surface=p.name, program=p) for p in programs)
+
+
 def read_dataset(path: str, verify: bool = True) -> Dataset:
     """Load a persisted dataset, verifying the schema version and every file
     digest recorded in the manifest."""
@@ -642,14 +632,7 @@ def read_dataset(path: str, verify: bool = True) -> Dataset:
         for name, v in raw_splits.items()
     }
 
-    registry_text = open(os.path.join(path, REGISTRY_FILE), encoding="utf-8").read()
-    entries = []
-    for block in registry_text.split("\n\n"):
-        if block.strip():
-            program = parse_program(block)
-            entries.append(LexiconEntry(surface=program.name, program=program))
-    lexicon = Lexicon.build(entries)
-
+    lexicon = read_registry(os.path.join(path, REGISTRY_FILE))
     return Dataset(examples=examples, splits=splits, manifest=manifest, lexicon=lexicon, path=path)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -102,24 +101,22 @@ def read_predictions(path: str) -> list[PredictionRecord]:
                 continue
             try:
                 data = json.loads(line)
-                records.append(
-                    PredictionRecord(index=int(data["index"]), prediction=tuple(data["prediction"]))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                index, prediction = data["index"], data["prediction"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise MalformedRecord(path, lineno, str(exc)) from None
+            if type(index) is not int:  # bool is an int subclass
+                raise MalformedRecord(path, lineno, f"index must be an integer, not {index!r}")
+            if not isinstance(prediction, list) or not all(isinstance(t, str) for t in prediction):
+                raise MalformedRecord(path, lineno, "prediction must be a list of strings")
+            records.append(PredictionRecord(index=index, prediction=tuple(prediction)))
     return records
 
 
-def _semantic_chunk(pairs) -> list[bool]:
-    return [semantically_valid(example, prediction) for example, prediction in pairs]
-
-
-def evaluate(dataset: Dataset, predictions, split_names=None, jobs: int = 1) -> EvalReport:
+def evaluate(dataset: Dataset, predictions, split_names=None) -> EvalReport:
     """Score predictions against every selected split's test set.
 
     Each evaluated test index must be predicted exactly once; predictions for
-    known non-test indices are ignored, unknown indices are an error.  The
-    per-record semantic checks fan out over `jobs` workers on large runs.
+    known non-test indices are ignored, unknown indices are an error.
     """
     known = {ex.index for ex in dataset.examples}
     by_index: dict[int, tuple[str, ...]] = {}
@@ -153,15 +150,9 @@ def evaluate(dataset: Dataset, predictions, split_names=None, jobs: int = 1) -> 
     exact_cache = {
         i: exact_match(by_index[i], dataset.example_by_index(i).target) for i in ordered
     }
-    pairs = [(dataset.example_by_index(i), by_index[i]) for i in ordered]
-    if jobs > 1 and len(pairs) >= 4 * jobs:
-        chunk = max(1, len(pairs) // (jobs * 4))
-        spans = [pairs[lo : lo + chunk] for lo in range(0, len(pairs), chunk)]
-        with multiprocessing.Pool(jobs) as pool:
-            flags = [flag for part in pool.map(_semantic_chunk, spans) for flag in part]
-    else:
-        flags = _semantic_chunk(pairs)
-    valid_cache = dict(zip(ordered, flags))
+    valid_cache = {
+        i: semantically_valid(dataset.example_by_index(i), by_index[i]) for i in ordered
+    }
 
     metrics: dict[str, SplitMetrics] = {}
     for name, assignment in selected.items():

@@ -184,13 +184,24 @@ class Lexicon:
         return tuple(ordered)
 
 
-def solve(
+@dataclass(frozen=True)
+class SolveTrace:
+    """Every oracle module's output for one command in one world."""
+
+    percept: Percept
+    plan: Plan
+    arrival_heading: str
+    interactions: tuple[str, ...]
+    target: tuple[str, ...]
+
+
+def solve_trace(
     command: Command,
     world: WorldState,
     lexicon: Lexicon | None = None,
     max_depth: int = 10,
-) -> tuple[str, ...]:
-    """Ground-truth action sequence for a command in a world.
+) -> SolveTrace:
+    """Run perception, navigation, interaction and transformation in turn.
 
     The interaction heading is taken from the transformed plan, not the plain
     one: a detour manner can leave the agent facing elsewhere when it reaches
@@ -207,7 +218,18 @@ def solve(
         executed_plan = apply_program(adverb, plan.symbols, max_depth)
     arrival = final_heading(executed_plan, world.agent_heading)
     interactions = plan_interaction(percept, world, command, arrival)
-    return transform(plan, interactions, adverb, start=world.agent_heading, max_depth=max_depth)
+    target = transform(plan, interactions, adverb, start=world.agent_heading, max_depth=max_depth)
+    return SolveTrace(percept, plan, arrival, interactions, target)
+
+
+def solve(
+    command: Command,
+    world: WorldState,
+    lexicon: Lexicon | None = None,
+    max_depth: int = 10,
+) -> tuple[str, ...]:
+    """Ground-truth action sequence for a command in a world."""
+    return solve_trace(command, world, lexicon, max_depth).target
 
 
 def goal_satisfied(verb: str, world: WorldState, trajectory: Trajectory) -> bool:

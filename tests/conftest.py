@@ -1,9 +1,13 @@
 """Shared fixtures and independent tracing helpers for the test suite."""
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from mannerforge import builtin_adverbs
+from mannerforge.forge import MODULE_FILES
 
 TURN_LEFT_CYCLE = {"east": "north", "north": "west", "west": "south", "south": "east"}
 TURN_RIGHT_CYCLE = {v: k for k, v in TURN_LEFT_CYCLE.items()}
@@ -44,6 +48,22 @@ def trace_cells(ego_sequence, start=(0, 0), heading="east"):
         if cell != collapsed[-1]:
             collapsed.append(cell)
     return collapsed
+
+
+def persisted_module_records(out_dir):
+    """Yield each example's module records as written to a dataset directory,
+    one {module: record} dict per example in file order, read back from the
+    four module files in lockstep.  The files must agree on length and index."""
+    paths = [os.path.join(out_dir, filename) for filename in MODULE_FILES.values()]
+    handles = [open(path, encoding="utf-8") for path in paths]
+    try:
+        for lines in zip(*handles, strict=True):
+            records = dict(zip(MODULE_FILES, map(json.loads, lines)))
+            assert len({r["index"] for r in records.values()}) == 1, records
+            yield records
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 @pytest.fixture(scope="session")

@@ -17,11 +17,12 @@ from mannerforge.forge import (
     SplitSpec,
     build_lexicon,
     build_splits,
-    emit_module_datasets,
     forge_dataset,
     generate_examples,
     generate_examples_parallel,
+    read_dataset,
     recompose,
+    write_dataset,
 )
 from mannerforge.metagrammar import (
     CAUTIOUSLY_TYPE,
@@ -38,12 +39,13 @@ from mannerforge.pipeline import (
     canonical_allo_plan,
     goal_satisfied,
     plan_navigation,
+    solve_trace,
 )
 from mannerforge.seeding import derive_rng
 from mannerforge.symbols import displacement, parse_symbols
-from mannerforge.world import Position, execute
+from mannerforge.world import Position, execute, parse_command
 
-from conftest import trace_cells
+from conftest import persisted_module_records, trace_cells
 
 SPIN = "turn_left turn_left turn_left turn_left"
 CAUTIOUS = "turn_left turn_right turn_right turn_left"
@@ -103,7 +105,7 @@ def test_criterion_1_golden_suite(builtins):
     print(f"\nACCEPTANCE 1 PASS: golden transformation suite, exact equality ({elapsed*1000:.0f} ms)")
 
 
-def test_criterion_2_oracle_soundness(oracle_corpus):
+def test_criterion_2_oracle_soundness(oracle_corpus, tmp_path):
     cfg, lexicon, examples, gen_elapsed = oracle_corpus
     assert len(examples) == 10_000
 
@@ -111,15 +113,20 @@ def test_criterion_2_oracle_soundness(oracle_corpus):
         trajectory = execute(ex.world, ex.target)
         assert goal_satisfied(ex.verb, ex.world, trajectory), ex.index
 
-    streams = emit_module_datasets(examples, lexicon, cfg.max_depth)
-    per_index = {}
-    for module, records in streams.items():
-        for record in records:
-            per_index.setdefault(record["index"], {})[module] = record
-    mismatches = sum(
-        1 for ex in examples if recompose(per_index[ex.index], lexicon, cfg.max_depth) != ex.target
-    )
-    assert mismatches == 0
+    write_dataset(examples, lexicon, {}, cfg, str(tmp_path))
+    by_index = {ex.index: ex for ex in examples}
+    mismatches = persisted = 0
+    for records in persisted_module_records(tmp_path):
+        target = by_index[records["transformation"]["index"]].target
+        mismatches += recompose(records, lexicon, cfg.max_depth) != target
+        persisted += 1
+    assert (persisted, mismatches) == (10_000, 0)
+
+    # The persisted command, world and registry re-solve to the kept trace.
+    dataset = read_dataset(str(tmp_path))
+    for ex in dataset.examples:
+        trace = solve_trace(parse_command(ex.command), ex.world, dataset.lexicon, cfg.max_depth)
+        assert trace == by_index[ex.index].trace, ex.index
     assert gen_elapsed < 60.0
     print(
         f"\nACCEPTANCE 2 PASS: 10,000/10,000 examples execute and satisfy goals, "

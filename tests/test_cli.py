@@ -4,6 +4,8 @@ import pytest
 
 from mannerforge.cli import main
 from mannerforge.dsl import parse_program
+from mannerforge.forge import ForgeConfig, forge_dataset, read_dataset
+from mannerforge.pipeline import BUILTIN_SURFACES
 from mannerforge.world import world_to_dict, GridObject, Position, WorldState
 
 SPIN = "turn_left turn_left turn_left turn_left"
@@ -58,6 +60,22 @@ def test_solve_with_world_file(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--world", str(path), "--command", "walk to a circle")
     assert code == 0
     assert out == "walk"
+
+
+def test_solve_with_sampled_registry(capsys, tmp_path):
+    forge_dataset(ForgeConfig(seed=3, num_examples=40, extra_adverbs=4), str(tmp_path / "ds"))
+    example = next(
+        ex for ex in read_dataset(str(tmp_path / "ds")).examples
+        if ex.adverb_surface and ex.adverb_surface not in BUILTIN_SURFACES
+    )
+    world_path = tmp_path / "world.json"
+    world_path.write_text(json.dumps(world_to_dict(example.world)))
+    code, out, _ = run(
+        capsys, "solve", "--world", str(world_path), "--command", " ".join(example.command),
+        "--registry", str(tmp_path / "ds" / "registry.txt"),
+    )
+    assert code == 0
+    assert out == " ".join(example.target)
 
 
 def test_sample_adverbs_writes_parseable_registry(capsys, tmp_path):

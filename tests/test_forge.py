@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -7,8 +9,10 @@ from mannerforge.errors import (
     DigestMismatch,
     InsufficientExamples,
     MalformedRecord,
+    MissingTrace,
     RetryExhausted,
     SchemaMismatch,
+    UnknownConfigKey,
 )
 from mannerforge.forge import (
     ForgeConfig,
@@ -17,12 +21,12 @@ from mannerforge.forge import (
     _read_records,
     build_lexicon,
     build_splits,
-    emit_module_datasets,
     example_from_record,
     example_to_record,
     forge_dataset,
     generate_examples,
     generate_examples_parallel,
+    module_records,
     read_dataset,
     recompose,
     register_predicate,
@@ -31,8 +35,13 @@ from mannerforge.forge import (
 from mannerforge.metagrammar import CAUTIOUSLY_TYPE
 from mannerforge.pipeline import BUILTIN_SURFACES
 from mannerforge.seeding import derive_rng
-from mannerforge.world import execute
-from mannerforge.pipeline import goal_satisfied
+from mannerforge.world import execute, parse_command
+from mannerforge.pipeline import goal_satisfied, solve_trace
+
+from conftest import persisted_module_records
+
+# `mannerforge generate --config vocab_x150 --num-examples 2000` at schema 1.
+REFERENCE_MANIFEST_SHA256 = "e6104d903481b5ae8c5c291d94f471aa8ad4328ebc541cc0dc7c7cc3509da55c"
 
 BASE_SPLITS = (
     SplitSpec(kind="random", name="random", test_fraction=0.2),
@@ -205,33 +214,49 @@ class TestBuildSplits:
 
 class TestModuleDatasets:
     def test_walk_interaction_target_is_empty(self, small_corpus):
-        cfg, lexicon, examples = small_corpus
-        streams = emit_module_datasets(examples, lexicon, cfg.max_depth)
-        by_index = {ex.index: ex for ex in examples}
-        for record in streams["interaction"]:
-            if by_index[record["index"]].verb == "walk":
-                assert record["target"] == []
-
-    def test_recomposition_reproduces_targets(self, small_corpus):
-        cfg, lexicon, examples = small_corpus
-        streams = emit_module_datasets(examples, lexicon, cfg.max_depth)
-        per_index = {}
-        for module, records in streams.items():
-            for record in records:
-                per_index.setdefault(record["index"], {})[module] = record
+        _, _, examples = small_corpus
         for ex in examples:
-            assert recompose(per_index[ex.index], lexicon, cfg.max_depth) == ex.target
+            if ex.verb == "walk":
+                assert module_records(ex)["interaction"]["target"] == []
+
+    def test_recomposition_reproduces_targets(self, small_corpus, tmp_path):
+        cfg, lexicon, examples = small_corpus
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        persisted = list(persisted_module_records(tmp_path))
+        assert [r["transformation"]["index"] for r in persisted] == [ex.index for ex in examples]
+        for records, ex in zip(persisted, examples):
+            assert recompose(records, lexicon, cfg.max_depth) == ex.target
+        for ex in read_dataset(str(tmp_path)).examples:
+            trace = solve_trace(parse_command(ex.command), ex.world, lexicon, cfg.max_depth)
+            assert trace == examples[ex.index].trace
 
     def test_navigation_targets_match_modes(self, small_corpus):
-        cfg, lexicon, examples = small_corpus
-        streams = emit_module_datasets(examples, lexicon, cfg.max_depth)
-        by_index = {ex.index: ex for ex in examples}
-        for record in streams["navigation"]:
-            ex = by_index[record["index"]]
+        _, _, examples = small_corpus
+        for ex in examples:
+            mode = module_records(ex)["navigation"]["target"]["mode"]
             if ex.adverb_surface in ("while spinning", "while zigzagging"):
-                assert record["target"]["mode"] == "allocentric"
+                assert mode == "allocentric"
             elif ex.adverb_surface in ("cautiously", "hesitantly", None):
-                assert record["target"]["mode"] == "egocentric"
+                assert mode == "egocentric"
+
+    def test_example_read_from_disk_has_no_trace(self, small_corpus, tmp_path):
+        cfg, lexicon, examples = small_corpus
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        read_back = read_dataset(str(tmp_path)).examples[0]
+        assert read_back == examples[0] and read_back.trace is None
+        with pytest.raises(MissingTrace):
+            module_records(read_back)
+
+    def test_rewriting_untraced_examples_leaves_dataset_readable(self, small_corpus, tmp_path):
+        cfg, lexicon, examples = small_corpus
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        manifest = write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        read_back = read_dataset(str(tmp_path)).examples
+        with pytest.raises(MissingTrace):
+            write_dataset(read_back, lexicon, splits, cfg, str(tmp_path))
+        assert read_dataset(str(tmp_path)).manifest == manifest
 
 
 class TestPersistence:
@@ -296,6 +321,16 @@ class TestPersistence:
         assert m1["files"] == m2["files"]
         assert m1["registry_digest"] == m2["registry_digest"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reference_manifest_digest(self, tmp_path, jobs):
+        data = json.loads(
+            resources.files("mannerforge").joinpath("presets", "vocab_x150.json").read_text()
+        )
+        data["num_examples"] = 2000
+        forge_dataset(ForgeConfig.from_dict(data), str(tmp_path), jobs=jobs)
+        digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
+        assert digest == REFERENCE_MANIFEST_SHA256
+
     def test_example_record_round_trip(self, small_corpus):
         _, _, examples = small_corpus
         for ex in examples[:50]:
@@ -315,3 +350,19 @@ class TestForgeConfig:
             ForgeConfig(extra_adverbs=-1)
         with pytest.raises(ValueError):
             ForgeConfig(no_adverb_prob=1.5)
+
+    def test_missing_keys_take_dataclass_defaults(self):
+        assert ForgeConfig.from_dict({}) == ForgeConfig()
+        assert ForgeConfig.from_dict({"meta": {}}) == ForgeConfig()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"num_exmaples": 5},
+            {"meta": {"type_weight": {"spinning_type": 1.0}}},
+            {"splits": [{"kind": "random", "name": "r", "test_fracton": 0.1}]},
+        ],
+    )
+    def test_unknown_keys_rejected(self, data):
+        with pytest.raises(UnknownConfigKey):
+            ForgeConfig.from_dict(data)

@@ -166,6 +166,23 @@ class TestPredictionIO:
             read_predictions(str(path))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"index": 1, "prediction": "walk walk"}',
+            '{"index": 1, "prediction": ["walk", 2]}',
+            '{"index": 3.7, "prediction": ["walk"]}',
+            '{"index": true, "prediction": ["walk"]}',
+            '{"index": "1", "prediction": ["walk"]}',
+        ],
+    )
+    def test_mistyped_prediction_line(self, tmp_path, record):
+        path = tmp_path / "preds.ndrec"
+        path.write_text('{"index": 0, "prediction": ["walk"]}\n' + record + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_predictions(str(path))
+        assert err.value.line == 2
+
 
 class TestStats:
     def test_stats_shape(self, dataset):
