@@ -15,15 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DepthExceeded, DuplicateLhs, ParseError
-from .symbols import (
-    ALLO_TO_HEADING,
-    EGO_SYMBOLS,
-    is_allo,
-    require_heading,
-    require_symbol,
-    turn,
-    turns_between,
-)
+from .symbols import ALLO_SYMBOLS, STEP, is_allo, require_heading, require_symbol, turns_between
 
 MODES = ("allocentric", "egocentric")
 PLAN_SHAPES = ("canonical", "zigzag")
@@ -120,25 +112,24 @@ def apply_program(program: AdverbProgram, sequence, max_depth: int = 10) -> tupl
 def ground(sequence, start: str) -> tuple[str, ...]:
     """Convert a mixed sequence to egocentric primitives.
 
-    Egocentric symbols pass through (turns update the tracked heading); each
-    allocentric symbol becomes the minimal turn sequence toward its direction
-    followed by walk, with 180 degree turns fixed as two turn_left actions.
+    Egocentric symbols pass through; each allocentric symbol becomes the
+    minimal turn sequence toward its direction followed by walk, with 180
+    degree turns fixed as two turn_left actions.  The heading is tracked
+    through `STEP`.
     """
     require_heading(start)
     h = start
     out: list[str] = []
     for s in sequence:
-        d = ALLO_TO_HEADING.get(s)
-        if d is not None:
-            out.extend(turns_between(h, d))
-            out.append("walk")
-            h = d
-        elif s in EGO_SYMBOLS:
-            out.append(s)
-            if s == "turn_left" or s == "turn_right":
-                h = turn(h, s)
-        else:
+        step = STEP.get((h, s))
+        if step is None:
             raise ValueError(f"unknown action symbol: {s!r}")
+        if s in ALLO_SYMBOLS:
+            out.extend(turns_between(h, step[0]))
+            out.append("walk")
+        else:
+            out.append(s)
+        h = step[0]
     return tuple(out)
 
 

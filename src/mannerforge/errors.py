@@ -122,3 +122,7 @@ class DuplicatePrediction(MannerforgeError):
 
 class UnknownIndex(MannerforgeError):
     """A prediction references an index outside the dataset."""
+
+
+class UnknownSplit(MannerforgeError):
+    """An evaluation names a split the dataset does not define."""

@@ -294,7 +294,9 @@ def _worker_chunk(args) -> list[Example]:
 
 def generate_examples_parallel(cfg: ForgeConfig, jobs: int = 1) -> list[Example]:
     """Parallel generation over index chunks; output identical to the
-    sequential generator because every index derives its own RNG stream."""
+    sequential generator because every index derives its own RNG stream.
+    `jobs` is capped at the machine's CPU count."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or cfg.num_examples < 2 * jobs:
         return list(generate_examples(cfg))
     cfg_dict = cfg.to_dict()
@@ -339,8 +341,9 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
                     f"split {spec.name!r}: {len(matching)} examples of {spec.surface!r}, need {spec.k}"
                 )
             shots = set(sub.sample(matching, spec.k))
-            test = sorted(i for i in matching if i not in shots)
-            train = sorted(i for i in indices if i not in set(matching) or i in shots)
+            held = set(matching) - shots
+            test = sorted(held)
+            train = sorted(i for i in indices if i not in held)
             result[spec.name] = SplitAssignment(tuple(train), tuple(test))
 
         elif spec.kind == "verb_adverb_holdout":

@@ -20,6 +20,7 @@ from .errors import (
     MannerforgeError,
     MissingPrediction,
     UnknownIndex,
+    UnknownSplit,
 )
 from .forge import Dataset, Example
 from .pipeline import goal_satisfied
@@ -137,6 +138,11 @@ def evaluate(dataset: Dataset, predictions, split_names=None) -> EvalReport:
     if split_names is None:
         selected = dict(dataset.splits)
     else:
+        for name in split_names:
+            if name not in dataset.splits:
+                raise UnknownSplit(
+                    f"no split named {name!r}; known splits: {', '.join(sorted(dataset.splits))}"
+                )
         selected = {name: dataset.splits[name] for name in split_names}
 
     evaluated = set()

@@ -17,7 +17,7 @@ from math import comb
 from .dsl import AdverbProgram, RewriteRule, builtin_adverbs, programs_equal
 from .errors import RejectBudgetExceeded, Unclassifiable
 from .seeding import derive_rng
-from .symbols import ALLO_TO_HEADING, HEADING_DELTAS, is_allo, net_rotation
+from .symbols import displacement, is_allo, net_rotation
 
 SPINNING_TYPE = "spinning_type"
 CAUTIOUSLY_TYPE = "cautiously_type"
@@ -111,17 +111,6 @@ def _sample_detour_rhs(rng: random.Random, lhs: str, rhs_max: int) -> tuple[str,
     return tuple(rhs)
 
 
-def allo_displacement(symbols) -> tuple[int, int]:
-    """Net cell displacement of an allocentric-only sequence."""
-    drow = 0
-    dcol = 0
-    for s in symbols:
-        dr, dc = HEADING_DELTAS[ALLO_TO_HEADING[s]]
-        drow += dr
-        dcol += dc
-    return drow, dcol
-
-
 def is_valid_detour_rule(rule: RewriteRule, rhs_max: int | None = 5) -> bool:
     """Accept a rule iff it detours: allocentric on both sides, longer than a
     single move (bounded when rhs_max is given), and landing where the
@@ -132,7 +121,8 @@ def is_valid_detour_rule(rule: RewriteRule, rhs_max: int | None = 5) -> bool:
         return False
     if len(rule.rhs) < 2 or (rhs_max is not None and len(rule.rhs) > rhs_max):
         return False
-    return allo_displacement(rule.rhs) == allo_displacement((rule.lhs,))
+    # Allocentric moves ignore the start heading, so any start will do.
+    return displacement(rule.rhs, "north") == displacement((rule.lhs,), "north")
 
 
 def sample_program(

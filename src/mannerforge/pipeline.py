@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 from .dsl import AdverbProgram, apply_program, builtin_adverbs, ground
 from .errors import UnknownAdverb
 from .metagrammar import LexiconEntry, classify_program
-from .symbols import (
-    ALLO_SYMBOLS,
-    EGO_SYMBOLS,
-    OPPOSITE_HEADING,
-    final_heading,
-)
+from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP, final_heading
 from .world import HEAVY_SIZES, Command, Position, Trajectory, WorldState, resolve_target
 
 HEAVY_ACTIONS_PER_CELL = 2
@@ -97,14 +92,14 @@ def plan_navigation(percept: Percept, adverb: AdverbProgram | None = None) -> Pl
     return Plan("egocentric", ground(canonical, percept.agent_heading))
 
 
-def free_cells(world: WorldState, start: Position, heading: str) -> int:
-    """Cells an object at `start` can slide along `heading` before hitting the
-    grid edge or another object."""
+def free_cells(world: WorldState, start: Position, drow: int, dcol: int) -> int:
+    """Cells an object at `start` can slide by steps of (drow, dcol) before
+    hitting the grid edge or another object."""
     count = 0
-    pos = start.shifted(heading)
+    pos = Position(start.row + drow, start.col + dcol)
     while world.in_bounds(pos) and not world.occupied(pos, ignore=world.target_index):
         count += 1
-        pos = pos.shifted(heading)
+        pos = Position(pos.row + drow, pos.col + dcol)
     return count
 
 
@@ -120,8 +115,8 @@ def plan_interaction(
     if command.verb == "walk":
         return ()
     target = world.target
-    direction = arrival_heading if command.verb == "push" else OPPOSITE_HEADING[arrival_heading]
-    cells = free_cells(world, target.position, direction)
+    _, drow, dcol = STEP[arrival_heading, command.verb]
+    cells = free_cells(world, target.position, drow, dcol)
     per_cell = HEAVY_ACTIONS_PER_CELL if target.size in heavy_sizes else 1
     return (command.verb,) * (cells * per_cell)
 
@@ -135,13 +130,10 @@ def transform(
 ) -> tuple[str, ...]:
     """Rewrite plan plus interactions with the manner's program and ground the
     result.  With no adverb an egocentric plan passes through unchanged."""
-    interactions = tuple(interactions)
-    sequence = plan.symbols + interactions
-    if adverb is None:
-        if plan.mode == "egocentric":
-            return sequence
-        return ground(sequence, start)
-    return ground(apply_program(adverb, sequence, max_depth), start)
+    sequence = plan.symbols + tuple(interactions)
+    if adverb is not None:
+        sequence = apply_program(adverb, sequence, max_depth)
+    return ground(sequence, start)
 
 
 BUILTIN_SURFACES = tuple(p.surface for p in builtin_adverbs())
@@ -237,7 +229,7 @@ def goal_satisfied(verb: str, world: WorldState, trajectory: Trajectory) -> bool
 
     walk: the agent ends on the target's cell.  push/pull: the object ends
     flush against the grid edge or another object along the direction it was
-    moved (the facing direction when it never moved at all).
+    moved (the heading's push or pull direction when it never moved at all).
     """
     final = trajectory.final_world
     target_before = world.target.position
@@ -250,11 +242,9 @@ def goal_satisfied(verb: str, world: WorldState, trajectory: Trajectory) -> bool
     if drow != 0 and dcol != 0:
         return False
     if drow == 0 and dcol == 0:
-        heading = final.agent_heading
-        direction = heading if verb == "push" else OPPOSITE_HEADING[heading]
-    elif drow != 0:
-        direction = "south" if drow > 0 else "north"
-    else:
-        direction = "east" if dcol > 0 else "west"
-    beyond = target_after.shifted(direction)
+        _, drow, dcol = STEP[final.agent_heading, verb]
+    beyond = Position(
+        target_after.row + (drow > 0) - (drow < 0),
+        target_after.col + (dcol > 0) - (dcol < 0),
+    )
     return not final.in_bounds(beyond) or final.occupied(beyond, ignore=final.target_index)

@@ -11,10 +11,6 @@ EGO_SYMBOLS = frozenset({"walk", "push", "pull", "stay", "turn_left", "turn_righ
 ALLO_SYMBOLS = frozenset({"North", "South", "East", "West"})
 ALL_SYMBOLS = EGO_SYMBOLS | ALLO_SYMBOLS
 
-INTERACTIONS = ("push", "pull")
-MOVEMENT_EGO = ("walk", "push", "pull")
-TURNS = ("turn_left", "turn_right")
-
 # Clockwise compass order; turn_right steps forward in this tuple.
 HEADINGS = ("north", "east", "south", "west")
 
@@ -26,15 +22,26 @@ HEADING_DELTAS = {
 }
 
 ALLO_TO_HEADING = {"North": "north", "South": "south", "East": "east", "West": "west"}
-HEADING_TO_ALLO = {h: a for a, h in ALLO_TO_HEADING.items()}
-
-OPPOSITE_HEADING = {"north": "south", "south": "north", "east": "west", "west": "east"}
 
 _HEADING_INDEX = {h: i for i, h in enumerate(HEADINGS)}
 
 
-def is_ego(symbol: str) -> bool:
-    return symbol in EGO_SYMBOLS
+def _step(heading: str, symbol: str) -> tuple[str, int, int]:
+    if symbol in ALLO_TO_HEADING:
+        heading, sign = ALLO_TO_HEADING[symbol], 1
+    else:
+        quarter = {"turn_left": -1, "turn_right": 1}.get(symbol, 0)
+        heading = HEADINGS[(_HEADING_INDEX[heading] + quarter) % 4]
+        sign = {"walk": 1, "push": 1, "pull": -1}.get(symbol, 0)
+    dr, dc = HEADING_DELTAS[heading]
+    return heading, sign * dr, sign * dc
+
+
+# The compass table: STEP[heading, symbol] = (heading_after, drow, dcol).  An
+# allocentric symbol faces its direction and moves that way; walk and push
+# move along the heading, pull against it; turns rotate in place; stay idles.
+# Every heading walker in the package reads this one table.
+STEP = {(h, s): _step(h, s) for h in HEADINGS for s in sorted(ALL_SYMBOLS)}
 
 
 def is_allo(symbol: str) -> bool:
@@ -60,12 +67,9 @@ def parse_symbols(text: str) -> tuple[str, ...]:
 
 def turn(heading: str, direction: str) -> str:
     """Rotate a heading by one turn_left or turn_right step."""
-    i = _HEADING_INDEX[heading]
-    if direction == "turn_left":
-        return HEADINGS[(i - 1) % 4]
-    if direction == "turn_right":
-        return HEADINGS[(i + 1) % 4]
-    raise ValueError(f"not a turn symbol: {direction!r}")
+    if direction != "turn_left" and direction != "turn_right":
+        raise ValueError(f"not a turn symbol: {direction!r}")
+    return STEP[heading, direction][0]
 
 
 def turns_between(start: str, goal: str) -> tuple[str, ...]:
@@ -96,44 +100,21 @@ def net_rotation(symbols) -> int:
 
 
 def final_heading(symbols, start: str) -> str:
-    """Heading after following a mixed symbol sequence from `start`.
-
-    Allocentric symbols leave the agent facing their direction; turns rotate;
-    walk, push, pull, and stay leave the heading unchanged.
-    """
+    """Heading after following a mixed symbol sequence from `start`."""
     h = start
     for s in symbols:
-        if s in ALLO_TO_HEADING:
-            h = ALLO_TO_HEADING[s]
-        elif s == "turn_left" or s == "turn_right":
-            h = turn(h, s)
+        h = STEP[h, s][0]
     return h
 
 
 def displacement(symbols, start: str) -> tuple[int, int]:
-    """Net (row, col) displacement of a mixed sequence followed from `start`.
-
-    Mirrors grounded execution: an allocentric symbol moves one cell in its
-    direction and re-orients the agent; walk and push move along the tracked
-    heading; pull moves against it.
-    """
+    """Net (row, col) displacement of a mixed sequence followed from `start`,
+    as grounded execution would move the agent."""
     h = start
     drow = 0
     dcol = 0
     for s in symbols:
-        if s in ALLO_TO_HEADING:
-            h = ALLO_TO_HEADING[s]
-            dr, dc = HEADING_DELTAS[h]
-            drow += dr
-            dcol += dc
-        elif s == "walk" or s == "push":
-            dr, dc = HEADING_DELTAS[h]
-            drow += dr
-            dcol += dc
-        elif s == "pull":
-            dr, dc = HEADING_DELTAS[h]
-            drow -= dr
-            dcol -= dc
-        elif s == "turn_left" or s == "turn_right":
-            h = turn(h, s)
+        h, dr, dc = STEP[h, s]
+        drow += dr
+        dcol += dc
     return drow, dcol

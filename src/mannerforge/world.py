@@ -21,7 +21,7 @@ from .errors import (
     NoReferent,
     OutOfBounds,
 )
-from .symbols import EGO_SYMBOLS, HEADING_DELTAS, OPPOSITE_HEADING, require_heading, turn
+from .symbols import EGO_SYMBOLS, STEP, require_heading
 
 SHAPES = ("circle", "square", "cylinder")
 COLORS = ("red", "blue", "green", "yellow")
@@ -36,10 +36,6 @@ HEAVY_SIZES = frozenset({3, 4})
 class Position:
     row: int
     col: int
-
-    def shifted(self, heading: str) -> "Position":
-        dr, dc = HEADING_DELTAS[heading]
-        return Position(self.row + dr, self.col + dc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,51 +182,35 @@ def execute(world: WorldState, actions, heavy_sizes: frozenset[int] = HEAVY_SIZE
     pending: str | None = None
     visited = [agent]
 
-    def move_with_object(direction: str):
-        nonlocal agent, target_pos
-        new = target_pos.shifted(direction)
-        if not (0 <= new.row < world.grid_size and 0 <= new.col < world.grid_size):
-            raise OutOfBounds(f"cannot move object to {new}")
-        for i, obj in enumerate(world.objects):
-            if i != world.target_index and obj.position == new:
-                raise Blocked(f"cell {new} is occupied")
-        target_pos = new
-        agent = new
-        visited.append(agent)
-
     for action in actions:
+        heading, dr, dc = STEP[heading, action]
         if action == "walk":
-            new = agent.shifted(heading)
-            if not (0 <= new.row < world.grid_size and 0 <= new.col < world.grid_size):
-                raise OutOfBounds(f"cannot walk to {new}")
-            agent = new
-            visited.append(agent)
             pending = None
-        elif action == "turn_left" or action == "turn_right":
-            heading = turn(heading, action)
-        elif action == "stay":
-            pass
         elif action == "push" or action == "pull":
             if agent != target_pos:
                 raise IllegalInteraction(
                     f"{action} at {agent} but target object is at {target_pos}"
                 )
-            direction = heading if action == "push" else OPPOSITE_HEADING[heading]
-            if heavy:
-                if pending == action:
-                    move_with_object(direction)
-                    pending = None
-                else:
-                    pending = action
-            else:
-                move_with_object(direction)
-                pending = None
+            if heavy and pending != action:
+                pending = action
+                continue
+            pending = None
+        else:
+            continue  # turns and stay do not move
 
-    # Collapse consecutive duplicates (turns and no-op pushes add no cells).
-    cells = [visited[0]]
-    for pos in visited[1:]:
-        if pos != cells[-1]:
-            cells.append(pos)
+        # The agent moves one cell, carrying the object when interacting.
+        new = Position(agent.row + dr, agent.col + dc)
+        if not (0 <= new.row < world.grid_size and 0 <= new.col < world.grid_size):
+            if action == "walk":
+                raise OutOfBounds(f"cannot walk to {new}")
+            raise OutOfBounds(f"cannot move object to {new}")
+        if action != "walk":
+            for i, obj in enumerate(world.objects):
+                if i != world.target_index and obj.position == new:
+                    raise Blocked(f"cell {new} is occupied")
+            target_pos = new
+        agent = new
+        visited.append(agent)  # every move changes cell, so no duplicates
 
     objects = list(world.objects)
     objects[world.target_index] = replace(target, position=target_pos)
@@ -241,7 +221,7 @@ def execute(world: WorldState, actions, heavy_sizes: frozenset[int] = HEAVY_SIZE
         objects=tuple(objects),
         target_index=world.target_index,
     )
-    return Trajectory(visited_cells=tuple(cells), final_world=final, length=len(actions))
+    return Trajectory(visited_cells=tuple(visited), final_world=final, length=len(actions))
 
 
 def resolve_target(command: Command, world: WorldState) -> int:

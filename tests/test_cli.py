@@ -4,7 +4,7 @@ import pytest
 
 from mannerforge.cli import main
 from mannerforge.dsl import parse_program
-from mannerforge.forge import ForgeConfig, forge_dataset, read_dataset
+from mannerforge.forge import ForgeConfig, SplitSpec, forge_dataset, read_dataset
 from mannerforge.pipeline import BUILTIN_SURFACES
 from mannerforge.world import world_to_dict, GridObject, Position, WorldState
 
@@ -186,3 +186,19 @@ def test_bad_symbol_is_domain_error(capsys):
     code, _, err = run(capsys, "ground", "--input", "North fly", "--heading", "east")
     assert code == 1
     assert "error[ValueError]" in err
+
+
+def test_unknown_split_is_domain_error(capsys, tmp_path):
+    out_dir = tmp_path / "ds"
+    splits = (SplitSpec("random", "random", test_fraction=0.25),
+              SplitSpec("random", "other", test_fraction=0.5))
+    cfg = ForgeConfig(seed=2, num_examples=40, extra_adverbs=0, splits=splits)
+    forge_dataset(cfg, str(out_dir))
+    preds_path = tmp_path / "preds.ndrec"
+    preds_path.write_text("")
+    code, _, err = run(capsys, "evaluate", "--dataset", str(out_dir), "--split", "nope",
+                       "--predictions", str(preds_path))
+    assert code == 1
+    assert "error[UnknownSplit]" in err
+    assert "'nope'" in err
+    assert "known splits: other, random" in err

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from mannerforge import forge as forge_module
 from mannerforge.errors import (
     DigestMismatch,
     InsufficientExamples,
@@ -91,6 +92,33 @@ class TestGenerateExamples:
         cfg, _, examples = small_corpus
         parallel = generate_examples_parallel(cfg, jobs=2)
         assert parallel == examples
+
+    def test_jobs_capped_at_one_cpu_runs_serially(self, small_corpus, monkeypatch):
+        cfg, _, examples = small_corpus
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started on a one-CPU machine")
+
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(forge_module.multiprocessing, "Pool", no_pool)
+        assert generate_examples_parallel(cfg, jobs=4) == examples
+
+    def test_jobs_capped_at_cpu_count(self, small_corpus, monkeypatch):
+        cfg, _, _ = small_corpus
+        asked = []
+
+        class Refused(Exception):
+            pass
+
+        def recording_pool(processes):
+            asked.append(processes)
+            raise Refused
+
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forge_module.multiprocessing, "Pool", recording_pool)
+        with pytest.raises(Refused):
+            generate_examples_parallel(cfg, jobs=64)
+        assert asked == [2]
 
     def test_retry_exhausted_reports_adverb(self):
         # A detour two rows deep can never stay inside a 2x2 grid.

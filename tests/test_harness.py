@@ -8,6 +8,7 @@ from mannerforge.errors import (
     MalformedRecord,
     MissingPrediction,
     UnknownIndex,
+    UnknownSplit,
 )
 from mannerforge.forge import (
     ForgeConfig,
@@ -119,6 +120,10 @@ class TestEvaluate:
         preds = gold_predictions(dataset) + [PredictionRecord(10 ** 9, ("walk",))]
         with pytest.raises(UnknownIndex):
             evaluate(dataset, preds)
+
+    def test_unknown_split(self, dataset):
+        with pytest.raises(UnknownSplit, match="known splits: pull_spin, random"):
+            evaluate(dataset, gold_predictions(dataset), split_names=["random", "nope"])
 
     def test_order_invariance(self, dataset):
         preds = gold_predictions(dataset)

@@ -1,0 +1,158 @@
+"""Property tests against code that shares nothing with the package's compass
+table: conftest's own turn cycles, delta table and cell tracer."""
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import _DELTAS, TURN_LEFT_CYCLE, TURN_RIGHT_CYCLE, trace_cells
+from mannerforge.dsl import AdverbProgram, RewriteRule, parse_program, serialize_program
+from mannerforge.errors import OutOfBounds
+from mannerforge.metagrammar import (
+    CAUTIOUSLY_TYPE,
+    DETOUR_TYPE,
+    SPINNING_TYPE,
+    MetaGrammarConfig,
+    sample_program,
+)
+from mannerforge.symbols import ALL_SYMBOLS, EGO_SYMBOLS, STEP
+from mannerforge.world import GridObject, Position, WorldState, execute
+
+HEADINGS = sorted(_DELTAS)
+PROPERTY_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _expected_step(heading, symbol):
+    if symbol in ("North", "South", "East", "West"):
+        return (symbol.lower(),) + _DELTAS[symbol.lower()]
+    if symbol == "turn_left":
+        return TURN_LEFT_CYCLE[heading], 0, 0
+    if symbol == "turn_right":
+        return TURN_RIGHT_CYCLE[heading], 0, 0
+    dr, dc = _DELTAS[heading]
+    if symbol in ("walk", "push"):
+        return heading, dr, dc
+    if symbol == "pull":
+        return heading, -dr, -dc
+    assert symbol == "stay"
+    return heading, 0, 0
+
+
+@pytest.mark.parametrize("heading", HEADINGS)
+@pytest.mark.parametrize("symbol", sorted(ALL_SYMBOLS))
+def test_step_matches_independent_compass(heading, symbol):
+    assert STEP[heading, symbol] == _expected_step(heading, symbol)
+
+
+def test_step_covers_every_heading_and_symbol():
+    assert set(STEP) == {(h, s) for h in HEADINGS for s in ALL_SYMBOLS}
+
+
+GRID = 7
+cells = st.tuples(st.integers(0, GRID - 1), st.integers(0, GRID - 1))
+
+
+def _heading_after(sequence, heading):
+    for symbol in sequence:
+        if symbol == "turn_left":
+            heading = TURN_LEFT_CYCLE[heading]
+        elif symbol == "turn_right":
+            heading = TURN_RIGHT_CYCLE[heading]
+    return heading
+
+
+def _check_against_tracer(world, sequence):
+    start = (world.agent_position.row, world.agent_position.col)
+    expected = trace_cells(sequence, start=start, heading=world.agent_heading)
+    if not all(0 <= r < GRID and 0 <= c < GRID for r, c in expected):
+        with pytest.raises(OutOfBounds):
+            execute(world, sequence)
+        return None
+    traj = execute(world, sequence)
+    assert [(p.row, p.col) for p in traj.visited_cells] == expected
+    assert traj.final_world.agent_heading == _heading_after(sequence, world.agent_heading)
+    return traj
+
+
+@PROPERTY_SETTINGS
+@given(
+    start=cells,
+    target=cells,
+    heading=st.sampled_from(HEADINGS),
+    sequence=st.lists(st.sampled_from(["walk", "turn_left", "turn_right", "stay"]), max_size=14),
+)
+def test_execute_walking_agrees_with_tracer(start, target, heading, sequence):
+    world = WorldState(
+        grid_size=GRID,
+        agent_position=Position(*start),
+        agent_heading=heading,
+        objects=(GridObject("circle", "red", 1, Position(*target)),),
+        target_index=0,
+    )
+    traj = _check_against_tracer(world, sequence)
+    if traj is not None:
+        assert traj.final_world.target.position == Position(*target)
+
+
+@PROPERTY_SETTINGS
+@given(
+    start=cells,
+    heading=st.sampled_from(HEADINGS),
+    sequence=st.lists(
+        st.sampled_from(["push", "pull", "turn_left", "turn_right", "stay"]), max_size=14
+    ),
+)
+def test_execute_interaction_agrees_with_tracer(start, heading, sequence):
+    # A light object under the agent moves with it on every push and pull.
+    world = WorldState(
+        grid_size=GRID,
+        agent_position=Position(*start),
+        agent_heading=heading,
+        objects=(GridObject("square", "blue", 1, Position(*start)),),
+        target_index=0,
+    )
+    traj = _check_against_tracer(world, sequence)
+    if traj is not None:
+        assert traj.final_world.target.position == traj.final_world.agent_position
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    adverb_type=st.sampled_from([SPINNING_TYPE, CAUTIOUSLY_TYPE, DETOUR_TYPE]),
+)
+def test_sampled_program_text_round_trips(seed, adverb_type):
+    program = sample_program(random.Random(seed), adverb_type, MetaGrammarConfig())
+    assert parse_program(serialize_program(program)) == program
+
+
+@st.composite
+def programs(draw):
+    mode = draw(st.sampled_from(["egocentric", "allocentric"]))
+    lhs_pool = sorted(EGO_SYMBOLS if mode == "egocentric" else ALL_SYMBOLS)
+    lhs = draw(st.lists(st.sampled_from(lhs_pool), unique=True, max_size=len(lhs_pool)))
+    plan_shape = draw(st.sampled_from(["canonical", "zigzag"]))
+    allo = ["North", "South", "East", "West"]
+    if mode == "allocentric" and plan_shape == "canonical" and not set(lhs) & set(allo):
+        lhs.append(draw(st.sampled_from(allo)))
+    rhs = st.lists(st.sampled_from(sorted(ALL_SYMBOLS)), min_size=1, max_size=6)
+    name = draw(st.lists(st.sampled_from(["while", "glim", "slowly", "a"]), min_size=1, max_size=3))
+    return AdverbProgram(
+        name=tuple(name),
+        rules=frozenset(RewriteRule(s, tuple(draw(rhs))) for s in lhs),
+        mode=mode,
+        passes=draw(st.integers(1, 4)),
+        plan_shape=plan_shape,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(program=programs())
+def test_arbitrary_program_text_round_trips(program):
+    assert parse_program(serialize_program(program)) == program
