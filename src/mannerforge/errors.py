@@ -121,7 +121,7 @@ class DuplicatePrediction(MannerforgeError):
 
 
 class UnknownIndex(MannerforgeError):
-    """A prediction references an index outside the dataset."""
+    """A prediction or a lookup references an index outside the dataset."""
 
 
 class UnknownSplit(MannerforgeError):

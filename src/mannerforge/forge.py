@@ -25,6 +25,7 @@ from .errors import (
     RetryExhausted,
     SchemaMismatch,
     UnknownConfigKey,
+    UnknownIndex,
 )
 from .metagrammar import ADVERB_TYPES, LexiconEntry, MetaGrammarConfig, sample_registry
 from .pipeline import (
@@ -275,43 +276,33 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> E
     )
 
 
-def generate_examples(cfg: ForgeConfig, lexicon: Lexicon | None = None):
-    """Yield the configured number of validated examples, in index order."""
-    if lexicon is None:
-        lexicon = build_lexicon(cfg)
-    surfaces = lexicon.surfaces()
-    for index in range(cfg.num_examples):
-        yield _generate_one(cfg, lexicon, surfaces, index)
-
-
-def _worker_chunk(args) -> list[Example]:
-    cfg_dict, lo, hi = args
-    cfg = ForgeConfig.from_dict(cfg_dict)
-    lexicon = build_lexicon(cfg)
+def _worker_chunk(span) -> list[Example]:
+    cfg, lexicon, lo, hi = span
     surfaces = lexicon.surfaces()
     return [_generate_one(cfg, lexicon, surfaces, i) for i in range(lo, hi)]
 
 
-def generate_examples_parallel(cfg: ForgeConfig, jobs: int = 1) -> list[Example]:
-    """Parallel generation over index chunks; output identical to the
-    sequential generator because every index derives its own RNG stream.
-    `jobs` is capped at the machine's CPU count."""
+def generate_examples(
+    cfg: ForgeConfig, lexicon: Lexicon | None = None, jobs: int = 1
+) -> list[Example]:
+    """The configured number of validated examples, in index order.  Every
+    index derives its own RNG stream, so the output does not depend on `jobs`,
+    which is capped at the machine's CPU count.  Each worker gets the lexicon
+    with its chunk of indices."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if lexicon is None:
+        lexicon = build_lexicon(cfg)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or cfg.num_examples < 2 * jobs:
-        return list(generate_examples(cfg))
-    cfg_dict = cfg.to_dict()
-    chunk = max(1, cfg.num_examples // (jobs * 8))
-    spans = [
-        (cfg_dict, lo, min(lo + chunk, cfg.num_examples))
-        for lo in range(0, cfg.num_examples, chunk)
-    ]
+    n = cfg.num_examples
+    if jobs == 1:
+        surfaces = lexicon.surfaces()
+        return [_generate_one(cfg, lexicon, surfaces, i) for i in range(n)]
+    chunk = max(1, n // (jobs * 8))
+    spans = [(cfg, lexicon, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     with multiprocessing.Pool(jobs) as pool:
         parts = pool.map(_worker_chunk, spans)
-    out: list[Example] = []
-    for part in parts:
-        out.extend(part)
-    out.sort(key=lambda ex: ex.index)
-    return out
+    return [ex for part in parts for ex in part]
 
 
 # --- splits -------------------------------------------------------------------
@@ -320,43 +311,13 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
     """Build every named split.  Train and test are disjoint in each; dropped
     indices (type_subset only) belong to neither side."""
     examples = list(examples)
+    indices = [ex.index for ex in examples]
     base = rng.getrandbits(64)
     result: dict[str, SplitAssignment] = {}
     for spec in specs:
         sub = derive_rng(base, "split", spec.name)
-        indices = [ex.index for ex in examples]
 
-        if spec.kind == "random":
-            shuffled = indices[:]
-            sub.shuffle(shuffled)
-            n_test = int(len(shuffled) * spec.test_fraction)
-            test = sorted(shuffled[:n_test])
-            train = sorted(shuffled[n_test:])
-            result[spec.name] = SplitAssignment(tuple(train), tuple(test))
-
-        elif spec.kind == "k_shot_adverb":
-            matching = [ex.index for ex in examples if ex.adverb_surface == spec.surface]
-            if len(matching) < spec.k:
-                raise InsufficientExamples(
-                    f"split {spec.name!r}: {len(matching)} examples of {spec.surface!r}, need {spec.k}"
-                )
-            shots = set(sub.sample(matching, spec.k))
-            held = set(matching) - shots
-            test = sorted(held)
-            train = sorted(i for i in indices if i not in held)
-            result[spec.name] = SplitAssignment(tuple(train), tuple(test))
-
-        elif spec.kind == "verb_adverb_holdout":
-            test = sorted(
-                ex.index
-                for ex in examples
-                if ex.verb == spec.verb and ex.adverb_surface == spec.surface
-            )
-            held = set(test)
-            train = sorted(i for i in indices if i not in held)
-            result[spec.name] = SplitAssignment(tuple(train), tuple(test))
-
-        elif spec.kind == "type_subset":
+        if spec.kind == "type_subset":
             dropped = []
             train = []
             for ex in examples:
@@ -371,16 +332,35 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
             result[spec.name] = SplitAssignment(
                 tuple(sorted(train)), (), tuple(sorted(dropped))
             )
+            continue
 
-        elif spec.kind == "predicate":
+        if spec.kind == "random":
+            shuffled = indices[:]
+            sub.shuffle(shuffled)
+            test = shuffled[: int(len(shuffled) * spec.test_fraction)]
+        elif spec.kind == "k_shot_adverb":
+            matching = [ex.index for ex in examples if ex.adverb_surface == spec.surface]
+            if len(matching) < spec.k:
+                raise InsufficientExamples(
+                    f"split {spec.name!r}: {len(matching)} examples of {spec.surface!r}, need {spec.k}"
+                )
+            shots = set(sub.sample(matching, spec.k))
+            test = [i for i in matching if i not in shots]
+        elif spec.kind == "verb_adverb_holdout":
+            test = [
+                ex.index
+                for ex in examples
+                if ex.verb == spec.verb and ex.adverb_surface == spec.surface
+            ]
+        else:  # predicate
             try:
                 fn = PREDICATES[spec.predicate]
             except KeyError:
                 raise ValueError(f"unregistered predicate {spec.predicate!r}") from None
-            test = sorted(ex.index for ex in examples if fn(ex))
-            held = set(test)
-            train = sorted(i for i in indices if i not in held)
-            result[spec.name] = SplitAssignment(tuple(train), tuple(test))
+            test = [ex.index for ex in examples if fn(ex)]
+        held = set(test)
+        train = sorted(i for i in indices if i not in held)
+        result[spec.name] = SplitAssignment(tuple(train), tuple(sorted(held)))
 
     return result
 
@@ -505,7 +485,10 @@ class Dataset:
     path: str | None = None
 
     def example_by_index(self, index: int) -> Example:
-        return self._index_map()[index]
+        try:
+            return self._index_map()[index]
+        except KeyError:
+            raise UnknownIndex(f"no example with index {index} in the dataset") from None
 
     def _index_map(self) -> dict:
         if not hasattr(self, "_cached_index_map"):
@@ -642,8 +625,6 @@ def read_dataset(path: str, verify: bool = True) -> Dataset:
 def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     """End-to-end: registry, examples, splits, files.  Returns the manifest."""
     lexicon = build_lexicon(cfg)
-    examples = generate_examples_parallel(cfg, jobs=jobs) if jobs > 1 else list(
-        generate_examples(cfg, lexicon)
-    )
+    examples = generate_examples(cfg, lexicon, jobs)
     splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
     return write_dataset(examples, lexicon, splits, cfg, out_dir)

@@ -108,7 +108,6 @@ def plan_interaction(
     world: WorldState,
     command: Command,
     arrival_heading: str,
-    heavy_sizes: frozenset[int] = HEAVY_SIZES,
 ) -> tuple[str, ...]:
     """Interaction actions after arrival: nothing for walk; push the object to
     the wall along the arrival heading; pull it to the wall behind."""
@@ -117,7 +116,7 @@ def plan_interaction(
     target = world.target
     _, drow, dcol = STEP[arrival_heading, command.verb]
     cells = free_cells(world, target.position, drow, dcol)
-    per_cell = HEAVY_ACTIONS_PER_CELL if target.size in heavy_sizes else 1
+    per_cell = HEAVY_ACTIONS_PER_CELL if target.size in HEAVY_SIZES else 1
     return (command.verb,) * (cells * per_cell)
 
 

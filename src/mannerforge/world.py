@@ -158,7 +158,7 @@ class Trajectory:
     length: int
 
 
-def execute(world: WorldState, actions, heavy_sizes: frozenset[int] = HEAVY_SIZES) -> Trajectory:
+def execute(world: WorldState, actions) -> Trajectory:
     """Simulate an egocentric action sequence and return its trajectory.
 
     walk moves the agent one cell along its heading; turn_left / turn_right
@@ -178,7 +178,7 @@ def execute(world: WorldState, actions, heavy_sizes: frozenset[int] = HEAVY_SIZE
     heading = world.agent_heading
     target = world.target
     target_pos = target.position
-    heavy = target.size in heavy_sizes
+    heavy = target.size in HEAVY_SIZES
     pending: str | None = None
     visited = [agent]
 
@@ -256,37 +256,27 @@ def _rectangle_cells(a: Position, b: Position) -> set[Position]:
     }
 
 
-_PHRASE_SHAPES = (
-    ("shape",),
-    ("color", "shape"),
-    ("size", "shape"),
-    ("size", "color", "shape"),
-)
-
-
 def describe_target(world: WorldState) -> tuple[str, ...] | None:
-    """Shortest noun phrase (with article) uniquely denoting the target, or None."""
+    """Shortest noun phrase (with article) uniquely denoting the target, or None.
+
+    Tries shape; color shape; small/big shape; small/big color shape, as
+    resolve_target reads them: a bare phrase is unique when one object has the
+    target's shape (and color); small or big when the target's size is the
+    unique minimum or maximum among those objects.
+    """
     target = world.target
-    for parts in _PHRASE_SHAPES:
-        cmd = Command(
-            verb="walk",
-            shape=target.shape,
-            color=target.color if "color" in parts else None,
-            size_adj=("small" if "size" in parts else None),
-        )
-        for size_adj in (("small", "big") if "size" in parts else (None,)):
-            candidate = replace(cmd, size_adj=size_adj)
-            try:
-                if resolve_target(candidate, world) == world.target_index:
-                    phrase = ["a"]
-                    if candidate.size_adj:
-                        phrase.append(candidate.size_adj)
-                    if candidate.color:
-                        phrase.append(candidate.color)
-                    phrase.append(candidate.shape)
-                    return tuple(phrase)
-            except (NoReferent, AmbiguousReferent):
-                continue
+    same_shape = [o for o in world.objects if o.shape == target.shape]
+    groups = (
+        ((), [o.size for o in same_shape]),
+        ((target.color,), [o.size for o in same_shape if o.color == target.color]),
+    )
+    for color, sizes in groups:
+        if len(sizes) == 1:
+            return ("a", *color, target.shape)
+    for color, sizes in groups:
+        for size_adj, extreme in (("small", min(sizes)), ("big", max(sizes))):
+            if target.size == extreme and sizes.count(extreme) == 1:
+                return ("a", size_adj, *color, target.shape)
     return None
 
 
@@ -294,29 +284,21 @@ def sample_situation(
     rng: random.Random,
     grid_size: int = 6,
     distractors: tuple[int, int] = (0, 3),
-    shapes: tuple[str, ...] = SHAPES,
-    colors: tuple[str, ...] = COLORS,
-    sizes: tuple[int, ...] = SIZES,
-    allow_same_cell: bool = False,
     max_attempts: int = 200,
 ) -> tuple[WorldState, tuple[str, ...]]:
     """Sample a world plus a noun phrase that uniquely resolves to its target.
 
-    The agent and target occupy distinct cells (unless allow_same_cell), and
-    distractors are kept out of the rectangle spanned by agent and target so
-    navigation paths stay unobstructed.  Raises ExhaustedRetries when no
-    uniquely describable layout is found within the attempt budget.
+    The agent and target occupy distinct cells, and distractors are kept out
+    of the rectangle spanned by agent and target so navigation paths stay
+    unobstructed.  Raises ExhaustedRetries when no uniquely describable layout
+    is found within the attempt budget.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     all_cells = [Position(r, c) for r in range(grid_size) for c in range(grid_size)]
 
     for _ in range(max_attempts):
-        if allow_same_cell:
-            agent_pos = rng.choice(all_cells)
-            target_pos = rng.choice(all_cells)
-        else:
-            agent_pos, target_pos = rng.sample(all_cells, 2)
+        agent_pos, target_pos = rng.sample(all_cells, 2)
         heading = rng.choice(("north", "east", "south", "west"))
         exclusion = _rectangle_cells(agent_pos, target_pos)
         free = [p for p in all_cells if p not in exclusion]
@@ -328,21 +310,13 @@ def sample_situation(
 
         objects = [
             GridObject(
-                shape=rng.choice(shapes),
-                color=rng.choice(colors),
-                size=rng.choice(sizes),
-                position=target_pos,
-            )
-        ]
-        objects.extend(
-            GridObject(
-                shape=rng.choice(shapes),
-                color=rng.choice(colors),
-                size=rng.choice(sizes),
+                shape=rng.choice(SHAPES),
+                color=rng.choice(COLORS),
+                size=rng.choice(SIZES),
                 position=cell,
             )
-            for cell in cells
-        )
+            for cell in (target_pos, *cells)
+        ]
         world = WorldState(
             grid_size=grid_size,
             agent_position=agent_pos,

@@ -19,7 +19,6 @@ from mannerforge.forge import (
     build_splits,
     forge_dataset,
     generate_examples,
-    generate_examples_parallel,
     read_dataset,
     recompose,
     write_dataset,
@@ -59,7 +58,7 @@ def oracle_corpus():
     cfg = ForgeConfig(seed=ORACLE_SEED, grid_size=6, num_examples=10_000, extra_adverbs=150)
     lexicon = build_lexicon(cfg)
     start = time.perf_counter()
-    examples = list(generate_examples(cfg, lexicon))
+    examples = generate_examples(cfg, lexicon)
     elapsed = time.perf_counter() - start
     return cfg, lexicon, examples, elapsed
 
@@ -69,7 +68,7 @@ def builtin_corpus():
     """4,000 examples with only the four built-in adverbs, for split sweeps."""
     cfg = ForgeConfig(seed=91, grid_size=6, num_examples=4_000, extra_adverbs=0)
     lexicon = build_lexicon(cfg)
-    return cfg, lexicon, list(generate_examples(cfg, lexicon))
+    return cfg, lexicon, generate_examples(cfg, lexicon)
 
 
 def test_criterion_1_golden_suite(builtins):
@@ -278,7 +277,7 @@ def test_criterion_9_throughput():
     jobs = min(8, multiprocessing.cpu_count())
     cfg = ForgeConfig(seed=73, num_examples=100_000, extra_adverbs=50)
     start = time.perf_counter()
-    examples = generate_examples_parallel(cfg, jobs=jobs)
+    examples = generate_examples(cfg, jobs=jobs)
     elapsed = time.perf_counter() - start
     assert len(examples) == 100_000
     assert elapsed < 300.0

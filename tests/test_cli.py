@@ -202,3 +202,22 @@ def test_unknown_split_is_domain_error(capsys, tmp_path):
     assert "error[UnknownSplit]" in err
     assert "'nope'" in err
     assert "known splits: other, random" in err
+
+
+def test_inspect_unknown_index_is_named(capsys, tmp_path):
+    out_dir = tmp_path / "ds"
+    forge_dataset(ForgeConfig(seed=3, num_examples=20), str(out_dir))
+    code, _, err = run(capsys, "inspect", "--dataset", str(out_dir), "--index", "999")
+    assert code == 1
+    assert "error[UnknownIndex]" in err
+    assert "999" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_generate_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    out_dir = tmp_path / "ds"
+    code, _, err = run(capsys, "generate", "--num-examples", "20", "--jobs", jobs,
+                       "--out", str(out_dir))
+    assert code == 1
+    assert "error[ValueError]: jobs must be at least 1" in err
+    assert not out_dir.exists()

@@ -14,8 +14,10 @@ from mannerforge.errors import (
     RetryExhausted,
     SchemaMismatch,
     UnknownConfigKey,
+    UnknownIndex,
 )
 from mannerforge.forge import (
+    Dataset,
     ForgeConfig,
     SplitSpec,
     _generate_one,
@@ -26,7 +28,6 @@ from mannerforge.forge import (
     example_to_record,
     forge_dataset,
     generate_examples,
-    generate_examples_parallel,
     module_records,
     read_dataset,
     recompose,
@@ -55,7 +56,7 @@ BASE_SPLITS = (
 def small_corpus():
     cfg = ForgeConfig(seed=17, num_examples=400, extra_adverbs=12, splits=BASE_SPLITS)
     lexicon = build_lexicon(cfg)
-    examples = list(generate_examples(cfg, lexicon))
+    examples = generate_examples(cfg, lexicon)
     return cfg, lexicon, examples
 
 
@@ -67,7 +68,7 @@ class TestGenerateExamples:
 
     def test_streams_are_byte_identical(self, small_corpus):
         cfg, lexicon, examples = small_corpus
-        again = list(generate_examples(cfg, lexicon))
+        again = generate_examples(cfg, lexicon)
         first = [json.dumps(example_to_record(ex, "train"), sort_keys=True) for ex in examples]
         second = [json.dumps(example_to_record(ex, "train"), sort_keys=True) for ex in again]
         assert first == second
@@ -90,8 +91,36 @@ class TestGenerateExamples:
 
     def test_parallel_matches_sequential(self, small_corpus):
         cfg, _, examples = small_corpus
-        parallel = generate_examples_parallel(cfg, jobs=2)
+        parallel = generate_examples(cfg, jobs=2)
         assert parallel == examples
+
+    @pytest.mark.parametrize("num_examples", [1, 3, 37])
+    def test_two_workers_match_one_at_small_sizes(self, num_examples, monkeypatch):
+        # Fewer examples than chunks, and a count that is no multiple of the chunk.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        cfg = ForgeConfig(seed=31, num_examples=num_examples, extra_adverbs=6)
+        serial = generate_examples(cfg, jobs=1)
+        assert len(serial) == num_examples
+        assert generate_examples(cfg, jobs=2) == serial
+
+    def test_workers_take_the_lexicon_with_their_chunk(self, monkeypatch):
+        cfg = ForgeConfig(seed=8, num_examples=40, extra_adverbs=6)
+        lexicon = build_lexicon(cfg)
+        serial = generate_examples(cfg, lexicon)
+
+        def no_rebuild(cfg):
+            raise AssertionError("the lexicon was built again")
+
+        # Forked workers inherit both patches.
+        monkeypatch.setattr(forge_module, "build_lexicon", no_rebuild)
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        assert generate_examples(cfg, lexicon, jobs=2) == serial
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, small_corpus, jobs):
+        cfg, lexicon, _ = small_corpus
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            generate_examples(cfg, lexicon, jobs=jobs)
 
     def test_jobs_capped_at_one_cpu_runs_serially(self, small_corpus, monkeypatch):
         cfg, _, examples = small_corpus
@@ -101,7 +130,7 @@ class TestGenerateExamples:
 
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(forge_module.multiprocessing, "Pool", no_pool)
-        assert generate_examples_parallel(cfg, jobs=4) == examples
+        assert generate_examples(cfg, jobs=4) == examples
 
     def test_jobs_capped_at_cpu_count(self, small_corpus, monkeypatch):
         cfg, _, _ = small_corpus
@@ -117,7 +146,7 @@ class TestGenerateExamples:
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(forge_module.multiprocessing, "Pool", recording_pool)
         with pytest.raises(Refused):
-            generate_examples_parallel(cfg, jobs=64)
+            generate_examples(cfg, jobs=64)
         assert asked == [2]
 
     def test_retry_exhausted_reports_adverb(self):
@@ -358,6 +387,13 @@ class TestPersistence:
         forge_dataset(ForgeConfig.from_dict(data), str(tmp_path), jobs=jobs)
         digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
         assert digest == REFERENCE_MANIFEST_SHA256
+
+    def test_unknown_example_index_is_named(self, small_corpus):
+        _, lexicon, examples = small_corpus
+        dataset = Dataset(examples=examples, splits={}, manifest={}, lexicon=lexicon)
+        assert dataset.example_by_index(7) == examples[7]
+        with pytest.raises(UnknownIndex, match="999"):
+            dataset.example_by_index(999)
 
     def test_example_record_round_trip(self, small_corpus):
         _, _, examples = small_corpus

@@ -51,7 +51,7 @@ def dataset(tmp_path_factory):
         ),
     )
     lexicon = build_lexicon(cfg)
-    examples = list(generate_examples(cfg, lexicon))
+    examples = generate_examples(cfg, lexicon)
     splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
     out = tmp_path_factory.mktemp("ds")
     write_dataset(examples, lexicon, splits, cfg, str(out))
