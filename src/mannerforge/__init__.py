@@ -15,8 +15,10 @@ from .dsl import (
     builtin_adverbs,
     ground,
     parse_program,
+    parse_registry,
     programs_equal,
     serialize_program,
+    serialize_registry,
 )
 from .errors import MannerforgeError
 from .forge import (
@@ -36,7 +38,6 @@ from .forge import (
 from .harness import EvalReport, PredictionRecord, dataset_stats, evaluate, exact_match
 from .metagrammar import (
     ADVERB_TYPES,
-    LexiconEntry,
     MetaGrammarConfig,
     classify_program,
     generate_name,

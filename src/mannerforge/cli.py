@@ -13,7 +13,7 @@ import os
 import sys
 from importlib import resources
 
-from .dsl import apply_program, builtin_adverbs, ground, parse_program, serialize_program
+from .dsl import apply_program, builtin_adverbs, ground, parse_program, serialize_registry
 from .errors import MannerforgeError
 from .forge import ForgeConfig, forge_dataset, read_dataset, read_registry
 from .harness import dataset_stats, evaluate, read_predictions
@@ -46,23 +46,16 @@ def _preset_names() -> list[str]:
     return sorted(p.name[: -len(".json")] for p in folder.iterdir() if p.name.endswith(".json"))
 
 
-_WEIGHT_ALIASES = {
-    "spinning": "spinning_type",
-    "cautiously": "cautiously_type",
-    "zigzag": "zigzag_type",
-    "detour": "detour_type",
-}
-
-
 def _parse_weights(text: str) -> dict:
+    """`spinning=0.4,...`: each key is an adverb type, `_type` optional."""
     weights = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
-        key = _WEIGHT_ALIASES.get(key, key)
-        if key not in ADVERB_TYPES:
+        adverb_type = key if key in ADVERB_TYPES else key + "_type"
+        if adverb_type not in ADVERB_TYPES:
             raise MannerforgeError(f"unknown adverb type in --weights: {key!r}")
-        weights[key] = float(value)
+        weights[adverb_type] = float(value)
     return weights
 
 
@@ -100,10 +93,10 @@ def _cmd_generate(args) -> int:
 def _cmd_sample_adverbs(args) -> int:
     seed = args.seed if args.seed is not None else (_fallback_seed() or 0)
     cfg = MetaGrammarConfig(type_weights=_parse_weights(args.weights)) if args.weights else MetaGrammarConfig()
-    entries = sample_registry(derive_rng(seed, "registry"), args.n, cfg)
+    programs = sample_registry(derive_rng(seed, "registry"), args.n, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(serialize_program(e.program) for e in entries))
-    print(f"wrote {len(entries)} adverb programs to {args.out}")
+        fh.write(serialize_registry(programs))
+    print(f"wrote {len(programs)} adverb programs to {args.out}")
     return 0
 
 

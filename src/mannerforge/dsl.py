@@ -197,7 +197,8 @@ def builtin_adverbs() -> list[AdverbProgram]:
 #   North -> turn_left turn_left turn_left turn_left North
 #
 # '#' starts a comment; canonical form has the headers in the order above and
-# the rules sorted by lhs.
+# the rules sorted by lhs.  A registry file holds program blocks separated by
+# blank lines, in slot order.
 
 _HEADER_KEYS = ("name", "mode", "passes", "plan_shape")
 
@@ -271,3 +272,11 @@ def parse_program(text: str) -> AdverbProgram:
         )
     except ValueError as exc:
         raise ParseError(str(exc), 1)
+
+
+def serialize_registry(programs) -> str:
+    return "\n".join(serialize_program(p) for p in programs)
+
+
+def parse_registry(text: str) -> list[AdverbProgram]:
+    return [parse_program(block) for block in text.split("\n\n") if block.strip()]

@@ -14,8 +14,9 @@ import multiprocessing
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
-from .dsl import parse_program, serialize_program
+from .dsl import parse_program, parse_registry, serialize_registry
 from .errors import (
     DigestMismatch,
     InsufficientExamples,
@@ -27,7 +28,7 @@ from .errors import (
     UnknownConfigKey,
     UnknownIndex,
 )
-from .metagrammar import ADVERB_TYPES, LexiconEntry, MetaGrammarConfig, sample_registry
+from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
 from .pipeline import (
     BUILTIN_SURFACES,
     Lexicon,
@@ -40,9 +41,9 @@ from .pipeline import (
 from .seeding import derive_rng
 from .world import (
     VERBS,
-    Command,
     WorldState,
     execute,
+    parse_command,
     sample_situation,
     world_from_dict,
     world_to_dict,
@@ -85,7 +86,11 @@ def _check_keys(data: dict, cls, where: str) -> None:
 
 def _with_tuples(data: dict, *keys: str) -> dict:
     """A copy of config JSON with the lists under `keys` made tuples."""
-    return {k: tuple(v) if k in keys else v for k, v in data.items()}
+    return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in data.items()}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # bool is an int subclass
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,14 @@ class ForgeConfig:
     pinned_adverbs: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for key in ("seed", "grid_size", "num_examples", "extra_adverbs", "max_depth", "retry_limit"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, not {getattr(self, key)!r}")
+        if not (isinstance(self.distractors, tuple) and len(self.distractors) == 2
+                and all(map(_is_int, self.distractors))):
+            raise ValueError(f"distractors must be two integers, not {self.distractors!r}")
+        if isinstance(self.no_adverb_prob, bool) or not isinstance(self.no_adverb_prob, (int, float)):
+            raise ValueError(f"no_adverb_prob must be a number, not {self.no_adverb_prob!r}")
         if self.num_examples < 1:
             raise ValueError("num_examples must be at least 1")
         if self.extra_adverbs < 0:
@@ -225,33 +238,21 @@ class ForgeConfig:
 
 def build_lexicon(cfg: ForgeConfig) -> Lexicon:
     """Pinned programs first (in config order), then the sampled registry."""
-    entries = []
-    for text in cfg.pinned_adverbs:
-        program = parse_program(text)
-        entries.append(LexiconEntry(surface=program.name, program=program))
-    if cfg.extra_adverbs:
-        rng = derive_rng(cfg.seed, "registry")
-        entries.extend(sample_registry(rng, cfg.extra_adverbs, cfg.meta))
-    return Lexicon.build(entries)
+    pinned = [parse_program(text) for text in cfg.pinned_adverbs]
+    rng = derive_rng(cfg.seed, "registry")
+    return Lexicon.build(pinned + sample_registry(rng, cfg.extra_adverbs, cfg.meta))
 
 
 def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> Example:
     rng = derive_rng(cfg.seed, "example", index)
     verb = rng.choice(VERBS)
     surface = None if rng.random() < cfg.no_adverb_prob else rng.choice(surfaces)
+    lead = (verb, "to") if verb == "walk" else (verb,)
+    adverb = tuple(surface.split()) if surface else ()
 
     for _ in range(cfg.retry_limit):
         world, phrase = sample_situation(rng, cfg.grid_size, cfg.distractors)
-        noun = list(phrase[1:])  # drop the article
-        size_adj = noun.pop(0) if noun[0] in ("small", "big") else None
-        color = noun.pop(0) if len(noun) == 2 else None
-        command = Command(
-            verb=verb,
-            shape=noun[0],
-            color=color,
-            size_adj=size_adj,
-            adverb=tuple(surface.split()) if surface else None,
-        )
+        command = parse_command(lead + phrase + adverb)
         try:
             trace = solve_trace(command, world, lexicon, cfg.max_depth)
             trajectory = execute(world, trace.target)
@@ -482,20 +483,16 @@ class Dataset:
     splits: dict
     manifest: dict
     lexicon: Lexicon
-    path: str | None = None
+
+    @cached_property
+    def by_index(self) -> dict[int, Example]:
+        return {ex.index: ex for ex in self.examples}
 
     def example_by_index(self, index: int) -> Example:
         try:
-            return self._index_map()[index]
+            return self.by_index[index]
         except KeyError:
             raise UnknownIndex(f"no example with index {index} in the dataset") from None
-
-    def _index_map(self) -> dict:
-        if not hasattr(self, "_cached_index_map"):
-            object.__setattr__(
-                self, "_cached_index_map", {ex.index: ex for ex in self.examples}
-            )
-        return self._cached_index_map
 
 
 def write_dataset(
@@ -529,7 +526,7 @@ def write_dataset(
 
     registry_path = os.path.join(out_dir, REGISTRY_FILE)
     with open(registry_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(serialize_program(e.program) for e in lexicon.entries))
+        fh.write(serialize_registry(lexicon.registry))
 
     with open(os.path.join(out_dir, SPLITS_FILE), "w", encoding="utf-8") as fh:
         payload = {
@@ -583,15 +580,12 @@ def _read_records(path: str) -> list[dict]:
 
 
 def read_registry(path: str) -> Lexicon:
-    """The built-in adverbs plus every program of a registry file: program
-    blocks separated by blank lines, in slot order."""
+    """The built-in adverbs plus every program of a registry file, in slot order."""
     with open(path, encoding="utf-8") as fh:
-        blocks = fh.read().split("\n\n")
-    programs = [parse_program(block) for block in blocks if block.strip()]
-    return Lexicon.build(LexiconEntry(surface=p.name, program=p) for p in programs)
+        return Lexicon.build(parse_registry(fh.read()))
 
 
-def read_dataset(path: str, verify: bool = True) -> Dataset:
+def read_dataset(path: str) -> Dataset:
     """Load a persisted dataset, verifying the schema version and every file
     digest recorded in the manifest."""
     manifest_path = os.path.join(path, MANIFEST_FILE)
@@ -601,11 +595,10 @@ def read_dataset(path: str, verify: bool = True) -> Dataset:
         raise SchemaMismatch(
             f"dataset schema {manifest.get('schema_version')!r}, reader supports {SCHEMA_VERSION}"
         )
-    if verify:
-        for filename, expected in manifest["files"].items():
-            actual = _sha256(os.path.join(path, filename))
-            if actual != expected:
-                raise DigestMismatch(f"{filename}: digest {actual} != manifest {expected}")
+    for filename, expected in manifest["files"].items():
+        actual = _sha256(os.path.join(path, filename))
+        if actual != expected:
+            raise DigestMismatch(f"{filename}: digest {actual} != manifest {expected}")
 
     examples = [example_from_record(r) for r in _read_records(os.path.join(path, EXAMPLES_FILE))]
 
@@ -619,7 +612,7 @@ def read_dataset(path: str, verify: bool = True) -> Dataset:
     }
 
     lexicon = read_registry(os.path.join(path, REGISTRY_FILE))
-    return Dataset(examples=examples, splits=splits, manifest=manifest, lexicon=lexicon, path=path)
+    return Dataset(examples=examples, splits=splits, manifest=manifest, lexicon=lexicon)
 
 
 def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:

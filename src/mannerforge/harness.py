@@ -119,15 +119,14 @@ def evaluate(dataset: Dataset, predictions, split_names=None) -> EvalReport:
     Each evaluated test index must be predicted exactly once; predictions for
     known non-test indices are ignored, unknown indices are an error.
     """
-    known = {ex.index for ex in dataset.examples}
-    by_index: dict[int, tuple[str, ...]] = {}
+    predicted: dict[int, tuple[str, ...]] = {}
     digest = hashlib.sha256()
     for record in predictions:
-        if record.index not in known:
+        if record.index not in dataset.by_index:
             raise UnknownIndex(f"prediction for index {record.index} not in dataset")
-        if record.index in by_index:
+        if record.index in predicted:
             raise DuplicatePrediction(f"index {record.index} predicted more than once")
-        by_index[record.index] = tuple(record.prediction)
+        predicted[record.index] = tuple(record.prediction)
         digest.update(
             json.dumps(
                 {"index": record.index, "prediction": list(record.prediction)},
@@ -148,17 +147,15 @@ def evaluate(dataset: Dataset, predictions, split_names=None) -> EvalReport:
     evaluated = set()
     for name, assignment in selected.items():
         for index in assignment.test:
-            if index not in by_index:
+            if index not in predicted:
                 raise MissingPrediction(f"split {name!r}: no prediction for index {index}")
             evaluated.add(index)
-    ordered = sorted(evaluated)
 
-    exact_cache = {
-        i: exact_match(by_index[i], dataset.example_by_index(i).target) for i in ordered
-    }
-    valid_cache = {
-        i: semantically_valid(dataset.example_by_index(i), by_index[i]) for i in ordered
-    }
+    exact_cache, valid_cache = {}, {}
+    for i in sorted(evaluated):
+        example = dataset.by_index[i]
+        exact_cache[i] = exact_match(predicted[i], example.target)
+        valid_cache[i] = semantically_valid(example, predicted[i])
 
     metrics: dict[str, SplitMetrics] = {}
     for name, assignment in selected.items():

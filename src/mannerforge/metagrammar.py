@@ -64,12 +64,6 @@ class MetaGrammarConfig:
             raise ValueError("detour_rhs_max must allow at least one inserted pair")
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    surface: tuple[str, ...]
-    program: AdverbProgram
-
-
 def _net_zero_count(n: int) -> int:
     # Turn sequences of length n whose quarter-turn sum is 0 mod 4: choose k
     # lefts so that 2k - n is a multiple of four.
@@ -254,7 +248,7 @@ def _weighted_type(rng: random.Random, weights: dict) -> str:
 
 def sample_registry(
     rng: random.Random, count: int, cfg: MetaGrammarConfig | None = None
-) -> list[LexiconEntry]:
+) -> list[AdverbProgram]:
     """Sample `count` novel adverbs, rejecting any program equal to a built-in
     or to an earlier entry.  Deterministic in the rng's state."""
     if cfg is None:
@@ -263,7 +257,6 @@ def sample_registry(
     builtins = builtin_adverbs()
     used_names = {p.surface for p in builtins}
     accepted: list[AdverbProgram] = []
-    entries: list[LexiconEntry] = []
     consecutive_rejects = 0
 
     for slot in range(count):
@@ -285,6 +278,5 @@ def sample_registry(
                 continue
             consecutive_rejects = 0
             accepted.append(program)
-            entries.append(LexiconEntry(surface=program.name, program=program))
             break
-    return entries
+    return accepted

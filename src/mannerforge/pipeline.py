@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .dsl import AdverbProgram, apply_program, builtin_adverbs, ground
 from .errors import UnknownAdverb
-from .metagrammar import LexiconEntry, classify_program
+from .metagrammar import classify_program
 from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP, final_heading
 from .world import HEAVY_SIZES, Command, Position, Trajectory, WorldState, resolve_target
 
@@ -140,27 +140,23 @@ BUILTIN_SURFACES = tuple(p.surface for p in builtin_adverbs())
 
 @dataclass(frozen=True)
 class Lexicon:
-    """All adverbs a command may use: the four built-ins plus registry entries."""
+    """All adverbs a command may use, by surface: the four built-ins, then the
+    registry programs in slot order."""
 
     programs: dict = field(default_factory=dict)
     types: dict = field(default_factory=dict)
-    entries: tuple[LexiconEntry, ...] = ()
+    registry: tuple[AdverbProgram, ...] = ()
 
     @classmethod
-    def build(cls, entries=()) -> "Lexicon":
-        entries = tuple(entries)
+    def build(cls, registry=()) -> "Lexicon":
+        registry = tuple(registry)
         programs = {}
-        types = {}
-        for program in builtin_adverbs():
+        for program in (*builtin_adverbs(), *registry):
+            if program.surface in programs:
+                raise ValueError(f"adverb surface {program.surface!r} already registered")
             programs[program.surface] = program
-            types[program.surface] = classify_program(program)
-        for entry in entries:
-            surface = " ".join(entry.surface)
-            if surface in programs:
-                raise ValueError(f"adverb surface {surface!r} already registered")
-            programs[surface] = entry.program
-            types[surface] = classify_program(entry.program)
-        return cls(programs=programs, types=types, entries=entries)
+        types = {surface: classify_program(p) for surface, p in programs.items()}
+        return cls(programs=programs, types=types, registry=registry)
 
     def lookup(self, surface) -> AdverbProgram:
         key = surface if isinstance(surface, str) else " ".join(surface)
@@ -170,9 +166,7 @@ class Lexicon:
             raise UnknownAdverb(f"no adverb named {key!r}") from None
 
     def surfaces(self) -> tuple[str, ...]:
-        ordered = list(BUILTIN_SURFACES)
-        ordered.extend(" ".join(e.surface) for e in self.entries)
-        return tuple(ordered)
+        return tuple(self.programs)
 
 
 @dataclass(frozen=True)

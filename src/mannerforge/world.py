@@ -248,14 +248,6 @@ def resolve_target(command: Command, world: WorldState) -> int:
     return matches[0]
 
 
-def _rectangle_cells(a: Position, b: Position) -> set[Position]:
-    return {
-        Position(r, c)
-        for r in range(min(a.row, b.row), max(a.row, b.row) + 1)
-        for c in range(min(a.col, b.col), max(a.col, b.col) + 1)
-    }
-
-
 def describe_target(world: WorldState) -> tuple[str, ...] | None:
     """Shortest noun phrase (with article) uniquely denoting the target, or None.
 
@@ -300,8 +292,9 @@ def sample_situation(
     for _ in range(max_attempts):
         agent_pos, target_pos = rng.sample(all_cells, 2)
         heading = rng.choice(("north", "east", "south", "west"))
-        exclusion = _rectangle_cells(agent_pos, target_pos)
-        free = [p for p in all_cells if p not in exclusion]
+        r0, r1 = sorted((agent_pos.row, target_pos.row))
+        c0, c1 = sorted((agent_pos.col, target_pos.col))
+        free = [p for p in all_cells if not (r0 <= p.row <= r1 and c0 <= p.col <= c1)]
 
         n_distractors = rng.randint(distractors[0], distractors[1])
         if len(free) < n_distractors:

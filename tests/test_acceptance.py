@@ -259,16 +259,15 @@ def test_criterion_7_generation_determinism(tmp_path):
 
 
 def test_criterion_8_registry_hygiene():
-    entries = sample_registry(derive_rng(71, "registry"), 150)
-    assert len(entries) == 150
-    programs = [e.program for e in entries]
+    programs = sample_registry(derive_rng(71, "registry"), 150)
+    assert len(programs) == 150
     builtin = builtin_adverbs()
     for i, a in enumerate(programs):
         for b in programs[i + 1:]:
             assert not programs_equal(a, b)
         for original in builtin:
             assert not programs_equal(a, original)
-    surfaces = {" ".join(e.surface) for e in entries}
+    surfaces = {p.surface for p in programs}
     assert len(surfaces) == 150
     print("\nACCEPTANCE 8 PASS: 150 sampled programs pairwise distinct and distinct from built-ins")
 

@@ -90,6 +90,27 @@ def test_sample_adverbs_writes_parseable_registry(capsys, tmp_path):
         parse_program(block)
 
 
+def test_sample_adverbs_writes_the_forged_registry(capsys, tmp_path):
+    forge_dataset(ForgeConfig(seed=7, num_examples=1, extra_adverbs=150), str(tmp_path / "ds"))
+    out_file = tmp_path / "registry.txt"
+    code, _, _ = run(capsys, "sample-adverbs", "--n", "150", "--seed", "7", "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == (tmp_path / "ds" / "registry.txt").read_bytes()
+
+
+def test_sample_adverbs_weight_keys_take_an_optional_type_suffix(capsys, tmp_path):
+    short, full = tmp_path / "short.txt", tmp_path / "full.txt"
+    run(capsys, "sample-adverbs", "--n", "12", "--seed", "3", "--out", str(short),
+        "--weights", "spinning=0.5,cautiously=0.25,detour=0.25")
+    run(capsys, "sample-adverbs", "--n", "12", "--seed", "3", "--out", str(full),
+        "--weights", "spinning_type=0.5,cautiously_type=0.25,detour_type=0.25")
+    assert short.read_bytes() == full.read_bytes()
+    code, _, err = run(capsys, "sample-adverbs", "--n", "1", "--out", str(tmp_path / "x.txt"),
+                       "--weights", "spinning_typo=1")
+    assert code == 1
+    assert "unknown adverb type in --weights: 'spinning_typo'" in err
+
+
 def test_forge_seed_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FORGE_SEED", "77")
     a = tmp_path / "a.txt"
@@ -220,4 +241,14 @@ def test_generate_rejects_jobs_below_one(capsys, tmp_path, jobs):
                        "--out", str(out_dir))
     assert code == 1
     assert "error[ValueError]: jobs must be at least 1" in err
+    assert not out_dir.exists()
+
+
+def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 7.0, "num_examples": 5}))
+    out_dir = tmp_path / "ds"
+    code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(out_dir))
+    assert code == 1
+    assert "error[ValueError]: seed must be an integer, not 7.0" in err
     assert not out_dir.exists()

@@ -11,10 +11,13 @@ from mannerforge.dsl import (
     builtin_adverbs,
     ground,
     parse_program,
+    parse_registry,
     programs_equal,
     serialize_program,
+    serialize_registry,
 )
 from mannerforge.errors import DepthExceeded, DuplicateLhs, ParseError
+from mannerforge.metagrammar import sample_registry
 from mannerforge.symbols import parse_symbols
 
 from conftest import trace_cells
@@ -227,6 +230,12 @@ class TestProgramText:
         rule_lines = [l for l in text.splitlines() if "->" in l]
         lhs = [l.split("->")[0].strip() for l in rule_lines]
         assert lhs == sorted(lhs)
+
+
+class TestRegistryText:
+    def test_sampled_registry_round_trips(self):
+        programs = sample_registry(random.Random(13), 60)
+        assert parse_registry(serialize_registry(programs)) == programs
 
 
 class TestProgramInvariants:

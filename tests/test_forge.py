@@ -227,7 +227,7 @@ class TestBuildSplits:
 
     def test_explicit_surface_subset(self, small_corpus):
         cfg, lexicon, examples = small_corpus
-        keep = " ".join(lexicon.entries[0].surface)
+        keep = lexicon.registry[0].surface
         spec = SplitSpec(kind="type_subset", name="one", surfaces=(keep,))
         assignment = build_splits(examples, (spec,), random.Random(0))["one"]
         by_index = {ex.index: ex for ex in examples}
@@ -414,6 +414,32 @@ class TestForgeConfig:
             ForgeConfig(extra_adverbs=-1)
         with pytest.raises(ValueError):
             ForgeConfig(no_adverb_prob=1.5)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"seed": 7.0},
+            {"seed": True},
+            {"seed": "7"},
+            {"grid_size": 6.0},
+            {"num_examples": "20"},
+            {"extra_adverbs": False},
+            {"max_depth": None},
+            {"retry_limit": 50.0},
+            {"distractors": [0, "3"]},
+            {"distractors": [0, 1, 2]},
+            {"distractors": 3},
+            {"no_adverb_prob": "0.2"},
+            {"no_adverb_prob": True},
+        ],
+    )
+    def test_mistyped_values_rejected(self, data):
+        (key,) = data
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ForgeConfig.from_dict(data)
+
+    def test_integer_probability_accepted(self):
+        assert ForgeConfig.from_dict({"no_adverb_prob": 1}).no_adverb_prob == 1
 
     def test_missing_keys_take_dataclass_defaults(self):
         assert ForgeConfig.from_dict({}) == ForgeConfig()

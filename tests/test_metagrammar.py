@@ -133,15 +133,14 @@ class TestSampleRegistry:
         assert sample_registry(random.Random(0), 0) == []
 
     def test_entries_unique_and_not_builtin(self):
-        entries = sample_registry(random.Random(5), 40)
-        assert len(entries) == 40
-        programs = [e.program for e in entries]
+        programs = sample_registry(random.Random(5), 40)
+        assert len(programs) == 40
         for i, a in enumerate(programs):
             for b in programs[i + 1 :]:
                 assert not programs_equal(a, b)
             for builtin in builtin_adverbs():
                 assert not programs_equal(a, builtin)
-        surfaces = {" ".join(e.surface) for e in entries}
+        surfaces = {p.surface for p in programs}
         assert len(surfaces) == 40
 
     def test_deterministic(self):
@@ -151,10 +150,10 @@ class TestSampleRegistry:
         cfg = MetaGrammarConfig(
             type_weights={SPINNING_TYPE: 0.7, CAUTIOUSLY_TYPE: 0.2, DETOUR_TYPE: 0.1}
         )
-        entries = sample_registry(random.Random(11), 200, cfg)
+        programs = sample_registry(random.Random(11), 200, cfg)
         counts = {SPINNING_TYPE: 0, CAUTIOUSLY_TYPE: 0, DETOUR_TYPE: 0}
-        for e in entries:
-            counts[classify_program(e.program)] += 1
+        for p in programs:
+            counts[classify_program(p)] += 1
         assert counts[SPINNING_TYPE] > counts[CAUTIOUSLY_TYPE] > counts[DETOUR_TYPE]
         assert abs(counts[SPINNING_TYPE] / 200 - 0.7) < 0.12
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,11 +9,12 @@ from mannerforge.metagrammar import (
     CAUTIOUSLY_TYPE,
     DETOUR_TYPE,
     SPINNING_TYPE,
-    LexiconEntry,
     MetaGrammarConfig,
     sample_program,
+    sample_registry,
 )
 from mannerforge.pipeline import (
+    BUILTIN_SURFACES,
     Lexicon,
     Percept,
     Plan,
@@ -181,8 +183,20 @@ class TestTransform:
         assert transform(plan, (), None, start="east") == ("turn_left", "walk")
 
 
-def lexicon_with(programs):
-    return Lexicon.build([LexiconEntry(surface=p.name, program=p) for p in programs])
+class TestLexicon:
+    def test_surfaces_list_builtins_then_registry_in_slot_order(self):
+        registry = sample_registry(random.Random(2), 6)
+        lexicon = Lexicon.build(registry)
+        assert lexicon.registry == tuple(registry)
+        assert lexicon.surfaces() == BUILTIN_SURFACES + tuple(p.surface for p in registry)
+
+    @pytest.mark.parametrize("reused", ["builtin", "earlier"])
+    def test_reused_surface_rejected(self, reused):
+        registry = sample_registry(random.Random(2), 3)
+        name = ("cautiously",) if reused == "builtin" else registry[0].name
+        clash = replace(registry[2], name=name)
+        with pytest.raises(ValueError, match="already registered"):
+            Lexicon.build([*registry[:2], clash])
 
 
 class TestSolve:
@@ -215,7 +229,7 @@ class TestSolve:
             "name: while wandering\nmode: allocentric\n"
             "East -> North East South\n"
         )
-        lexicon = lexicon_with([program])
+        lexicon = Lexicon.build([program])
         world = make_world(
             agent=(2, 1), heading="east",
             objects=[GridObject("circle", "red", 1, Position(2, 3))],
@@ -234,7 +248,7 @@ class TestSolve:
             for t in (SPINNING_TYPE, CAUTIOUSLY_TYPE, DETOUR_TYPE)
             for _ in range(4)
         ]
-        lexicon = lexicon_with(extra)
+        lexicon = Lexicon.build(extra)
         surfaces = lexicon.surfaces()
         solved = 0
         attempts = 0
@@ -280,7 +294,7 @@ class TestMannerConservativity:
             plain_cmd = Command(verb, noun[0], color=color, size_adj=size_adj)
             manner_cmd = Command(verb, noun[0], color=color, size_adj=size_adj,
                                  adverb=program.name)
-            lexicon = lexicon_with([program]) if program.surface not in (
+            lexicon = Lexicon.build([program]) if program.surface not in (
                 "while spinning", "cautiously", "hesitantly", "while zigzagging"
             ) else None
             plain = execute(world, solve(plain_cmd, world, lexicon))
