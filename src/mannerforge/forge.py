@@ -12,7 +12,8 @@ import hashlib
 import json
 import multiprocessing
 import os
-from contextlib import ExitStack
+from collections import Counter, namedtuple
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -28,7 +29,14 @@ from .errors import (
     UnknownConfigKey,
     UnknownIndex,
 )
-from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
+from .metagrammar import (
+    ADVERB_TYPES,
+    MetaGrammarConfig,
+    require_int,
+    require_int_pair,
+    require_number,
+    sample_registry,
+)
 from .pipeline import (
     BUILTIN_SURFACES,
     Lexicon,
@@ -58,6 +66,9 @@ MODULE_FILES = {
     "interaction": "interaction.ndrec",
     "transformation": "transformation.ndrec",
 }
+# The files with one line per example, by record stream, in writing order.
+RECORD_FILES = {"examples": EXAMPLES_FILE, **MODULE_FILES}
+CHUNK_EXAMPLES = 500  # at most, per serialized block: no whole-corpus block is held
 REGISTRY_FILE = "registry.txt"
 SPLITS_FILE = "splits.json"
 MANIFEST_FILE = "manifest"
@@ -89,10 +100,6 @@ def _with_tuples(data: dict, *keys: str) -> dict:
     return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in data.items()}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # bool is an int subclass
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Declarative split description.
@@ -114,6 +121,19 @@ class SplitSpec:
     predicate: str | None = None
 
     def __post_init__(self):
+        for key in ("name", "surface", "verb", "predicate"):
+            value = getattr(self, key)
+            if not isinstance(value, str) and (key == "name" or value is not None):
+                raise ValueError(f"{key} must be a string, not {value!r}")
+        for key in ("allowed_types", "surfaces"):
+            value = getattr(self, key)
+            strings = isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+            if value is not None and not strings:
+                raise ValueError(f"{key} must be a list of strings, not {value!r}")
+        if self.test_fraction is not None:
+            require_number("test_fraction", self.test_fraction)
+        if self.k is not None:
+            require_int("k", self.k)
         if self.kind == "random":
             if self.test_fraction is None or not 0 < self.test_fraction < 1:
                 raise ValueError("random split needs 0 < test_fraction < 1")
@@ -187,18 +207,16 @@ class ForgeConfig:
     pinned_adverbs: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for key in ("seed", "grid_size", "num_examples", "extra_adverbs", "max_depth", "retry_limit"):
-            if not _is_int(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer, not {getattr(self, key)!r}")
-        if not (isinstance(self.distractors, tuple) and len(self.distractors) == 2
-                and all(map(_is_int, self.distractors))):
-            raise ValueError(f"distractors must be two integers, not {self.distractors!r}")
-        if isinstance(self.no_adverb_prob, bool) or not isinstance(self.no_adverb_prob, (int, float)):
-            raise ValueError(f"no_adverb_prob must be a number, not {self.no_adverb_prob!r}")
-        if self.num_examples < 1:
-            raise ValueError("num_examples must be at least 1")
-        if self.extra_adverbs < 0:
-            raise ValueError("extra_adverbs must be nonnegative")
+        require_int("seed", self.seed)
+        for key, least in (("grid_size", 2), ("num_examples", 1), ("extra_adverbs", 0),
+                           ("max_depth", 1), ("retry_limit", 1)):
+            require_int(key, getattr(self, key))
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, not {getattr(self, key)!r}")
+        require_int_pair("distractors", self.distractors)
+        if not 0 <= self.distractors[0] <= self.distractors[1]:
+            raise ValueError(f"distractors must be [min, max] with 0 <= min <= max, not {self.distractors!r}")
+        require_number("no_adverb_prob", self.no_adverb_prob)
         if not 0 <= self.no_adverb_prob <= 1:
             raise ValueError("no_adverb_prob must lie in [0, 1]")
 
@@ -277,47 +295,36 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> E
     )
 
 
-def _worker_chunk(span) -> list[Example]:
-    cfg, lexicon, lo, hi = span
-    surfaces = lexicon.surfaces()
-    return [_generate_one(cfg, lexicon, surfaces, i) for i in range(lo, hi)]
-
-
-def generate_examples(
-    cfg: ForgeConfig, lexicon: Lexicon | None = None, jobs: int = 1
-) -> list[Example]:
+def generate_examples(cfg: ForgeConfig, lexicon: Lexicon | None = None) -> list[Example]:
     """The configured number of validated examples, in index order.  Every
-    index derives its own RNG stream, so the output does not depend on `jobs`,
-    which is capped at the machine's CPU count.  Each worker gets the lexicon
-    with its chunk of indices."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    index derives its own RNG stream, so any chunking gives the same output."""
     if lexicon is None:
         lexicon = build_lexicon(cfg)
-    jobs = min(jobs, os.cpu_count() or 1)
-    n = cfg.num_examples
-    if jobs == 1:
-        surfaces = lexicon.surfaces()
-        return [_generate_one(cfg, lexicon, surfaces, i) for i in range(n)]
-    chunk = max(1, n // (jobs * 8))
-    spans = [(cfg, lexicon, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_worker_chunk, spans)
-    return [ex for part in parts for ex in part]
+    surfaces = lexicon.surfaces()
+    return [_generate_one(cfg, lexicon, surfaces, i) for i in range(cfg.num_examples)]
 
 
 # --- splits -------------------------------------------------------------------
 
+# What split building and the manifest read of an example.
+Row = namedtuple("Row", "index verb adverb_surface adverb_type")
+
+
+def _random_test(spec: SplitSpec, indices, base: int) -> list[int]:
+    shuffled = list(indices)
+    derive_rng(base, "split", spec.name).shuffle(shuffled)
+    return shuffled[: int(len(shuffled) * spec.test_fraction)]
+
+
 def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
-    """Build every named split.  Train and test are disjoint in each; dropped
+    """Build every named split from examples or their `Row`s; a predicate is
+    called with one of those.  Train and test are disjoint in each; dropped
     indices (type_subset only) belong to neither side."""
     examples = list(examples)
     indices = [ex.index for ex in examples]
     base = rng.getrandbits(64)
     result: dict[str, SplitAssignment] = {}
     for spec in specs:
-        sub = derive_rng(base, "split", spec.name)
-
         if spec.kind == "type_subset":
             dropped = []
             train = []
@@ -336,16 +343,14 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
             continue
 
         if spec.kind == "random":
-            shuffled = indices[:]
-            sub.shuffle(shuffled)
-            test = shuffled[: int(len(shuffled) * spec.test_fraction)]
+            test = _random_test(spec, indices, base)
         elif spec.kind == "k_shot_adverb":
             matching = [ex.index for ex in examples if ex.adverb_surface == spec.surface]
             if len(matching) < spec.k:
                 raise InsufficientExamples(
                     f"split {spec.name!r}: {len(matching)} examples of {spec.surface!r}, need {spec.k}"
                 )
-            shots = set(sub.sample(matching, spec.k))
+            shots = set(derive_rng(base, "split", spec.name).sample(matching, spec.k))
             test = [i for i in matching if i not in shots]
         elif spec.kind == "verb_adverb_holdout":
             test = [
@@ -495,6 +500,43 @@ class Dataset:
             raise UnknownIndex(f"no example with index {index} in the dataset") from None
 
 
+def _serialize(examples, test) -> tuple[list[bytes], list[Row]]:
+    """One byte block per record file of the examples' lines (from their traces), and their rows."""
+    lines: dict[str, list[str]] = {name: [] for name in RECORD_FILES}
+    rows = []
+    for ex in examples:
+        split = "test" if ex.index in test else "train"
+        records = {"examples": example_to_record(ex, split), **module_records(ex)}
+        for name, record in records.items():
+            lines[name].append(_dumps(record) + "\n")
+        rows.append(Row(ex.index, ex.verb, ex.adverb_surface, ex.adverb_type))
+    return ["".join(part).encode("utf-8") for part in lines.values()], rows
+
+
+def _forge_chunk(cfg: ForgeConfig, lexicon: Lexicon, lo: int, hi: int, test) -> tuple:
+    """Generate indices lo..hi-1, then serialize them (see _serialize): two passes
+    measured faster than interleaving generation and serialization per example."""
+    surfaces = lexicon.surfaces()
+    return _serialize([_generate_one(cfg, lexicon, surfaces, i) for i in range(lo, hi)], test)
+
+
+def _worker_chunk(span) -> tuple:
+    return _forge_chunk(*span)
+
+
+def _write_records(out_dir: str, chunks) -> list[Row]:
+    """Write each chunk's blocks in order to the record files' `.part` twins; all rows."""
+    rows: list[Row] = []
+    with ExitStack() as stack:
+        paths = [os.path.join(out_dir, filename + ".part") for filename in RECORD_FILES.values()]
+        out = [stack.enter_context(open(path, "wb")) for path in paths]
+        for blocks, chunk_rows in chunks:
+            for fh, block in zip(out, blocks):
+                fh.write(block)
+            rows += chunk_rows
+    return rows
+
+
 def write_dataset(
     examples,
     lexicon: Lexicon,
@@ -509,55 +551,34 @@ def write_dataset(
     if untraced:  # fail before any existing file is truncated
         raise MissingTrace(f"{len(untraced)} example(s) have no oracle trace, first {untraced[0]}")
     os.makedirs(out_dir, exist_ok=True)
+    first = next((s for s in cfg.splits if s.kind == "random"), None)
+    test = set(splits[first.name].test) if first else set()
+    chunks = (examples[lo:lo + CHUNK_EXAMPLES] for lo in range(0, len(examples), CHUNK_EXAMPLES))
+    rows = _write_records(out_dir, (_serialize(chunk, test) for chunk in chunks))
+    return _finish_dataset(rows, lexicon, splits, cfg, out_dir)
 
-    base_split = next((s for s in cfg.splits if s.kind == "random"), None)
-    base_test = set(splits[base_split.name].test) if base_split else set()
 
-    with ExitStack() as stack:
-        out = {
-            name: stack.enter_context(open(os.path.join(out_dir, filename), "w", encoding="utf-8"))
-            for name, filename in {"examples": EXAMPLES_FILE, **MODULE_FILES}.items()
-        }
-        for ex in examples:
-            split = "test" if ex.index in base_test else "train"
-            records = {"examples": example_to_record(ex, split), **module_records(ex)}
-            for name, record in records.items():
-                out[name].write(_dumps(record) + "\n")
-
+def _finish_dataset(rows, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir: str) -> dict:
+    """After the record files: registry, splits, and the manifest.  A dataset
+    already in `out_dir` stays whole until the splits are built."""
+    for filename in RECORD_FILES.values():
+        os.replace(os.path.join(out_dir, filename + ".part"), os.path.join(out_dir, filename))
     registry_path = os.path.join(out_dir, REGISTRY_FILE)
     with open(registry_path, "w", encoding="utf-8") as fh:
         fh.write(serialize_registry(lexicon.registry))
 
+    sides = {name: vars(a) for name, a in splits.items()}  # train, test, dropped
     with open(os.path.join(out_dir, SPLITS_FILE), "w", encoding="utf-8") as fh:
-        payload = {
-            name: {
-                "train": list(a.train),
-                "test": list(a.test),
-                "dropped": list(a.dropped),
-            }
-            for name, a in splits.items()
-        }
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        fh.write(_dumps(sides))
+    adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
 
-    adverb_counts: dict[str, int] = {}
-    for ex in examples:
-        if ex.adverb_surface:
-            adverb_counts[ex.adverb_surface] = adverb_counts.get(ex.adverb_surface, 0) + 1
-
-    files = [EXAMPLES_FILE, *MODULE_FILES.values(), REGISTRY_FILE, SPLITS_FILE]
+    files = [*RECORD_FILES.values(), REGISTRY_FILE, SPLITS_FILE]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "registry_digest": _sha256(registry_path),
-        "counts": {
-            name: {
-                "train": len(a.train),
-                "test": len(a.test),
-                "dropped": len(a.dropped),
-            }
-            for name, a in splits.items()
-        },
-        "num_examples": len(examples),
+        "counts": {name: {side: len(ids) for side, ids in a.items()} for name, a in sides.items()},
+        "num_examples": len(rows),
         "adverb_counts": dict(sorted(adverb_counts.items())),
         "files": {f: _sha256(os.path.join(out_dir, f)) for f in files},
     }
@@ -616,8 +637,26 @@ def read_dataset(path: str) -> Dataset:
 
 
 def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
-    """End-to-end: registry, examples, splits, files.  Returns the manifest."""
+    """End-to-end: registry, examples, splits, files.  Returns the manifest.
+    Chunks of indices are generated and serialized here or by `jobs` workers
+    (capped at the CPU count) and written in order, whatever `jobs` is."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    jobs = min(jobs, os.cpu_count() or 1)
     lexicon = build_lexicon(cfg)
-    examples = generate_examples(cfg, lexicon, jobs)
-    splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-    return write_dataset(examples, lexicon, splits, cfg, out_dir)
+    n = cfg.num_examples
+    # The first random split reads only the indices; build_splits draws the same base.
+    first = next((s for s in cfg.splits if s.kind == "random"), None)
+    base = derive_rng(cfg.seed, "splits").getrandbits(64)
+    test = set(_random_test(first, range(n), base)) if first else set()
+    size = max(1, min(CHUNK_EXAMPLES, n // (jobs * 8)))
+    spans = [(cfg, lexicon, lo, min(lo + size, n), test.intersection(range(lo, lo + size)))
+             for lo in range(0, n, size)]
+    os.makedirs(out_dir, exist_ok=True)
+    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        # _worker_chunk is the pool's entry point only: perfbench's tracer treats
+        # each call of it as one made in a worker.
+        chunks = pool.imap(_worker_chunk, spans) if pool else (_forge_chunk(*span) for span in spans)
+        rows = _write_records(out_dir, chunks)
+    splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
+    return _finish_dataset(rows, lexicon, splits, cfg, out_dir)

@@ -38,6 +38,27 @@ DEFAULT_TYPE_WEIGHTS = {
 }
 
 
+# Checks on config JSON values: each raises ValueError naming `key` unless
+# `value` has the type.  bool is an int subclass, but no integer or number here.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(key: str, value) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+
+
+def require_number(key: str, value) -> None:
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+
+
+def require_int_pair(key: str, value) -> None:
+    if not (isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))):
+        raise ValueError(f"{key} must be two integers, not {value!r}")
+
+
 @dataclass(frozen=True)
 class MetaGrammarConfig:
     type_weights: dict = field(default_factory=lambda: dict(DEFAULT_TYPE_WEIGHTS))
@@ -46,10 +67,16 @@ class MetaGrammarConfig:
     max_rejects: int = 1000
 
     def __post_init__(self):
+        if not isinstance(self.type_weights, dict):
+            raise ValueError(f"type_weights must map adverb types to numbers, not {self.type_weights!r}")
+        require_int_pair("prefix_len_range", self.prefix_len_range)
+        require_int("detour_rhs_max", self.detour_rhs_max)
+        require_int("max_rejects", self.max_rejects)
         total = 0.0
         for t, w in self.type_weights.items():
             if t not in ADVERB_TYPES:
                 raise ValueError(f"unknown adverb type: {t!r}")
+            require_number(f"type_weights[{t!r}]", w)
             if w < 0:
                 raise ValueError(f"negative weight for {t}")
             total += w

@@ -6,6 +6,7 @@ statistical criteria run at their stated sample sizes with zero tolerance.
 """
 import multiprocessing
 import random
+import shutil
 import time
 from collections import deque
 
@@ -272,15 +273,16 @@ def test_criterion_8_registry_hygiene():
     print("\nACCEPTANCE 8 PASS: 150 sampled programs pairwise distinct and distinct from built-ins")
 
 
-def test_criterion_9_throughput():
+def test_criterion_9_throughput(tmp_path):
     jobs = min(8, multiprocessing.cpu_count())
     cfg = ForgeConfig(seed=73, num_examples=100_000, extra_adverbs=50)
     start = time.perf_counter()
-    examples = generate_examples(cfg, jobs=jobs)
+    manifest = forge_dataset(cfg, str(tmp_path), jobs)
     elapsed = time.perf_counter() - start
-    assert len(examples) == 100_000
+    shutil.rmtree(tmp_path)  # about 240 MB of records
+    assert manifest["num_examples"] == 100_000
     assert elapsed < 300.0
     print(
-        f"\nACCEPTANCE 9 PASS: 100,000 examples generated and validated in "
+        f"\nACCEPTANCE 9 PASS: 100,000 examples generated, validated and written in "
         f"{elapsed:.1f} s with {jobs} workers"
     )

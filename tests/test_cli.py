@@ -252,3 +252,27 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
     assert code == 1
     assert "error[ValueError]: seed must be an integer, not 7.0" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"distractors": [3, 1]}, "distractors must be [min, max] with 0 <= min <= max, not (3, 1)"),
+        ({"grid_size": 1}, "grid_size must be at least 2, not 1"),
+        ({"meta": {"type_weights": {"spinning_type": "1"}}},
+         "type_weights['spinning_type'] must be a number, not '1'"),
+        ({"meta": {"prefix_len_range": [2.0, 8]}}, "prefix_len_range must be two integers, not (2.0, 8)"),
+        ({"splits": [{"kind": "k_shot_adverb", "name": "k", "surface": "cautiously", "k": "5"}]},
+         "k must be an integer, not '5'"),
+        ({"splits": [{"kind": "random", "name": "r", "test_fraction": "0.1"}]},
+         "test_fraction must be a number, not '0.1'"),
+    ],
+)
+def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"num_examples": 5, **data}))
+    out_dir = tmp_path / "ds"
+    code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(out_dir))
+    assert code == 1
+    assert err == f"error[ValueError]: {message}"
+    assert not out_dir.exists()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from importlib import resources
 
@@ -19,6 +20,7 @@ from mannerforge.errors import (
 from mannerforge.forge import (
     Dataset,
     ForgeConfig,
+    Row,
     SplitSpec,
     _generate_one,
     _read_records,
@@ -50,6 +52,16 @@ BASE_SPLITS = (
     SplitSpec(kind="k_shot_adverb", name="cautiously_k5", surface="cautiously", k=5),
     SplitSpec(kind="verb_adverb_holdout", name="pull_spin", verb="pull", surface="while spinning"),
 )
+
+
+def dataset_files(path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def forged_files(cfg, path, jobs) -> dict[str, bytes]:
+    """Every file `forge_dataset` writes, manifest included, by name."""
+    forge_dataset(cfg, str(path), jobs=jobs)
+    return dataset_files(path)
 
 
 @pytest.fixture(scope="module")
@@ -89,50 +101,119 @@ class TestGenerateExamples:
                 tokens = tuple(ex.adverb_surface.split())
                 assert ex.command[-len(tokens):] == tokens
 
-    def test_parallel_matches_sequential(self, small_corpus):
-        cfg, _, examples = small_corpus
-        parallel = generate_examples(cfg, jobs=2)
-        assert parallel == examples
+    def test_parallel_matches_sequential(self, small_corpus, tmp_path, monkeypatch):
+        cfg, lexicon, examples = small_corpus
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        serial = forged_files(cfg, tmp_path / "one", jobs=1)
+        assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        write_dataset(examples, lexicon, splits, cfg, str(tmp_path / "library"))
+        assert dataset_files(tmp_path / "library") == serial
 
     @pytest.mark.parametrize("num_examples", [1, 3, 37])
-    def test_two_workers_match_one_at_small_sizes(self, num_examples, monkeypatch):
+    def test_two_workers_match_one_at_small_sizes(self, num_examples, tmp_path, monkeypatch):
         # Fewer examples than chunks, and a count that is no multiple of the chunk.
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
         cfg = ForgeConfig(seed=31, num_examples=num_examples, extra_adverbs=6)
-        serial = generate_examples(cfg, jobs=1)
-        assert len(serial) == num_examples
-        assert generate_examples(cfg, jobs=2) == serial
+        serial = forged_files(cfg, tmp_path / "one", jobs=1)
+        assert json.loads(serial["manifest"])["num_examples"] == num_examples
+        assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
 
-    def test_workers_take_the_lexicon_with_their_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("splits", [
+        pytest.param((BASE_SPLITS[2],), id="no_random"),
+        pytest.param((
+            SplitSpec(kind="random", name="first", test_fraction=0.3),
+            SplitSpec(kind="random", name="second", test_fraction=0.6),
+        ), id="two_random"),
+        pytest.param((
+            SplitSpec(kind="type_subset", name="no_caut",
+                      allowed_types=("spinning_type", "zigzag_type", "detour_type")),
+            SplitSpec(kind="predicate", name="adverbless", predicate="no_adverb"),
+        ), id="type_subset_and_predicate"),
+    ])
+    def test_two_workers_match_one_for_split_kinds(self, splits, tmp_path, monkeypatch):
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        cfg = ForgeConfig(seed=5, num_examples=150, extra_adverbs=8, splits=splits)
+        serial = forged_files(cfg, tmp_path / "one", jobs=1)
+        assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
+        saved = json.loads(serial["splits.json"])
+        marked = [
+            record["index"]
+            for record in map(json.loads, serial["examples.ndrec"].splitlines())
+            if record["split"] == "test"
+        ]
+        random_names = [s.name for s in splits if s.kind == "random"]
+        assert marked == (saved[random_names[0]]["test"] if random_names else [])
+
+    def test_workers_take_the_lexicon_with_their_chunk(self, tmp_path, monkeypatch):
         cfg = ForgeConfig(seed=8, num_examples=40, extra_adverbs=6)
-        lexicon = build_lexicon(cfg)
-        serial = generate_examples(cfg, lexicon)
+        serial = forged_files(cfg, tmp_path / "one", jobs=1)
+        parent, real, calls = os.getpid(), forge_module.build_lexicon, []
 
-        def no_rebuild(cfg):
-            raise AssertionError("the lexicon was built again")
+        def parent_only(cfg):
+            if os.getpid() != parent:
+                raise AssertionError("a worker built the lexicon")
+            calls.append(cfg)
+            return real(cfg)
 
         # Forked workers inherit both patches.
-        monkeypatch.setattr(forge_module, "build_lexicon", no_rebuild)
+        monkeypatch.setattr(forge_module, "build_lexicon", parent_only)
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
-        assert generate_examples(cfg, lexicon, jobs=2) == serial
+        assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
+        assert calls == [cfg]
+
+    def test_pool_chunks_carry_only_bytes_and_rows(self, small_corpus, tmp_path, monkeypatch):
+        cfg, _, _ = small_corpus
+        results = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, spans):
+                for span in spans:
+                    result = fn(span)
+                    results.append(result)
+                    yield result
+
+        def plain(value):
+            if isinstance(value, (list, tuple)):  # a Row is a tuple
+                return all(map(plain, value))
+            return value is None or isinstance(value, (bytes, int, str))
+
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forge_module.multiprocessing, "Pool", InlinePool)
+        assert forged_files(cfg, tmp_path / "two", jobs=2) == forged_files(cfg, tmp_path / "one", jobs=1)
+        assert len(results) > 1
+        for blocks, rows in results:
+            assert len(blocks) == 5 and all(isinstance(b, bytes) for b in blocks)
+            assert rows and all(type(row) is Row and plain(row) for row in rows)
 
     @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, small_corpus, jobs):
-        cfg, lexicon, _ = small_corpus
+    def test_jobs_below_one_rejected(self, small_corpus, tmp_path, jobs):
+        cfg, _, _ = small_corpus
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            generate_examples(cfg, lexicon, jobs=jobs)
+            forge_dataset(cfg, str(tmp_path / "out"), jobs=jobs)
+        assert not (tmp_path / "out").exists()
 
-    def test_jobs_capped_at_one_cpu_runs_serially(self, small_corpus, monkeypatch):
-        cfg, _, examples = small_corpus
+    def test_jobs_capped_at_one_cpu_runs_serially(self, small_corpus, tmp_path, monkeypatch):
+        cfg, _, _ = small_corpus
+        serial = forged_files(cfg, tmp_path / "one", jobs=1)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started on a one-CPU machine")
 
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(forge_module.multiprocessing, "Pool", no_pool)
-        assert generate_examples(cfg, jobs=4) == examples
+        assert forged_files(cfg, tmp_path / "four", jobs=4) == serial
 
-    def test_jobs_capped_at_cpu_count(self, small_corpus, monkeypatch):
+    def test_jobs_capped_at_cpu_count(self, small_corpus, tmp_path, monkeypatch):
         cfg, _, _ = small_corpus
         asked = []
 
@@ -146,7 +227,7 @@ class TestGenerateExamples:
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(forge_module.multiprocessing, "Pool", recording_pool)
         with pytest.raises(Refused):
-            generate_examples(cfg, jobs=64)
+            forge_dataset(cfg, str(tmp_path), jobs=64)
         assert asked == [2]
 
     def test_retry_exhausted_reports_adverb(self):
@@ -268,6 +349,25 @@ class TestBuildSplits:
         with pytest.raises(ValueError):
             SplitSpec(kind="nonsense", name="n")
 
+    @pytest.mark.parametrize(
+        "key, data",
+        [
+            ("k", {"kind": "k_shot_adverb", "name": "k", "surface": "cautiously", "k": "5"}),
+            ("k", {"kind": "k_shot_adverb", "name": "k", "surface": "cautiously", "k": 5.0}),
+            ("test_fraction", {"kind": "random", "name": "r", "test_fraction": "0.1"}),
+            ("test_fraction", {"kind": "random", "name": "r", "test_fraction": True}),
+            ("name", {"kind": "random", "name": 3, "test_fraction": 0.1}),
+            ("surface", {"kind": "k_shot_adverb", "name": "k", "surface": ["cautiously"], "k": 5}),
+            ("surface", {"kind": "verb_adverb_holdout", "name": "v", "verb": "pull", "surface": 7}),
+            ("predicate", {"kind": "predicate", "name": "p", "predicate": 1}),
+            ("surfaces", {"kind": "type_subset", "name": "t", "surfaces": "cautiously"}),
+            ("allowed_types", {"kind": "type_subset", "name": "t", "allowed_types": [1]}),
+        ],
+    )
+    def test_mistyped_spec_values_rejected(self, key, data):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            SplitSpec.from_dict(data)
+
 
 class TestModuleDatasets:
     def test_walk_interaction_target_is_empty(self, small_corpus):
@@ -313,6 +413,16 @@ class TestModuleDatasets:
         read_back = read_dataset(str(tmp_path)).examples
         with pytest.raises(MissingTrace):
             write_dataset(read_back, lexicon, splits, cfg, str(tmp_path))
+        assert read_dataset(str(tmp_path)).manifest == manifest
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forge_failing_its_splits_leaves_dataset_readable(self, tmp_path, jobs, monkeypatch):
+        # The record files are written before the splits can be built.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        manifest = forge_dataset(ForgeConfig(seed=1, num_examples=30), str(tmp_path))
+        greedy = SplitSpec(kind="k_shot_adverb", name="k", surface="cautiously", k=1000)
+        with pytest.raises(InsufficientExamples):
+            forge_dataset(ForgeConfig(seed=2, num_examples=30, splits=(greedy,)), str(tmp_path), jobs)
         assert read_dataset(str(tmp_path)).manifest == manifest
 
 
@@ -437,6 +547,29 @@ class TestForgeConfig:
         (key,) = data
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ForgeConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"distractors": [3, 1]},
+            {"distractors": [-1, 2]},
+            {"grid_size": 1},
+            {"num_examples": 0},
+            {"extra_adverbs": -1},
+            {"max_depth": 0},
+            {"retry_limit": 0},
+        ],
+    )
+    def test_out_of_range_values_rejected(self, data):
+        (key,) = data
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ForgeConfig.from_dict(data)
+
+    def test_smallest_ranges_accepted(self):
+        cfg = ForgeConfig.from_dict(
+            {"distractors": [2, 2], "grid_size": 2, "max_depth": 1, "retry_limit": 1}
+        )
+        assert (cfg.distractors, cfg.grid_size, cfg.max_depth, cfg.retry_limit) == ((2, 2), 2, 1, 1)
 
     def test_integer_probability_accepted(self):
         assert ForgeConfig.from_dict({"no_adverb_prob": 1}).no_adverb_prob == 1

@@ -188,3 +188,23 @@ class TestMetaGrammarConfig:
     def test_prefix_range_needs_an_even_length(self):
         with pytest.raises(ValueError):
             MetaGrammarConfig(prefix_len_range=(3, 3))
+
+    @pytest.mark.parametrize(
+        "key, kwargs",
+        [
+            ("type_weights", {"type_weights": {SPINNING_TYPE: "1"}}),
+            ("type_weights", {"type_weights": {SPINNING_TYPE: True}}),
+            ("type_weights", {"type_weights": [SPINNING_TYPE]}),
+            ("prefix_len_range", {"prefix_len_range": (2.0, 8)}),
+            ("prefix_len_range", {"prefix_len_range": (2, 8, 10)}),
+            ("prefix_len_range", {"prefix_len_range": 8}),
+            ("detour_rhs_max", {"detour_rhs_max": "5"}),
+            ("max_rejects", {"max_rejects": 1000.0}),
+        ],
+    )
+    def test_mistyped_values_rejected(self, key, kwargs):
+        with pytest.raises(ValueError, match=f"^{key}"):
+            MetaGrammarConfig(**kwargs)
+
+    def test_integer_weight_accepted(self):
+        assert MetaGrammarConfig(type_weights={SPINNING_TYPE: 1}).type_weights == {SPINNING_TYPE: 1}
