@@ -59,11 +59,12 @@ class AdverbProgram:
             raise ValueError(f"unknown plan shape: {self.plan_shape!r}")
         if self.passes < 1:
             raise ValueError("passes must be at least 1")
-        lhs_seen = set()
+        rule_map = {}
         for rule in self.rules:
-            if rule.lhs in lhs_seen:
+            if rule.lhs in rule_map:
                 raise DuplicateLhs(f"two rules rewrite {rule.lhs!r}")
-            lhs_seen.add(rule.lhs)
+            rule_map[rule.lhs] = rule.rhs
+        object.__setattr__(self, "_rule_map", rule_map)  # apply_pass's lookup table
         if self.mode == "egocentric":
             if any(is_allo(r.lhs) for r in self.rules):
                 raise ValueError("egocentric programs may only rewrite egocentric symbols")
@@ -78,13 +79,13 @@ class AdverbProgram:
         return " ".join(self.name)
 
     def rule_map(self) -> dict[str, tuple[str, ...]]:
-        return {r.lhs: r.rhs for r in self.rules}
+        return dict(self._rule_map)
 
 
 def apply_pass(program: AdverbProgram, sequence) -> tuple[str, ...]:
     """One parallel rewriting pass: every matched symbol is replaced by its
     rule's rhs simultaneously; freshly produced symbols are not rewritten."""
-    rules = program.rule_map()
+    rules = program._rule_map
     out: list[str] = []
     for s in sequence:
         rhs = rules.get(s)
@@ -109,27 +110,28 @@ def apply_program(program: AdverbProgram, sequence, max_depth: int = 10) -> tupl
     return seq
 
 
+# GROUND[heading, symbol] = (heading_after, emitted): allocentric symbols emit turns, then walk.
+GROUND = {(h, s): (after, (*turns_between(h, after), "walk") if s in ALLO_SYMBOLS else (s,))
+          for (h, s), (after, _, _) in STEP.items()}
+
+
 def ground(sequence, start: str) -> tuple[str, ...]:
     """Convert a mixed sequence to egocentric primitives.
 
     Egocentric symbols pass through; each allocentric symbol becomes the
     minimal turn sequence toward its direction followed by walk, with 180
     degree turns fixed as two turn_left actions.  The heading is tracked
-    through `STEP`.
+    through `GROUND`.
     """
     require_heading(start)
     h = start
     out: list[str] = []
     for s in sequence:
-        step = STEP.get((h, s))
+        step = GROUND.get((h, s))
         if step is None:
             raise ValueError(f"unknown action symbol: {s!r}")
-        if s in ALLO_SYMBOLS:
-            out.extend(turns_between(h, step[0]))
-            out.append("walk")
-        else:
-            out.append(s)
-        h = step[0]
+        h, emitted = step
+        out += emitted
     return tuple(out)
 
 

@@ -13,7 +13,7 @@ import json
 import multiprocessing
 import os
 from collections import Counter, namedtuple
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -373,10 +373,11 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
 
 # --- per-module records --------------------------------------------------------
 
-def module_records(example: Example) -> dict[str, dict]:
+def module_records(example: Example, situation=None) -> dict[str, dict]:
     """One example's perception, navigation, interaction and transformation
     records, read from the oracle trace kept at generation.  Their targets
-    recompose to the example's end-to-end target."""
+    recompose to the example's end-to-end target.  Perception and interaction
+    hold `situation`, by default world_to_dict(world)."""
     trace = example.trace
     if trace is None:
         raise MissingTrace(f"example {example.index} has no oracle trace (read from disk?)")
@@ -387,7 +388,7 @@ def module_records(example: Example) -> dict[str, dict]:
         "target": {"row": p.target_position.row, "col": p.target_position.col},
     }
     plan = {"mode": trace.plan.mode, "symbols": list(trace.plan.symbols)}
-    situation = world_to_dict(example.world)
+    situation = world_to_dict(example.world) if situation is None else situation
     interactions = list(trace.interactions)
     return {
         "perception": {
@@ -441,17 +442,17 @@ def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str,
 
 # --- persistence ----------------------------------------------------------------
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# json.dumps(record, sort_keys=True, separators=(",", ":")), with one encoder for all calls.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def example_to_record(ex: Example, split: str) -> dict:
+def example_to_record(ex: Example, split: str, situation=None) -> dict:
     return {
         "index": ex.index,
         "split": split,
         "command": list(ex.command),
         "target": list(ex.target),
-        "situation": world_to_dict(ex.world),
+        "situation": world_to_dict(ex.world) if situation is None else situation,
         "adverb": (
             {"surface": ex.adverb_surface, "type": ex.adverb_type}
             if ex.adverb_surface
@@ -501,14 +502,18 @@ class Dataset:
 
 
 def _serialize(examples, test) -> tuple[list[bytes], list[Row]]:
-    """One byte block per record file of the examples' lines (from their traces), and their rows."""
+    """One byte block per record file of the examples' lines (from their traces), and their rows.
+    Each situation is encoded once and spliced in over the placeholder 0.  Keys are sorted, and
+    the fields after "situation" hold only integers and vocabulary words: it is the last match."""
     lines: dict[str, list[str]] = {name: [] for name in RECORD_FILES}
     rows = []
     for ex in examples:
         split = "test" if ex.index in test else "train"
-        records = {"examples": example_to_record(ex, split), **module_records(ex)}
+        situation = '"situation":' + _dumps(world_to_dict(ex.world))
+        records = {"examples": example_to_record(ex, split, 0), **module_records(ex, 0)}
         for name, record in records.items():
-            lines[name].append(_dumps(record) + "\n")
+            head, hole, tail = _dumps(record).rpartition('"situation":0')
+            lines[name].append((head + situation + tail if hole else tail) + "\n")
         rows.append(Row(ex.index, ex.verb, ex.adverb_surface, ex.adverb_type))
     return ["".join(part).encode("utf-8") for part in lines.values()], rows
 
@@ -524,12 +529,19 @@ def _worker_chunk(span) -> tuple:
     return _forge_chunk(*span)
 
 
-def _write_records(out_dir: str, chunks) -> list[Row]:
+def _pool_chunks(jobs: int, spans):
+    """The spans' chunks, forged by `jobs` workers, in order; the pool ends after the last."""
+    with multiprocessing.Pool(jobs) as pool:
+        # _worker_chunk is the pool's entry point only: perfbench's tracer treats
+        # each call of it as one made in a worker.
+        yield from pool.imap(_worker_chunk, spans)
+
+
+def _write_records(paths, chunks) -> list[Row]:
     """Write each chunk's blocks in order to the record files' `.part` twins; all rows."""
     rows: list[Row] = []
     with ExitStack() as stack:
-        paths = [os.path.join(out_dir, filename + ".part") for filename in RECORD_FILES.values()]
-        out = [stack.enter_context(open(path, "wb")) for path in paths]
+        out = [stack.enter_context(open(path + ".part", "wb")) for path in paths]
         for blocks, chunk_rows in chunks:
             for fh, block in zip(out, blocks):
                 fh.write(block)
@@ -554,15 +566,25 @@ def write_dataset(
     first = next((s for s in cfg.splits if s.kind == "random"), None)
     test = set(splits[first.name].test) if first else set()
     chunks = (examples[lo:lo + CHUNK_EXAMPLES] for lo in range(0, len(examples), CHUNK_EXAMPLES))
-    rows = _write_records(out_dir, (_serialize(chunk, test) for chunk in chunks))
-    return _finish_dataset(rows, lexicon, splits, cfg, out_dir)
+    return _finish_dataset((_serialize(chunk, test) for chunk in chunks), lexicon, splits, cfg, out_dir)
 
 
-def _finish_dataset(rows, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir: str) -> dict:
-    """After the record files: registry, splits, and the manifest.  A dataset
-    already in `out_dir` stays whole until the splits are built."""
-    for filename in RECORD_FILES.values():
-        os.replace(os.path.join(out_dir, filename + ".part"), os.path.join(out_dir, filename))
+def _finish_dataset(chunks, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir: str) -> dict:
+    """The chunks' record files, the splits (built from their rows when None), registry,
+    and manifest.  A dataset already in `out_dir` stays whole until the splits are built;
+    a failure before the record files are in place removes their `.part` twins."""
+    paths = [os.path.join(out_dir, filename) for filename in RECORD_FILES.values()]
+    try:
+        rows = _write_records(paths, chunks)
+        if splits is None:
+            splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
+        for path in paths:
+            os.replace(path + ".part", path)
+    except BaseException:
+        for path in paths:
+            with suppress(FileNotFoundError):
+                os.remove(path + ".part")
+        raise
     registry_path = os.path.join(out_dir, REGISTRY_FILE)
     with open(registry_path, "w", encoding="utf-8") as fh:
         fh.write(serialize_registry(lexicon.registry))
@@ -653,10 +675,5 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     spans = [(cfg, lexicon, lo, min(lo + size, n), test.intersection(range(lo, lo + size)))
              for lo in range(0, n, size)]
     os.makedirs(out_dir, exist_ok=True)
-    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        # _worker_chunk is the pool's entry point only: perfbench's tracer treats
-        # each call of it as one made in a worker.
-        chunks = pool.imap(_worker_chunk, spans) if pool else (_forge_chunk(*span) for span in spans)
-        rows = _write_records(out_dir, chunks)
-    splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
-    return _finish_dataset(rows, lexicon, splits, cfg, out_dir)
+    chunks = _pool_chunks(jobs, spans) if jobs > 1 else (_forge_chunk(*span) for span in spans)
+    return _finish_dataset(chunks, lexicon, None, cfg, out_dir)

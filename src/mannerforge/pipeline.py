@@ -95,11 +95,12 @@ def plan_navigation(percept: Percept, adverb: AdverbProgram | None = None) -> Pl
 def free_cells(world: WorldState, start: Position, drow: int, dcol: int) -> int:
     """Cells an object at `start` can slide by steps of (drow, dcol) before
     hitting the grid edge or another object."""
+    n, blockers = world.grid_size, world.blockers
+    row, col = start.row + drow, start.col + dcol
     count = 0
-    pos = Position(start.row + drow, start.col + dcol)
-    while world.in_bounds(pos) and not world.occupied(pos, ignore=world.target_index):
+    while 0 <= row < n and 0 <= col < n and (row, col) not in blockers:
         count += 1
-        pos = Position(pos.row + drow, pos.col + dcol)
+        row, col = row + drow, col + dcol
     return count
 
 
@@ -236,8 +237,7 @@ def goal_satisfied(verb: str, world: WorldState, trajectory: Trajectory) -> bool
         return False
     if drow == 0 and dcol == 0:
         _, drow, dcol = STEP[final.agent_heading, verb]
-    beyond = Position(
-        target_after.row + (drow > 0) - (drow < 0),
-        target_after.col + (dcol > 0) - (dcol < 0),
-    )
-    return not final.in_bounds(beyond) or final.occupied(beyond, ignore=final.target_index)
+    row = target_after.row + (drow > 0) - (drow < 0)
+    col = target_after.col + (dcol > 0) - (dcol < 0)
+    n = final.grid_size
+    return not (0 <= row < n and 0 <= col < n) or (row, col) in final.blockers

@@ -10,7 +10,9 @@ the dataset forge emits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from .errors import (
     AlloSymbolPresent,
@@ -21,7 +23,7 @@ from .errors import (
     NoReferent,
     OutOfBounds,
 )
-from .symbols import EGO_SYMBOLS, STEP, require_heading
+from .symbols import EGO_SYMBOLS, HEADINGS, STEP, require_heading
 
 SHAPES = ("circle", "square", "cylinder")
 COLORS = ("red", "blue", "green", "yellow")
@@ -55,33 +57,32 @@ class WorldState:
     target_index: int
 
     def __post_init__(self):
-        if self.grid_size < 2:
+        n = self.grid_size
+        if n < 2:
             raise ValueError("grid_size must be at least 2")
         require_heading(self.agent_heading)
-        if not self.in_bounds(self.agent_position):
+        if not (0 <= self.agent_position.row < n and 0 <= self.agent_position.col < n):
             raise ValueError(f"agent out of bounds: {self.agent_position}")
         if not 0 <= self.target_index < len(self.objects):
             raise ValueError(f"target_index {self.target_index} out of range")
         seen = set()
         for obj in self.objects:
-            if not self.in_bounds(obj.position):
+            cell = (obj.position.row, obj.position.col)  # hashed faster than a Position
+            if not (0 <= cell[0] < n and 0 <= cell[1] < n):
                 raise ValueError(f"object out of bounds: {obj}")
-            if obj.position in seen:
+            if cell in seen:
                 raise ValueError(f"two objects share cell {obj.position}")
-            seen.add(obj.position)
-
-    def in_bounds(self, pos: Position) -> bool:
-        return 0 <= pos.row < self.grid_size and 0 <= pos.col < self.grid_size
+            seen.add(cell)
 
     @property
     def target(self) -> GridObject:
         return self.objects[self.target_index]
 
-    def occupied(self, pos: Position, ignore: int | None = None) -> bool:
-        for i, obj in enumerate(self.objects):
-            if i != ignore and obj.position == pos:
-                return True
-        return False
+    @property
+    def blockers(self) -> frozenset[tuple[int, int]]:
+        """The (row, col) cells of every object but the target."""
+        others = self.objects[: self.target_index] + self.objects[self.target_index + 1 :]
+        return frozenset((o.position.row, o.position.col) for o in others)
 
 
 @dataclass(frozen=True)
@@ -170,53 +171,54 @@ def execute(world: WorldState, actions) -> Trajectory:
     is reset by walking or by switching between push and pull.
     """
     actions = tuple(actions)
-    for a in actions:
-        if a not in EGO_SYMBOLS:
-            raise AlloSymbolPresent(f"executor got non-egocentric symbol {a!r}")
+    if not EGO_SYMBOLS.issuperset(actions):
+        bad = next(a for a in actions if a not in EGO_SYMBOLS)
+        raise AlloSymbolPresent(f"executor got non-egocentric symbol {bad!r}")
 
-    agent = world.agent_position
+    n = world.grid_size
     heading = world.agent_heading
     target = world.target
     target_pos = target.position
+    row, col = world.agent_position.row, world.agent_position.col
     heavy = target.size in HEAVY_SIZES
+    blockers = world.blockers
     pending: str | None = None
-    visited = [agent]
+    visited = [world.agent_position]
 
     for action in actions:
         heading, dr, dc = STEP[heading, action]
+        if not (dr or dc):
+            continue  # turns and stay do not move
         if action == "walk":
             pending = None
-        elif action == "push" or action == "pull":
-            if agent != target_pos:
+        else:  # push or pull
+            if row != target_pos.row or col != target_pos.col:
                 raise IllegalInteraction(
-                    f"{action} at {agent} but target object is at {target_pos}"
+                    f"{action} at {Position(row, col)} but target object is at {target_pos}"
                 )
             if heavy and pending != action:
                 pending = action
                 continue
             pending = None
-        else:
-            continue  # turns and stay do not move
 
         # The agent moves one cell, carrying the object when interacting.
-        new = Position(agent.row + dr, agent.col + dc)
-        if not (0 <= new.row < world.grid_size and 0 <= new.col < world.grid_size):
+        row += dr
+        col += dc
+        if not (0 <= row < n and 0 <= col < n):
             if action == "walk":
-                raise OutOfBounds(f"cannot walk to {new}")
-            raise OutOfBounds(f"cannot move object to {new}")
+                raise OutOfBounds(f"cannot walk to {Position(row, col)}")
+            raise OutOfBounds(f"cannot move object to {Position(row, col)}")
+        visited.append(Position(row, col))  # every move changes cell, so no duplicates
         if action != "walk":
-            for i, obj in enumerate(world.objects):
-                if i != world.target_index and obj.position == new:
-                    raise Blocked(f"cell {new} is occupied")
-            target_pos = new
-        agent = new
-        visited.append(agent)  # every move changes cell, so no duplicates
+            if (row, col) in blockers:
+                raise Blocked(f"cell {visited[-1]} is occupied")
+            target_pos = visited[-1]
 
     objects = list(world.objects)
-    objects[world.target_index] = replace(target, position=target_pos)
+    objects[world.target_index] = GridObject(target.shape, target.color, target.size, target_pos)
     final = WorldState(
-        grid_size=world.grid_size,
-        agent_position=agent,
+        grid_size=n,
+        agent_position=visited[-1],
         agent_heading=heading,
         objects=tuple(objects),
         target_index=world.target_index,
@@ -272,6 +274,20 @@ def describe_target(world: WorldState) -> tuple[str, ...] | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _grid_cells(grid_size: int) -> tuple[Position, ...]:
+    """Every cell of the grid, row by row."""
+    return tuple(Position(r, c) for r in range(grid_size) for c in range(grid_size))
+
+
+@lru_cache(maxsize=4096)
+def _cells_outside(grid_size: int, r0: int, r1: int, c0: int, c1: int) -> tuple[Position, ...]:
+    """_grid_cells' Positions, in order, but for those in rows r0..r1 and columns c0..c1."""
+    return tuple(
+        p for p in _grid_cells(grid_size) if not (r0 <= p.row <= r1 and c0 <= p.col <= c1)
+    )
+
+
 def sample_situation(
     rng: random.Random,
     grid_size: int = 6,
@@ -287,14 +303,14 @@ def sample_situation(
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    all_cells = [Position(r, c) for r in range(grid_size) for c in range(grid_size)]
+    all_cells = _grid_cells(grid_size)
 
     for _ in range(max_attempts):
         agent_pos, target_pos = rng.sample(all_cells, 2)
         heading = rng.choice(("north", "east", "south", "west"))
         r0, r1 = sorted((agent_pos.row, target_pos.row))
         c0, c1 = sorted((agent_pos.col, target_pos.col))
-        free = [p for p in all_cells if not (r0 <= p.row <= r1 and c0 <= p.col <= c1)]
+        free = _cells_outside(grid_size, r0, r1, c0, c1)
 
         n_distractors = rng.randint(distractors[0], distractors[1])
         if len(free) < n_distractors:
@@ -350,23 +366,57 @@ def world_to_dict(world: WorldState) -> dict:
     }
 
 
+# The keys of world_to_dict's objects, and what each key's value must be: of a
+# type, or one of some values of one type (so True is no size).
+_WORLD_KEYS = {"grid_size", "agent", "target_index", "objects"}
+_AGENT_KEYS = {"row", "col", "heading"}
+_OBJECT_KEYS = {"shape", "color", "size", "row", "col"}
+_KINDS = {"grid_size": int, "target_index": int, "row": int, "col": int, "agent": dict,
+          "objects": list, "heading": HEADINGS, "shape": SHAPES, "color": COLORS, "size": SIZES}
+_KIND_NAMES = {int: "an integer", dict: "an object", list: "a list"}
+_KNOWN = frozenset(product(SHAPES, COLORS, SIZES))  # (shape, color, size)
+
+
+def _laid_out(data, keys: set, where: str) -> dict:
+    """`data` if it has exactly `keys`, each value as _KINDS says; else ValueError naming the key."""
+    if type(data) is not dict:
+        raise ValueError(f"{where[:-1] or 'world'} must be an object, not {data!r}")
+    if data.keys() != keys:
+        key = min(data.keys() ^ keys)
+        raise ValueError(f"{'unknown' if key in data else 'missing'} world key {where}{key}")
+    for key, value in data.items():
+        kind = _KINDS[key]
+        if type(kind) is tuple and (type(value) is not type(kind[0]) or value not in kind):
+            raise ValueError(f"{where}{key} must be one of {kind}, not {value!r}")
+        if type(kind) is type and type(value) is not kind:
+            raise ValueError(f"{where}{key} must be {_KIND_NAMES[kind]}, not {value!r}")
+    return data
+
+
 def world_from_dict(data: dict) -> WorldState:
-    agent = data["agent"]
-    return WorldState(
-        grid_size=data["grid_size"],
-        agent_position=Position(agent["row"], agent["col"]),
-        agent_heading=agent["heading"],
-        objects=tuple(
-            GridObject(
-                shape=o["shape"],
-                color=o["color"],
-                size=int(o["size"]),
-                position=Position(o["row"], o["col"]),
-            )
-            for o in data["objects"]
-        ),
-        target_index=data["target_index"],
-    )
+    """The world a world_to_dict object describes, its keys checked as _laid_out checks
+    them: inline while the objects are built, then, only if that finds a fault, key by
+    key to name the first bad one."""
+    try:
+        agent, objects = data["agent"], data["objects"]
+        bad = not (data.keys() == _WORLD_KEYS and agent.keys() == _AGENT_KEYS and type(objects) is list
+                   and type(data["grid_size"]) is type(data["target_index"]) is int
+                   and type(agent["row"]) is type(agent["col"]) is int and agent["heading"] in HEADINGS)
+        built = []
+        for o in objects:
+            shape, color, size, row, col = o["shape"], o["color"], o["size"], o["row"], o["col"]
+            bad = bad or o.keys() != _OBJECT_KEYS or (shape, color, size) not in _KNOWN
+            bad = bad or not type(size) is type(row) is type(col) is int
+            built.append(GridObject(shape, color, size, Position(row, col)))
+    except (AttributeError, KeyError, TypeError):
+        bad = True
+    if bad:
+        _laid_out(data, _WORLD_KEYS, "")
+        _laid_out(data["agent"], _AGENT_KEYS, "agent.")
+        for i, o in enumerate(data["objects"]):
+            _laid_out(o, _OBJECT_KEYS, f"objects[{i}].")
+    agent_pos = Position(agent["row"], agent["col"])
+    return WorldState(data["grid_size"], agent_pos, agent["heading"], tuple(built), data["target_index"])
 
 
 _AGENT_MARKS = {"north": "^", "east": ">", "south": "v", "west": "<"}

@@ -62,6 +62,24 @@ def test_solve_with_world_file(capsys, tmp_path):
     assert out == "walk"
 
 
+def test_solve_rejects_bad_world_file(capsys, tmp_path):
+    world = WorldState(
+        grid_size=6,
+        agent_position=Position(2, 1),
+        agent_heading="north",
+        objects=(GridObject("circle", "red", 2, Position(1, 1)),),
+        target_index=0,
+    )
+    data = world_to_dict(world)
+    data["objects"][0]["shape"] = "triangle"
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", "--world", str(path), "--command", "walk to a circle")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[ValueError]: objects[0].shape must be one of")
+
+
 def test_solve_with_sampled_registry(capsys, tmp_path):
     forge_dataset(ForgeConfig(seed=3, num_examples=40, extra_adverbs=4), str(tmp_path / "ds"))
     example = next(

@@ -54,6 +54,16 @@ BASE_SPLITS = (
 )
 
 
+# A detour two rows deep can never stay inside a 2x2 grid.
+PLUNGING = (
+    "name: while plunging\nmode: allocentric\n"
+    "East -> North North East South South\n"
+    "West -> North North West South South\n"
+    "North -> East East North West West\n"
+    "South -> East East South West West\n"
+)
+
+
 def dataset_files(path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
@@ -231,17 +241,9 @@ class TestGenerateExamples:
         assert asked == [2]
 
     def test_retry_exhausted_reports_adverb(self):
-        # A detour two rows deep can never stay inside a 2x2 grid.
-        text = (
-            "name: while plunging\nmode: allocentric\n"
-            "East -> North North East South South\n"
-            "West -> North North West South South\n"
-            "North -> East East North West West\n"
-            "South -> East East South West West\n"
-        )
         cfg = ForgeConfig(
             seed=1, grid_size=2, num_examples=1, no_adverb_prob=0.0,
-            pinned_adverbs=(text,), retry_limit=10,
+            pinned_adverbs=(PLUNGING,), retry_limit=10,
         )
         lexicon = build_lexicon(cfg)
         with pytest.raises(RetryExhausted) as err:
@@ -424,6 +426,34 @@ class TestModuleDatasets:
         with pytest.raises(InsufficientExamples):
             forge_dataset(ForgeConfig(seed=2, num_examples=30, splits=(greedy,)), str(tmp_path), jobs)
         assert read_dataset(str(tmp_path)).manifest == manifest
+        assert not list(tmp_path.glob("*.part"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forge_failing_in_generation_leaves_no_part_files(self, tmp_path, jobs, monkeypatch):
+        # The chunk that draws the plunging detour raises, in the parent or in a worker.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        manifest = forge_dataset(ForgeConfig(seed=1, num_examples=30), str(tmp_path))
+        cfg = ForgeConfig(
+            seed=1, grid_size=2, num_examples=40, no_adverb_prob=0.0,
+            pinned_adverbs=(PLUNGING,), retry_limit=10,
+        )
+        with pytest.raises(RetryExhausted, match="while plunging"):
+            forge_dataset(cfg, str(tmp_path), jobs)
+        assert read_dataset(str(tmp_path)).manifest == manifest
+        assert not list(tmp_path.glob("*.part"))
+
+    def test_write_dataset_failing_leaves_no_part_files(self, small_corpus, tmp_path, monkeypatch):
+        cfg, lexicon, examples = small_corpus
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        # The record files are written, and moving them into place fails.
+        monkeypatch.setattr(forge_module.os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPersistence:
@@ -504,6 +534,23 @@ class TestPersistence:
         assert dataset.example_by_index(7) == examples[7]
         with pytest.raises(UnknownIndex, match="999"):
             dataset.example_by_index(999)
+
+    def test_spliced_lines_equal_their_records_encoded(self):
+        # The pinned surface holds the placeholder's text, "situation" and a
+        # character JSON escapes, ahead of the situation in the sorted keys.
+        pinned = 'name: "situation":0 situation\nmode: egocentric\nwalk -> stay walk\n'
+        cfg = ForgeConfig(seed=3, num_examples=120, no_adverb_prob=0.1, pinned_adverbs=(pinned,))
+        lexicon = build_lexicon(cfg)
+        examples = generate_examples(cfg, lexicon)
+        assert any(ex.adverb_surface == '"situation":0 situation' for ex in examples)
+        test = {ex.index for ex in examples if ex.index % 3 == 0}
+        blocks, _ = forge_module._serialize(examples, test)
+        expected = {name: [] for name in forge_module.RECORD_FILES}
+        for ex in examples:
+            split = "test" if ex.index in test else "train"
+            for name, record in {"examples": example_to_record(ex, split), **module_records(ex)}.items():
+                expected[name].append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        assert blocks == ["".join(lines).encode("utf-8") for lines in expected.values()]
 
     def test_example_record_round_trip(self, small_corpus):
         _, _, examples = small_corpus

@@ -8,16 +8,27 @@ from hypothesis import strategies as st
 
 from conftest import _DELTAS, TURN_LEFT_CYCLE, TURN_RIGHT_CYCLE, trace_cells
 from mannerforge.dsl import AdverbProgram, RewriteRule, parse_program, serialize_program
-from mannerforge.errors import OutOfBounds
+from mannerforge.errors import MannerforgeError, OutOfBounds
 from mannerforge.metagrammar import (
+    ADVERB_TYPES,
     CAUTIOUSLY_TYPE,
     DETOUR_TYPE,
     SPINNING_TYPE,
     MetaGrammarConfig,
     sample_program,
+    sample_registry,
 )
+from mannerforge.pipeline import Lexicon, goal_satisfied, solve_trace
 from mannerforge.symbols import ALL_SYMBOLS, EGO_SYMBOLS, STEP
-from mannerforge.world import GridObject, Position, WorldState, execute
+from mannerforge.world import (
+    VERBS,
+    GridObject,
+    Position,
+    WorldState,
+    execute,
+    parse_command,
+    sample_situation,
+)
 
 HEADINGS = sorted(_DELTAS)
 PROPERTY_SETTINGS = settings(
@@ -156,3 +167,44 @@ def programs(draw):
 @given(program=programs())
 def test_arbitrary_program_text_round_trips(program):
     assert parse_program(serialize_program(program)) == program
+
+
+# The built-ins (spinning, cautiously, zigzag and hesitantly) plus sampled
+# spinning, cautiously and detour programs; None stands for no adverb.
+LEXICON = Lexicon.build(
+    sample_registry(
+        random.Random(5),
+        12,
+        MetaGrammarConfig(type_weights={SPINNING_TYPE: 0.3, CAUTIOUSLY_TYPE: 0.3, DETOUR_TYPE: 0.4}),
+    )
+)
+
+
+def test_oracle_lexicon_covers_every_adverb_type():
+    assert set(LEXICON.types.values()) == set(ADVERB_TYPES)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid_size=st.integers(2, 8),
+    surface=st.sampled_from((None, *LEXICON.surfaces())),
+    verb=st.sampled_from(VERBS),
+)
+def test_executed_oracle_target_satisfies_the_goal(seed, grid_size, surface, verb):
+    """The oracle declines (a MannerforgeError from solve_trace), a detour
+    leaves the grid (OutOfBounds from execute, and the forge re-samples), or
+    its target, executed, reaches the verb's goal."""
+    world, phrase = sample_situation(random.Random(seed), grid_size, (0, 3))
+    lead = (verb, "to") if verb == "walk" else (verb,)
+    command = parse_command(lead + phrase + (tuple(surface.split()) if surface else ()))
+    try:
+        trace = solve_trace(command, world, LEXICON)
+    except MannerforgeError:
+        return
+    try:
+        trajectory = execute(world, trace.target)
+    except OutOfBounds:
+        assert LEXICON.types.get(surface) == DETOUR_TYPE
+        return
+    assert goal_satisfied(verb, world, trajectory)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,10 +13,14 @@ from mannerforge.errors import (
     OutOfBounds,
 )
 from mannerforge.world import (
+    COLORS,
+    SHAPES,
+    SIZES,
     Command,
     GridObject,
     Position,
     WorldState,
+    describe_target,
     execute,
     parse_command,
     render_world,
@@ -35,6 +40,31 @@ def make_world(agent=(3, 2), heading="east", objects=None, target=0, size=6):
         objects=tuple(objects),
         target_index=target,
     )
+
+
+def reference_sample_situation(rng, grid_size, distractors, max_attempts=200):
+    """sample_situation as it was written before its cell tables: the free
+    cells are listed afresh for every attempt."""
+    all_cells = [Position(r, c) for r in range(grid_size) for c in range(grid_size)]
+    for _ in range(max_attempts):
+        agent_pos, target_pos = rng.sample(all_cells, 2)
+        heading = rng.choice(("north", "east", "south", "west"))
+        r0, r1 = sorted((agent_pos.row, target_pos.row))
+        c0, c1 = sorted((agent_pos.col, target_pos.col))
+        free = [p for p in all_cells if not (r0 <= p.row <= r1 and c0 <= p.col <= c1)]
+        n_distractors = rng.randint(distractors[0], distractors[1])
+        if len(free) < n_distractors:
+            continue
+        cells = rng.sample(free, n_distractors)
+        objects = [
+            GridObject(rng.choice(SHAPES), rng.choice(COLORS), rng.choice(SIZES), cell)
+            for cell in (target_pos, *cells)
+        ]
+        world = WorldState(grid_size, agent_pos, heading, tuple(objects), 0)
+        phrase = describe_target(world)
+        if phrase is not None:
+            return world, phrase
+    raise ExhaustedRetries("reference sampler gave up")
 
 
 class TestExecute:
@@ -207,6 +237,18 @@ class TestSampleSituation:
         with pytest.raises(ExhaustedRetries):
             sample_situation(random.Random(0), 2, (5, 5), max_attempts=30)
 
+    @pytest.mark.parametrize("distractors", [(0, 0), (0, 3), (2, 5)])
+    @pytest.mark.parametrize("grid_size", range(2, 9))
+    def test_same_worlds_as_the_reference_sampler(self, grid_size, distractors):
+        for seed in range(300):
+            try:
+                expected = reference_sample_situation(random.Random(seed), grid_size, distractors)
+            except ExhaustedRetries:
+                with pytest.raises(ExhaustedRetries):
+                    sample_situation(random.Random(seed), grid_size, distractors)
+                continue
+            assert sample_situation(random.Random(seed), grid_size, distractors) == expected
+
 
 class TestCommandSurface:
     def test_walk_surface_form(self):
@@ -254,6 +296,49 @@ class TestWorldState:
     def test_serialization_round_trip(self):
         world, _ = sample_situation(random.Random(12), 6, (2, 3))
         assert world_from_dict(world_to_dict(world)) == world
+
+    def test_world_from_dict_takes_keys_in_any_order(self):
+        world, _ = sample_situation(random.Random(12), 6, (2, 3))
+        data = world_to_dict(world)
+        flipped = {key: data[key] for key in reversed(data)}
+        flipped["agent"] = dict(reversed(data["agent"].items()))
+        flipped["objects"] = [dict(reversed(o.items())) for o in data["objects"]]
+        assert world_from_dict(flipped) == world
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["objects"][0].update(shape="triangle"), "objects[0].shape must be one of"),
+            (lambda d: d["objects"][1].update(color="purple"), "objects[1].color must be one of"),
+            (lambda d: d["objects"][0].update(size=9), "objects[0].size must be one of"),
+            (lambda d: d["objects"][0].update(size="3"), "objects[0].size must be one of"),
+            (lambda d: d["objects"][0].update(size=3.9), "objects[0].size must be one of"),
+            (lambda d: d["objects"][0].update(size=True), "objects[0].size must be one of"),
+            (lambda d: d["objects"][1].update(row=1.0), "objects[1].row must be an integer"),
+            (lambda d: d["objects"][0].update(col=False), "objects[0].col must be an integer"),
+            (lambda d: d["agent"].update(row=1.0), "agent.row must be an integer"),
+            (lambda d: d["agent"].update(col=True), "agent.col must be an integer"),
+            (lambda d: d["agent"].update(heading="up"), "agent.heading must be one of"),
+            (lambda d: d.update(grid_size=6.0), "grid_size must be an integer"),
+            (lambda d: d.update(target_index=False), "target_index must be an integer"),
+            (lambda d: d.update(extra=1), "unknown world key extra"),
+            (lambda d: d["agent"].update(facing="north"), "unknown world key agent.facing"),
+            (lambda d: d["objects"][1].update(weight=2), "unknown world key objects[1].weight"),
+            (lambda d: d.pop("target_index"), "missing world key target_index"),
+            (lambda d: d["agent"].pop("heading"), "missing world key agent.heading"),
+            (lambda d: d["objects"][0].pop("color"), "missing world key objects[0].color"),
+            (lambda d: d.update(agent=[2, 3]), "agent must be an object"),
+            (lambda d: d.update(objects={}), "objects must be a list"),
+            (lambda d: d["objects"].__setitem__(0, "circle"), "objects[0] must be an object"),
+        ],
+    )
+    def test_world_from_dict_rejects_bad_values(self, edit, message):
+        world, _ = sample_situation(random.Random(12), 6, (2, 3))
+        data = world_to_dict(world)
+        assert len(data["objects"]) >= 2
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            world_from_dict(data)
 
     def test_render_shows_agent_and_target(self):
         world = make_world(agent=(3, 2), heading="east")
