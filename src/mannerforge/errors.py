@@ -98,7 +98,8 @@ class SchemaMismatch(MannerforgeError):
 
 
 class DigestMismatch(MannerforgeError):
-    """A persisted file does not match its manifest digest."""
+    """A persisted file does not match its manifest digest, or the manifest does not
+    list a digest for exactly the dataset's files."""
 
 
 class MalformedRecord(MannerforgeError):

@@ -13,9 +13,9 @@ import json
 import multiprocessing
 import os
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 from .dsl import parse_program, parse_registry, serialize_registry
 from .errors import (
@@ -72,6 +72,8 @@ CHUNK_EXAMPLES = 500  # at most, per serialized block: no whole-corpus block is 
 REGISTRY_FILE = "registry.txt"
 SPLITS_FILE = "splits.json"
 MANIFEST_FILE = "manifest"
+# The files whose digests the manifest lists: no more and no fewer.
+DATASET_FILES = (*RECORD_FILES.values(), REGISTRY_FILE, SPLITS_FILE)
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,9 @@ class SplitAssignment:
     train: tuple[int, ...]
     test: tuple[int, ...]
     dropped: tuple[int, ...] = ()
+
+
+_SPLIT_SIDES = {"train", "test", "dropped"}  # a split's keys in splits.json
 
 
 # Named predicates for externally defined holdouts; extend via register_predicate.
@@ -462,16 +467,63 @@ def example_to_record(ex: Example, split: str, situation=None) -> dict:
     }
 
 
+_RECORD_KEYS = {"index", "split", "command", "target", "situation", "adverb", "verb"}
+_ADVERB_KEYS = {"surface", "type"}
+_RECORD_SPLITS = ("train", "test")  # an example record's "split"
+
+
+def _record_fault(record) -> str:
+    """What is wrong with an example record, naming the first bad key; '' if nothing."""
+    if type(record) is not dict:
+        return f"record must be an object, not {record!r}"
+    if record.keys() != _RECORD_KEYS:
+        key = min(record.keys() ^ _RECORD_KEYS)
+        return f"{'unknown' if key in record else 'missing'} record key {key}"
+    adverb = record["adverb"]
+    if type(record["index"]) is not int:
+        return f"index must be an integer, not {record['index']!r}"
+    for key in ("command", "target"):
+        if type(record[key]) is not list or not all(type(token) is str for token in record[key]):
+            return f"{key} must be a list of strings, not {record[key]!r}"
+    for key, allowed in (("verb", VERBS), ("split", _RECORD_SPLITS)):
+        if record[key] not in allowed:
+            return f"{key} must be one of {allowed}, not {record[key]!r}"
+    if adverb is None:
+        return ""
+    if type(adverb) is not dict or adverb.keys() != _ADVERB_KEYS:
+        return f"adverb must be null or an object with the keys surface and type, not {adverb!r}"
+    if type(adverb["surface"]) is not str or not adverb["surface"]:
+        return f"adverb.surface must be a non-empty string, not {adverb['surface']!r}"
+    if adverb["type"] not in ADVERB_TYPES:
+        return f"adverb.type must be one of {ADVERB_TYPES}, not {adverb['type']!r}"
+    return ""
+
+
 def example_from_record(record: dict) -> Example:
-    adverb = record.get("adverb")
+    """The example an example_to_record object describes.  Its keys are checked as
+    world_from_dict checks a world's: inline, then, only if that finds a fault, key by
+    key to name the first bad one (ValueError)."""
+    try:
+        command, target, verb, adverb = record["command"], record["target"], record["verb"], record["adverb"]
+        surface, adverb_type = (None, None) if adverb is None else (adverb["surface"], adverb["type"])
+        "".join(command + target)  # TypeError unless both hold only strings
+        bad = not (record.keys() == _RECORD_KEYS and type(record["index"]) is int
+                   and type(command) is type(target) is list
+                   and verb in VERBS and record["split"] in _RECORD_SPLITS
+                   and (adverb is None or adverb.keys() == _ADVERB_KEYS and type(surface) is str
+                        and surface != "" and adverb_type in ADVERB_TYPES))
+    except (AttributeError, KeyError, TypeError):
+        bad = True
+    if bad:
+        raise ValueError(_record_fault(record))
     return Example(
         index=record["index"],
-        command=tuple(record["command"]),
+        command=tuple(command),
         world=world_from_dict(record["situation"]),
-        target=tuple(record["target"]),
-        verb=record["verb"],
-        adverb_surface=adverb["surface"] if adverb else None,
-        adverb_type=adverb["type"] if adverb else None,
+        target=tuple(target),
+        verb=verb,
+        adverb_surface=surface,
+        adverb_type=adverb_type,
     )
 
 
@@ -483,22 +535,53 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+class ExampleLines(Sequence):
+    """The examples of an examples file, read-only, one per line.  Example i is decoded
+    from line i + 1 when first used and kept; any fault in that line, an index other
+    than i among them, raises MalformedRecord(path, i + 1, message) on each use."""
+
+    def __init__(self, path: str, lines: list[bytes]):
+        self.path = path
+        self._lines: list[bytes | None] = lines
+        self._examples: list[Example | None] = [None] * len(lines)
+
+    def __len__(self) -> int:
+        return len(self._examples)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        example = self._examples[i]
+        if example is None:
+            i = range(len(self))[i]  # a negative i as its line's position
+            example = self._examples[i] = self._decode(i)
+            self._lines[i] = None  # kept as the example from now on
+        return example
+
+    def _decode(self, i: int) -> Example:
+        try:
+            example = example_from_record(json.loads(self._lines[i]))
+        except ValueError as exc:  # bad UTF-8, JSON, record or world alike
+            raise MalformedRecord(self.path, i + 1, str(exc)) from None
+        if example.index != i:
+            raise MalformedRecord(self.path, i + 1, f"index {example.index} on the line of index {i}")
+        return example
+
+
 @dataclass(frozen=True)
 class Dataset:
-    examples: list
+    """A dataset's examples, a sequence with examples[i].index == i (an ExampleLines
+    when read from disk), its splits, manifest and lexicon."""
+
+    examples: Sequence
     splits: dict
     manifest: dict
     lexicon: Lexicon
 
-    @cached_property
-    def by_index(self) -> dict[int, Example]:
-        return {ex.index: ex for ex in self.examples}
-
     def example_by_index(self, index: int) -> Example:
-        try:
-            return self.by_index[index]
-        except KeyError:
-            raise UnknownIndex(f"no example with index {index} in the dataset") from None
+        if not 0 <= index < len(self.examples):
+            raise UnknownIndex(f"no example with index {index} in the dataset")
+        return self.examples[index]
 
 
 def _serialize(examples, test) -> tuple[list[bytes], list[Row]]:
@@ -594,7 +677,6 @@ def _finish_dataset(chunks, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir:
         fh.write(_dumps(sides))
     adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
 
-    files = [*RECORD_FILES.values(), REGISTRY_FILE, SPLITS_FILE]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
@@ -602,24 +684,11 @@ def _finish_dataset(chunks, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir:
         "counts": {name: {side: len(ids) for side, ids in a.items()} for name, a in sides.items()},
         "num_examples": len(rows),
         "adverb_counts": dict(sorted(adverb_counts.items())),
-        "files": {f: _sha256(os.path.join(out_dir, f)) for f in files},
+        "files": {f: _sha256(os.path.join(out_dir, f)) for f in DATASET_FILES},
     }
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
-
-
-def _read_records(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(path, lineno, str(exc)) from None
-    return records
 
 
 def read_registry(path: str) -> Lexicon:
@@ -628,9 +697,62 @@ def read_registry(path: str) -> Lexicon:
         return Lexicon.build(parse_registry(fh.read()))
 
 
+def _hashed_lines(path: str) -> tuple[list[bytes], str]:
+    """A file's lines, newlines kept, and its sha256, from one read.  Reading lines
+    rather than one block of the whole file leaves no large buffer behind to fragment
+    the heap: with one block, each repeated read of a dataset raised the peak RSS."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line)
+    return lines, digest.hexdigest()
+
+
+def _example_lines(path: str, lines: list[bytes], n: int) -> list[bytes]:
+    """The lines of an examples file: exactly n, none blank, each ending in a newline."""
+    if lines and not lines[-1].endswith(b"\n"):
+        raise MalformedRecord(path, len(lines), "the last line has no newline")
+    if len(lines) != n:
+        raise MalformedRecord(path, min(len(lines), n) + 1, f"{len(lines)} lines, but the manifest has {n} examples")
+    if b"\n" in lines:
+        raise MalformedRecord(path, lines.index(b"\n") + 1, "blank line")
+    return lines
+
+
+def _read_splits(path: str, data: bytes, n: int) -> dict[str, SplitAssignment]:
+    """The splits of a splits file, each side a list of indices in [0, n)."""
+    try:
+        raw = json.loads(data)
+    except ValueError as exc:
+        raise MalformedRecord(path, 1, str(exc)) from None
+    if type(raw) is not dict:
+        raise MalformedRecord(path, 1, f"splits must be an object, not {raw!r}")
+    splits = {}
+    for name, sides in raw.items():
+        if type(sides) is not dict or sides.keys() != _SPLIT_SIDES:
+            raise MalformedRecord(path, 1, f"split {name!r} must have exactly the keys train, test and dropped")
+        for side, ids in sides.items():
+            if type(ids) is not list:
+                raise MalformedRecord(path, 1, f"split {name!r} {side} must be a list, not {ids!r}")
+            bad = [i for i in ids if type(i) is not int or not 0 <= i < n]
+            if bad:
+                raise MalformedRecord(path, 1, f"split {name!r} {side}: {bad[0]!r} is no index in [0, {n})")
+        splits[name] = SplitAssignment(tuple(sides["train"]), tuple(sides["test"]), tuple(sides["dropped"]))
+    return splits
+
+
 def read_dataset(path: str) -> Dataset:
-    """Load a persisted dataset, verifying the schema version and every file
-    digest recorded in the manifest."""
+    """Load a persisted dataset.
+
+    The schema version must be supported, and the manifest must list a digest for
+    exactly the files of DATASET_FILES, each of which must match; the registry,
+    splits and examples files are read once, and the bytes hashed are the bytes
+    parsed.  The examples file must hold exactly num_examples lines, and every
+    split index must lie in [0, num_examples).  The examples are an ExampleLines:
+    a record is decoded, with every check of example_from_record and its index
+    against its line, only when it is first used, so a record that nothing reads
+    is hashed but never decoded."""
     manifest_path = os.path.join(path, MANIFEST_FILE)
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -638,23 +760,29 @@ def read_dataset(path: str) -> Dataset:
         raise SchemaMismatch(
             f"dataset schema {manifest.get('schema_version')!r}, reader supports {SCHEMA_VERSION}"
         )
-    for filename, expected in manifest["files"].items():
-        actual = _sha256(os.path.join(path, filename))
+    n = manifest.get("num_examples")
+    if type(n) is not int or n < 0:
+        raise SchemaMismatch(f"manifest num_examples must be a count, not {n!r}")
+    digests = manifest.get("files")
+    listed = set(digests) if type(digests) is dict else set()
+    if listed != set(DATASET_FILES):
+        missing, unknown = set(DATASET_FILES) - listed, listed - set(DATASET_FILES)
+        raise DigestMismatch(f"the manifest must list the digests of exactly the dataset's files: "
+                             f"missing {sorted(missing)}, unknown {sorted(unknown)}")
+    parsed = {}  # the lines of the files parsed below, hashed as they were read
+    for filename in DATASET_FILES:
+        file_path, expected = os.path.join(path, filename), digests[filename]
+        if filename in MODULE_FILES.values():
+            actual = _sha256(file_path)
+        else:
+            parsed[filename], actual = _hashed_lines(file_path)
         if actual != expected:
             raise DigestMismatch(f"{filename}: digest {actual} != manifest {expected}")
 
-    examples = [example_from_record(r) for r in _read_records(os.path.join(path, EXAMPLES_FILE))]
-
-    with open(os.path.join(path, SPLITS_FILE), encoding="utf-8") as fh:
-        raw_splits = json.load(fh)
-    splits = {
-        name: SplitAssignment(
-            tuple(v["train"]), tuple(v["test"]), tuple(v.get("dropped", ()))
-        )
-        for name, v in raw_splits.items()
-    }
-
-    lexicon = read_registry(os.path.join(path, REGISTRY_FILE))
+    examples_path = os.path.join(path, EXAMPLES_FILE)
+    examples = ExampleLines(examples_path, _example_lines(examples_path, parsed[EXAMPLES_FILE], n))
+    splits = _read_splits(os.path.join(path, SPLITS_FILE), b"".join(parsed[SPLITS_FILE]), n)
+    lexicon = Lexicon.build(parse_registry(b"".join(parsed[REGISTRY_FILE]).decode("utf-8")))
     return Dataset(examples=examples, splits=splits, manifest=manifest, lexicon=lexicon)
 
 

@@ -122,7 +122,7 @@ def evaluate(dataset: Dataset, predictions, split_names=None) -> EvalReport:
     predicted: dict[int, tuple[str, ...]] = {}
     digest = hashlib.sha256()
     for record in predictions:
-        if record.index not in dataset.by_index:
+        if not 0 <= record.index < len(dataset.examples):
             raise UnknownIndex(f"prediction for index {record.index} not in dataset")
         if record.index in predicted:
             raise DuplicatePrediction(f"index {record.index} predicted more than once")
@@ -153,7 +153,7 @@ def evaluate(dataset: Dataset, predictions, split_names=None) -> EvalReport:
 
     exact_cache, valid_cache = {}, {}
     for i in sorted(evaluated):
-        example = dataset.by_index[i]
+        example = dataset.example_by_index(i)
         exact_cache[i] = exact_match(predicted[i], example.target)
         valid_cache[i] = semantically_valid(example, predicted[i])
 

@@ -1,13 +1,14 @@
 """Shared fixtures and independent tracing helpers for the test suite."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from mannerforge import builtin_adverbs
-from mannerforge.forge import MODULE_FILES
+from mannerforge.forge import EXAMPLES_FILE, MANIFEST_FILE, MODULE_FILES
 
 TURN_LEFT_CYCLE = {"east": "north", "north": "west", "west": "south", "south": "east"}
 TURN_RIGHT_CYCLE = {v: k for k, v in TURN_LEFT_CYCLE.items()}
@@ -64,6 +65,34 @@ def persisted_module_records(out_dir):
     finally:
         for fh in handles:
             fh.close()
+
+
+def edit_manifest(out_dir, edit):
+    """Rewrite a dataset's manifest as edit(manifest dict) leaves it."""
+    path = os.path.join(out_dir, MANIFEST_FILE)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+
+
+def edit_examples(out_dir, edit):
+    """Replace a dataset's examples file by edit(its lines, newlines kept) joined, and
+    write the new digest into the manifest: the bytes then verify, and only decoding
+    a record or counting the lines can find the fault."""
+    path = os.path.join(out_dir, EXAMPLES_FILE)
+    with open(path, encoding="utf-8") as fh:
+        data = "".join(edit(fh.read().splitlines(keepends=True))).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    digest = hashlib.sha256(data).hexdigest()
+    edit_manifest(out_dir, lambda manifest: manifest["files"].update({EXAMPLES_FILE: digest}))
+
+
+def corrupt_line(out_dir, k, text="not json"):
+    """Replace line k (counted from 1) of a dataset's examples file with `text`; see edit_examples."""
+    edit_examples(out_dir, lambda lines: lines[: k - 1] + [text + "\n"] + lines[k:])
 
 
 @pytest.fixture(scope="session")

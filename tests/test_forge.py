@@ -23,7 +23,6 @@ from mannerforge.forge import (
     Row,
     SplitSpec,
     _generate_one,
-    _read_records,
     build_lexicon,
     build_splits,
     example_from_record,
@@ -42,7 +41,7 @@ from mannerforge.seeding import derive_rng
 from mannerforge.world import execute, parse_command
 from mannerforge.pipeline import goal_satisfied, solve_trace
 
-from conftest import persisted_module_records
+from conftest import corrupt_line, edit_examples, edit_manifest, persisted_module_records
 
 # `mannerforge generate --config vocab_x150 --num-examples 2000` at schema 1.
 REFERENCE_MANIFEST_SHA256 = "e6104d903481b5ae8c5c291d94f471aa8ad4328ebc541cc0dc7c7cc3509da55c"
@@ -72,6 +71,14 @@ def forged_files(cfg, path, jobs) -> dict[str, bytes]:
     """Every file `forge_dataset` writes, manifest included, by name."""
     forge_dataset(cfg, str(path), jobs=jobs)
     return dataset_files(path)
+
+
+def write_corpus(corpus, path):
+    """Write a (cfg, lexicon, examples) corpus with its splits to `path`; the splits."""
+    cfg, lexicon, examples = corpus
+    splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+    write_dataset(examples, lexicon, splits, cfg, str(path))
+    return splits
 
 
 @pytest.fixture(scope="module")
@@ -462,7 +469,7 @@ class TestPersistence:
         splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
         manifest = write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
         ds = read_dataset(str(tmp_path))
-        assert ds.examples == examples
+        assert list(ds.examples) == examples
         assert ds.splits == splits
         assert ds.manifest == manifest
         assert ds.manifest["config"] == cfg.to_dict()
@@ -480,7 +487,8 @@ class TestPersistence:
         splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
         write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
         test_set = set(splits["random"].test)
-        for record in _read_records(str(tmp_path / "examples.ndrec")):
+        for line in (tmp_path / "examples.ndrec").read_text().splitlines():
+            record = json.loads(line)
             expected = "test" if record["index"] in test_set else "train"
             assert record["split"] == expected
 
@@ -504,12 +512,13 @@ class TestPersistence:
         with pytest.raises(SchemaMismatch):
             read_dataset(str(tmp_path))
 
-    def test_malformed_record_line_number(self, tmp_path):
-        path = tmp_path / "bad.ndrec"
-        path.write_text('{"index": 0}\nnot json\n')
+    def test_malformed_record_line_number(self, small_corpus, tmp_path):
+        write_corpus(small_corpus, tmp_path)
+        corrupt_line(tmp_path, 2)
+        examples = read_dataset(str(tmp_path)).examples
         with pytest.raises(MalformedRecord) as err:
-            _read_records(str(path))
-        assert err.value.line == 2
+            examples[1]
+        assert err.value.line == 2 and err.value.path == str(tmp_path / "examples.ndrec")
 
     def test_forge_dataset_is_deterministic(self, tmp_path):
         cfg = ForgeConfig(seed=23, num_examples=150, extra_adverbs=5, splits=BASE_SPLITS)
@@ -557,6 +566,181 @@ class TestPersistence:
         for ex in examples[:50]:
             record = json.loads(json.dumps(example_to_record(ex, "train")))
             assert example_from_record(record) == ex
+
+
+DELETE = object()  # as a record value: remove the key
+
+
+def rewrite_splits(out_dir, edit):
+    """Rewrite splits.json as edit(splits dict) leaves it, with its digest in the manifest."""
+    path = out_dir / "splits.json"
+    splits = json.loads(path.read_text())
+    edit(splits)
+    path.write_text(json.dumps(splits))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    edit_manifest(out_dir, lambda manifest: manifest["files"].update({"splits.json": digest}))
+
+
+class TestReadDataset:
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("target", "walk", "target must be a list of strings"),
+            ("target", ["walk", 1], "target must be a list of strings"),
+            ("command", "walk to a circle", "command must be a list of strings"),
+            ("command", None, "command must be a list of strings"),
+            ("index", True, "index must be an integer"),
+            ("index", 1.0, "index must be an integer"),
+            ("index", "1", "index must be an integer"),
+            ("verb", "hop", "verb must be one of"),
+            ("verb", ["walk"], "verb must be one of"),
+            ("split", "dev", "split must be one of"),
+            ("colour", "red", "unknown record key colour"),
+            ("verb", DELETE, "missing record key verb"),
+            ("adverb", DELETE, "missing record key adverb"),
+            ("adverb", "cautiously", "adverb must be null or an object"),
+            ("adverb", {"surface": "cautiously"}, "adverb must be null or an object"),
+            ("adverb", {"surface": "cautiously", "type": "cautiously_type", "k": 1},
+             "adverb must be null or an object"),
+            ("adverb", {"surface": "", "type": "cautiously_type"}, "adverb.surface must be"),
+            ("adverb", {"surface": 3, "type": "cautiously_type"}, "adverb.surface must be"),
+            ("adverb", {"surface": "cautiously", "type": "sneaky_type"}, "adverb.type must be one of"),
+            ("adverb", {"surface": "cautiously", "type": None}, "adverb.type must be one of"),
+        ],
+    )
+    def test_example_from_record_rejects_bad_records(self, small_corpus, key, value, message):
+        _, _, examples = small_corpus
+        record = json.loads(json.dumps(example_to_record(examples[0], "train")))
+        if value is DELETE:
+            del record[key]
+        else:
+            record[key] = value
+        with pytest.raises(ValueError, match=f"^{message}"):
+            example_from_record(record)
+
+    @pytest.mark.parametrize("record", [[], "record", None, 3])
+    def test_example_from_record_rejects_non_objects(self, record):
+        with pytest.raises(ValueError, match="^record must be an object"):
+            example_from_record(record)
+
+    def test_example_from_record_takes_null_adverb(self, small_corpus):
+        _, _, examples = small_corpus
+        ex = next(ex for ex in examples if ex.adverb_surface is None)
+        assert example_from_record(json.loads(json.dumps(example_to_record(ex, "test")))) == ex
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"verb":"push"', '"verb":"hop"', "verb must be one of"),
+            ('"grid_size":6', '"grid_size":6.0', "grid_size must be an integer"),
+        ],
+    )
+    def test_bad_record_names_its_line(self, small_corpus, tmp_path, old, new, message):
+        write_corpus(small_corpus, tmp_path)
+        lines = (tmp_path / "examples.ndrec").read_text().splitlines()
+        k = next(i for i, line in enumerate(lines, 1) if old in line)
+        corrupt_line(tmp_path, k, lines[k - 1].replace(old, new))
+        dataset = read_dataset(str(tmp_path))
+        with pytest.raises(MalformedRecord, match=message) as err:
+            dataset.example_by_index(k - 1)
+        assert err.value.line == k
+
+    def test_manifest_must_list_the_examples_file(self, small_corpus, tmp_path):
+        write_corpus(small_corpus, tmp_path)
+        edit_manifest(tmp_path, lambda manifest: manifest["files"].pop("examples.ndrec"))
+        path = tmp_path / "examples.ndrec"
+        path.write_text(path.read_text().replace('"verb":"push"', '"verb":"pull"', 1))
+        with pytest.raises(DigestMismatch, match=r"missing \['examples.ndrec'\], unknown \[\]"):
+            read_dataset(str(tmp_path))
+
+    def test_manifest_must_list_no_other_file(self, small_corpus, tmp_path):
+        write_corpus(small_corpus, tmp_path)
+        outside = tmp_path.parent / "outside.txt"
+        outside.write_text("anything")
+        digest = hashlib.sha256(b"anything").hexdigest()
+        edit_manifest(tmp_path, lambda manifest: manifest["files"].update({"../outside.txt": digest}))
+        with pytest.raises(DigestMismatch, match=r"missing \[\], unknown \['../outside.txt'\]"):
+            read_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s, n: s["random"]["test"].append(n), "split 'random' test: 400 is no index in \\[0, 400\\)"),
+            (lambda s, n: s["random"]["train"].insert(0, -1), "split 'random' train: -1 is no index"),
+            (lambda s, n: s["random"]["dropped"].append(True), "split 'random' dropped: True is no index"),
+            (lambda s, n: s["random"]["test"].append("3"), "split 'random' test: '3' is no index"),
+            (lambda s, n: s["random"].update(test=5), "split 'random' test must be a list"),
+            (lambda s, n: s["random"].pop("dropped"), "split 'random' must have exactly the keys"),
+            (lambda s, n: s["random"].update(held=[]), "split 'random' must have exactly the keys"),
+            (lambda s, n: s.update(random=[]), "split 'random' must have exactly the keys"),
+        ],
+    )
+    def test_split_indices_are_checked(self, small_corpus, tmp_path, edit, message):
+        write_corpus(small_corpus, tmp_path)
+        rewrite_splits(tmp_path, lambda splits: edit(splits, 400))
+        with pytest.raises(MalformedRecord, match=message) as err:
+            read_dataset(str(tmp_path))
+        assert err.value.path == str(tmp_path / "splits.json")
+
+    def test_num_examples_must_be_a_count(self, small_corpus, tmp_path):
+        write_corpus(small_corpus, tmp_path)
+        edit_manifest(tmp_path, lambda manifest: manifest.update(num_examples="400"))
+        with pytest.raises(SchemaMismatch, match="num_examples must be a count"):
+            read_dataset(str(tmp_path))
+
+    def test_records_decode_on_first_use(self, small_corpus, tmp_path):
+        _, _, examples = small_corpus
+        write_corpus(small_corpus, tmp_path)
+        k = 5
+        corrupt_line(tmp_path, k)
+        dataset = read_dataset(str(tmp_path))  # the corrupt line is hashed, not decoded
+        assert len(dataset.examples) == len(examples)
+        assert dataset.example_by_index(k - 2) == examples[k - 2]
+        assert dataset.example_by_index(k) == examples[k]
+        with pytest.raises(MalformedRecord) as err:
+            dataset.example_by_index(k - 1)
+        assert err.value.line == k
+        with pytest.raises(MalformedRecord) as err:
+            list(dataset.examples)
+        assert err.value.line == k
+
+    def test_decoded_examples_are_kept(self, small_corpus, tmp_path):
+        _, _, examples = small_corpus
+        write_corpus(small_corpus, tmp_path)
+        read_back = read_dataset(str(tmp_path)).examples
+        assert read_back[4] is read_back[4]
+        assert read_back[-1] == examples[-1] and read_back[-1] is read_back[len(examples) - 1]
+        assert read_back[3:9:2] == examples[3:9:2]
+        assert read_back[-2:] == examples[-2:]
+        with pytest.raises(IndexError):
+            read_back[len(examples)]
+        assert examples[7] in read_back
+
+    def test_index_must_equal_line_position(self, small_corpus, tmp_path):
+        write_corpus(small_corpus, tmp_path)
+        edit_examples(tmp_path, lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:])
+        dataset = read_dataset(str(tmp_path))
+        assert dataset.example_by_index(1).index == 1
+        with pytest.raises(MalformedRecord, match="index 3 on the line of index 2") as err:
+            dataset.example_by_index(2)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (lambda lines: lines[:6] + ["\n"] + lines[7:], 7, "blank line"),
+            (lambda lines: lines + [lines[-1]], 401, "401 lines, but the manifest has 400 examples"),
+            (lambda lines: lines + ["\n"], 401, "401 lines"),
+            (lambda lines: lines[:-1], 400, "399 lines, but the manifest has 400 examples"),
+            (lambda lines: lines[:-1] + [lines[-1].rstrip("\n")], 400, "the last line has no newline"),
+        ],
+    )
+    def test_line_count_is_checked_on_read(self, small_corpus, tmp_path, edit, line, message):
+        write_corpus(small_corpus, tmp_path)
+        edit_examples(tmp_path, edit)
+        with pytest.raises(MalformedRecord, match=message) as err:
+            read_dataset(str(tmp_path))
+        assert err.value.line == line
 
 
 class TestForgeConfig:

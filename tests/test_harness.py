@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mannerforge.cli import main
 from mannerforge.errors import (
     DuplicatePrediction,
     MalformedRecord,
@@ -30,6 +31,8 @@ from mannerforge.harness import (
 )
 from mannerforge.seeding import derive_rng
 
+from conftest import corrupt_line
+
 CAUTIOUS_SEQ = (
     "turn_left turn_left turn_right turn_right turn_left walk "
     "turn_left turn_right turn_right turn_left walk "
@@ -38,24 +41,37 @@ CAUTIOUS_SEQ = (
 ).split()
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    cfg = ForgeConfig(
-        seed=29,
-        num_examples=1250,
-        extra_adverbs=0,
-        splits=(
-            SplitSpec(kind="random", name="random", test_fraction=0.8),
-            SplitSpec(kind="verb_adverb_holdout", name="pull_spin",
-                      verb="pull", surface="while spinning"),
-        ),
-    )
+SPLITS = (
+    SplitSpec(kind="random", name="random", test_fraction=0.8),
+    SplitSpec(kind="verb_adverb_holdout", name="pull_spin", verb="pull", surface="while spinning"),
+)
+
+
+def write_corpus(num_examples, out):
+    """Forge num_examples with SPLITS into `out`; the examples and splits."""
+    cfg = ForgeConfig(seed=29, num_examples=num_examples, extra_adverbs=0, splits=SPLITS)
     lexicon = build_lexicon(cfg)
     examples = generate_examples(cfg, lexicon)
     splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-    out = tmp_path_factory.mktemp("ds")
     write_dataset(examples, lexicon, splits, cfg, str(out))
+    return examples, splits
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds")
+    write_corpus(1250, out)
     return read_dataset(str(out))
+
+
+@pytest.fixture
+def corrupted(tmp_path):
+    """A dataset whose record of one random-split test index, not tested by
+    pull_spin, is not JSON; gold predictions for it, that index, and its path."""
+    examples, splits = write_corpus(300, tmp_path)
+    victim = min(set(splits["random"].test) - set(splits["pull_spin"].test))
+    corrupt_line(tmp_path, victim + 1)
+    return [PredictionRecord(ex.index, ex.target) for ex in examples], victim, tmp_path
 
 
 def gold_predictions(dataset):
@@ -121,6 +137,11 @@ class TestEvaluate:
         with pytest.raises(UnknownIndex):
             evaluate(dataset, preds)
 
+    def test_negative_index_is_unknown(self, dataset):
+        preds = gold_predictions(dataset) + [PredictionRecord(-1, ("walk",))]
+        with pytest.raises(UnknownIndex, match="-1"):
+            evaluate(dataset, preds)
+
     def test_unknown_split(self, dataset):
         with pytest.raises(UnknownSplit, match="known splits: pull_spin, random"):
             evaluate(dataset, gold_predictions(dataset), split_names=["random", "nope"])
@@ -149,6 +170,26 @@ class TestEvaluate:
         a = evaluate(dataset, gold_predictions(dataset))
         b = evaluate(dataset, gold_predictions(dataset))
         assert a == b
+
+
+class TestBadRecords:
+    def test_evaluate_decodes_each_tested_record(self, corrupted):
+        predictions, victim, path = corrupted
+        with pytest.raises(MalformedRecord) as err:
+            evaluate(read_dataset(str(path)), predictions, split_names=["random"])
+        assert err.value.line == victim + 1
+
+    def test_evaluate_skips_untested_records(self, corrupted):
+        # A record that no evaluated split tests is hashed but never decoded.
+        predictions, _, path = corrupted
+        report = evaluate(read_dataset(str(path)), predictions, split_names=["pull_spin"])
+        assert report.splits["pull_spin"].n > 0
+        assert report.splits["pull_spin"].exact_match_percent == "100.00"
+
+    def test_stats_decodes_every_record(self, corrupted, capsys):
+        _, victim, path = corrupted
+        assert main(["stats", "--dataset", str(path)]) == 1
+        assert f"error[MalformedRecord]: {path / 'examples.ndrec'}:{victim + 1}:" in capsys.readouterr().err
 
 
 class TestPredictionIO:
