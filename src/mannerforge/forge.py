@@ -378,22 +378,29 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
 
 # --- per-module records --------------------------------------------------------
 
-def module_records(example: Example, situation=None) -> dict[str, dict]:
-    """One example's perception, navigation, interaction and transformation
-    records, read from the oracle trace kept at generation.  Their targets
-    recompose to the example's end-to-end target.  Perception and interaction
-    hold `situation`, by default world_to_dict(world)."""
-    trace = example.trace
-    if trace is None:
+def _trace(example: Example) -> SolveTrace:
+    if example.trace is None:
         raise MissingTrace(f"example {example.index} has no oracle trace (read from disk?)")
+    return example.trace
+
+
+def _percept(trace: SolveTrace) -> dict:
     p = trace.percept
-    percept = {
+    return {
         "agent": {"row": p.agent_position.row, "col": p.agent_position.col},
         "heading": p.agent_heading,
         "target": {"row": p.target_position.row, "col": p.target_position.col},
     }
+
+
+def module_records(example: Example) -> dict[str, dict]:
+    """One example's perception, navigation, interaction and transformation
+    records, read from the oracle trace kept at generation.  Their targets
+    recompose to the example's end-to-end target."""
+    trace = _trace(example)
+    percept = _percept(trace)
     plan = {"mode": trace.plan.mode, "symbols": list(trace.plan.symbols)}
-    situation = world_to_dict(example.world) if situation is None else situation
+    situation = world_to_dict(example.world)
     interactions = list(trace.interactions)
     return {
         "perception": {
@@ -451,13 +458,13 @@ def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str,
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def example_to_record(ex: Example, split: str, situation=None) -> dict:
+def example_to_record(ex: Example, split: str) -> dict:
     return {
         "index": ex.index,
         "split": split,
         "command": list(ex.command),
         "target": list(ex.target),
-        "situation": world_to_dict(ex.world) if situation is None else situation,
+        "situation": world_to_dict(ex.world),
         "adverb": (
             {"surface": ex.adverb_surface, "type": ex.adverb_type}
             if ex.adverb_surface
@@ -519,7 +526,7 @@ def example_from_record(record: dict) -> Example:
     return Example(
         index=record["index"],
         command=tuple(command),
-        world=world_from_dict(record["situation"]),
+        world=world_from_dict(record["situation"], "situation."),
         target=tuple(target),
         verb=verb,
         adverb_surface=surface,
@@ -584,21 +591,47 @@ class Dataset:
         return self.examples[index]
 
 
+def _strings(tokens) -> str:
+    """_dumps(list(tokens)), written directly when no token needs JSON escaping: all text
+    ASCII and printable, no backslash, and no quote but the separators'."""
+    if not tokens:
+        return "[]"
+    text = '","'.join(tokens)
+    if (text.isascii() and text.isprintable() and "\\" not in text
+            and text.count('"') == 2 * len(tokens) - 2):
+        return f'["{text}"]'
+    return _dumps(list(tokens))
+
+
 def _serialize(examples, test) -> tuple[list[bytes], list[Row]]:
     """One byte block per record file of the examples' lines (from their traces), and their rows.
-    Each situation is encoded once and spliced in over the placeholder 0.  Keys are sorted, and
-    the fields after "situation" hold only integers and vocabulary words: it is the last match."""
-    lines: dict[str, list[str]] = {name: [] for name in RECORD_FILES}
+    Each value is encoded once per example; each file's line is one template, its keys in sorted
+    order, that those values fill as _dumps writes the example_to_record or module_records record."""
+    lines: list[list[str]] = [[] for _ in RECORD_FILES]
+    examples_out, perception, navigation, interaction, transformation = lines  # RECORD_FILES order
     rows = []
     for ex in examples:
-        split = "test" if ex.index in test else "train"
-        situation = '"situation":' + _dumps(world_to_dict(ex.world))
-        records = {"examples": example_to_record(ex, split, 0), **module_records(ex, 0)}
-        for name, record in records.items():
-            head, hole, tail = _dumps(record).rpartition('"situation":0')
-            lines[name].append((head + situation + tail if hole else tail) + "\n")
-        rows.append(Row(ex.index, ex.verb, ex.adverb_surface, ex.adverb_type))
-    return ["".join(part).encode("utf-8") for part in lines.values()], rows
+        trace = _trace(ex)
+        index, verb = ex.index, _dumps(ex.verb)
+        split = "test" if index in test else "train"
+        command, target = _strings(ex.command), _strings(ex.target)
+        situation = _dumps(world_to_dict(ex.world))
+        surface = _dumps(ex.adverb_surface)
+        adverb = f'{{"surface":{surface},"type":{_dumps(ex.adverb_type)}}}' if ex.adverb_surface else "null"
+        percept = _dumps(_percept(trace))
+        plan = f'{{"mode":{_dumps(trace.plan.mode)},"symbols":{_strings(trace.plan.symbols)}}}'
+        interactions = _strings(trace.interactions)
+        arrival, start = _dumps(trace.arrival_heading), _dumps(ex.world.agent_heading)
+        examples_out.append(f'{{"adverb":{adverb},"command":{command},"index":{index},"situation":{situation},'
+                            f'"split":"{split}","target":{target},"verb":{verb}}}\n')
+        perception.append(f'{{"command":{command},"index":{index},"situation":{situation},"target":{percept}}}\n')
+        navigation.append(f'{{"adverb":{surface},"index":{index},"percept":{percept},"target":{plan}}}\n')
+        interaction.append(f'{{"arrival_heading":{arrival},"index":{index},"percept":{percept},'
+                           f'"situation":{situation},"target":{interactions},"verb":{verb}}}\n')
+        transformation.append(f'{{"adverb":{surface},"index":{index},"interactions":{interactions},'
+                              f'"plan":{plan},"start_heading":{start},"target":{target}}}\n')
+        rows.append(Row(index, ex.verb, ex.adverb_surface, ex.adverb_type))
+    return ["".join(part).encode("utf-8") for part in lines], rows
 
 
 def _forge_chunk(cfg: ForgeConfig, lexicon: Lexicon, lo: int, hi: int, test) -> tuple:
@@ -620,16 +653,19 @@ def _pool_chunks(jobs: int, spans):
         yield from pool.imap(_worker_chunk, spans)
 
 
-def _write_records(paths, chunks) -> list[Row]:
-    """Write each chunk's blocks in order to the record files' `.part` twins; all rows."""
+def _write_records(paths, chunks) -> tuple[list[Row], list[str]]:
+    """Write each chunk's blocks in order to the record files' `.part` twins, hashing each
+    block as it is written; all rows, and each file's sha256."""
     rows: list[Row] = []
+    digests = [hashlib.sha256() for _ in paths]
     with ExitStack() as stack:
         out = [stack.enter_context(open(path + ".part", "wb")) for path in paths]
         for blocks, chunk_rows in chunks:
-            for fh, block in zip(out, blocks):
+            for fh, digest, block in zip(out, digests, blocks):
                 fh.write(block)
+                digest.update(block)
             rows += chunk_rows
-    return rows
+    return rows, [digest.hexdigest() for digest in digests]
 
 
 def write_dataset(
@@ -658,7 +694,7 @@ def _finish_dataset(chunks, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir:
     a failure before the record files are in place removes their `.part` twins."""
     paths = [os.path.join(out_dir, filename) for filename in RECORD_FILES.values()]
     try:
-        rows = _write_records(paths, chunks)
+        rows, digests = _write_records(paths, chunks)
         if splits is None:
             splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
         for path in paths:
@@ -676,15 +712,17 @@ def _finish_dataset(chunks, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir:
     with open(os.path.join(out_dir, SPLITS_FILE), "w", encoding="utf-8") as fh:
         fh.write(_dumps(sides))
     adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
+    files = dict(zip(RECORD_FILES.values(), digests))  # hashed as written, not read back
+    files.update({f: _sha256(os.path.join(out_dir, f)) for f in (REGISTRY_FILE, SPLITS_FILE)})
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
-        "registry_digest": _sha256(registry_path),
+        "registry_digest": files[REGISTRY_FILE],
         "counts": {name: {side: len(ids) for side, ids in a.items()} for name, a in sides.items()},
         "num_examples": len(rows),
         "adverb_counts": dict(sorted(adverb_counts.items())),
-        "files": {f: _sha256(os.path.join(out_dir, f)) for f in DATASET_FILES},
+        "files": files,
     }
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -24,7 +24,12 @@ from .errors import (
 )
 from .forge import Dataset, Example
 from .pipeline import goal_satisfied
+from .symbols import ALL_SYMBOLS
 from .world import execute
+
+# Each action symbol as one shared string: a prediction token in the vocabulary is
+# read as this object, not as a new string of its own.
+_SYMBOLS = {symbol: symbol for symbol in ALL_SYMBOLS}
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,8 @@ def read_predictions(path: str) -> list[PredictionRecord]:
                 raise MalformedRecord(path, lineno, f"index must be an integer, not {index!r}")
             if not isinstance(prediction, list) or not all(isinstance(t, str) for t in prediction):
                 raise MalformedRecord(path, lineno, "prediction must be a list of strings")
-            records.append(PredictionRecord(index=index, prediction=tuple(prediction)))
+            prediction = tuple(map(_SYMBOLS.get, prediction, prediction))  # unknown tokens as they are
+            records.append(PredictionRecord(index=index, prediction=prediction))
     return records
 
 

@@ -393,10 +393,10 @@ def _laid_out(data, keys: set, where: str) -> dict:
     return data
 
 
-def world_from_dict(data: dict) -> WorldState:
+def world_from_dict(data: dict, where: str = "") -> WorldState:
     """The world a world_to_dict object describes, its keys checked as _laid_out checks
     them: inline while the objects are built, then, only if that finds a fault, key by
-    key to name the first bad one."""
+    key to name the first bad one, its path prefixed with `where` (say "situation.")."""
     try:
         agent, objects = data["agent"], data["objects"]
         bad = not (data.keys() == _WORLD_KEYS and agent.keys() == _AGENT_KEYS and type(objects) is list
@@ -411,10 +411,10 @@ def world_from_dict(data: dict) -> WorldState:
     except (AttributeError, KeyError, TypeError):
         bad = True
     if bad:
-        _laid_out(data, _WORLD_KEYS, "")
-        _laid_out(data["agent"], _AGENT_KEYS, "agent.")
+        _laid_out(data, _WORLD_KEYS, where)
+        _laid_out(data["agent"], _AGENT_KEYS, f"{where}agent.")
         for i, o in enumerate(data["objects"]):
-            _laid_out(o, _OBJECT_KEYS, f"objects[{i}].")
+            _laid_out(o, _OBJECT_KEYS, f"{where}objects[{i}].")
     agent_pos = Position(agent["row"], agent["col"])
     return WorldState(data["grid_size"], agent_pos, agent["heading"], tuple(built), data["target_index"])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -544,22 +545,53 @@ class TestPersistence:
         with pytest.raises(UnknownIndex, match="999"):
             dataset.example_by_index(999)
 
-    def test_spliced_lines_equal_their_records_encoded(self):
-        # The pinned surface holds the placeholder's text, "situation" and a
-        # character JSON escapes, ahead of the situation in the sorted keys.
-        pinned = 'name: "situation":0 situation\nmode: egocentric\nwalk -> stay walk\n'
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            '"situation":0 situation',  # a quote, and key text ahead of the situation in sorted order
+            "back\\slash",
+            "très vite",
+            "odd\x01ly",
+        ],
+    )
+    def test_spliced_lines_equal_their_records_encoded(self, surface, monkeypatch):
+        # Each pinned surface needs JSON escaping, so the lines that hold it as a
+        # command token take the _dumps fallback; the built-in adverbs do not.
+        pinned = f"name: {surface}\nmode: egocentric\nwalk -> stay walk\n"
         cfg = ForgeConfig(seed=3, num_examples=120, no_adverb_prob=0.1, pinned_adverbs=(pinned,))
         lexicon = build_lexicon(cfg)
         examples = generate_examples(cfg, lexicon)
-        assert any(ex.adverb_surface == '"situation":0 situation' for ex in examples)
+        assert any(ex.adverb_surface == surface for ex in examples)
         test = {ex.index for ex in examples if ex.index % 3 == 0}
+        encoded = []
+        dumps = forge_module._dumps
+        monkeypatch.setattr(forge_module, "_dumps", lambda value: encoded.append(value) or dumps(value))
         blocks, _ = forge_module._serialize(examples, test)
+        fallbacks = [value for value in encoded if type(value) is list and value]
+        assert fallbacks and all(surface.split()[-1] in value for value in fallbacks)
         expected = {name: [] for name in forge_module.RECORD_FILES}
         for ex in examples:
             split = "test" if ex.index in test else "train"
             for name, record in {"examples": example_to_record(ex, split), **module_records(ex)}.items():
                 expected[name].append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
         assert blocks == ["".join(lines).encode("utf-8") for lines in expected.values()]
+
+    def test_serialize_needs_a_trace(self, small_corpus):
+        _, _, examples = small_corpus
+        untraced = dataclasses.replace(examples[1], trace=None)
+        with pytest.raises(MissingTrace, match="example 1 has no oracle trace"):
+            forge_module._serialize([examples[0], untraced], set())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_manifest_digests_are_the_files_sha256(self, tmp_path, jobs, monkeypatch):
+        # The record files are hashed as they are written, not read back.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        cfg = ForgeConfig(seed=5, num_examples=1200, extra_adverbs=5, splits=BASE_SPLITS)
+        manifest = forge_dataset(cfg, str(tmp_path), jobs=jobs)
+        assert sorted(manifest["files"]) == sorted(forge_module.DATASET_FILES)
+        for filename, digest in manifest["files"].items():
+            assert digest == hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest(), filename
+        assert manifest["registry_digest"] == manifest["files"]["registry.txt"]
 
     def test_example_record_round_trip(self, small_corpus):
         _, _, examples = small_corpus
@@ -632,14 +664,15 @@ class TestReadDataset:
         "old, new, message",
         [
             ('"verb":"push"', '"verb":"hop"', "verb must be one of"),
-            ('"grid_size":6', '"grid_size":6.0', "grid_size must be an integer"),
+            ('"grid_size":6', '"grid_size":6.0', r"situation\.grid_size must be an integer"),
+            ('"size":', '"size":-', r"situation\.objects\[0\]\.size must be one of \(1, 2, 3, 4\), not -"),
         ],
     )
     def test_bad_record_names_its_line(self, small_corpus, tmp_path, old, new, message):
         write_corpus(small_corpus, tmp_path)
         lines = (tmp_path / "examples.ndrec").read_text().splitlines()
         k = next(i for i, line in enumerate(lines, 1) if old in line)
-        corrupt_line(tmp_path, k, lines[k - 1].replace(old, new))
+        corrupt_line(tmp_path, k, lines[k - 1].replace(old, new, 1))  # the first match only
         dataset = read_dataset(str(tmp_path))
         with pytest.raises(MalformedRecord, match=message) as err:
             dataset.example_by_index(k - 1)

@@ -205,6 +205,16 @@ class TestPredictionIO:
             PredictionRecord(1, ("turn_left", "walk")),
         ]
 
+    def test_read_predictions_shares_vocabulary_strings(self, tmp_path):
+        path = tmp_path / "preds.ndrec"
+        path.write_text(
+            '{"index": 0, "prediction": ["walk", "turn_left"]}\n'
+            '{"index": 1, "prediction": ["walk", "jump", "Walk"]}\n'
+        )
+        first, second = read_predictions(str(path))
+        assert first.prediction[0] is second.prediction[0] == "walk"
+        assert second.prediction[1:] == ("jump", "Walk")  # outside the vocabulary, kept as read
+
     def test_malformed_prediction_line(self, tmp_path):
         path = tmp_path / "preds.ndrec"
         path.write_text('{"index": 0, "prediction": ["walk"]}\n{"index": 1}\n')
