@@ -33,7 +33,6 @@ from .forge import (
     module_records,
     read_dataset,
     read_registry,
-    write_dataset,
 )
 from .harness import EvalReport, PredictionRecord, dataset_stats, evaluate, exact_match
 from .metagrammar import (

@@ -32,13 +32,18 @@ def _fallback_seed() -> int | None:
 
 
 def _load_config(value: str) -> dict:
+    """The JSON object of the config file or preset named `value`."""
+    preset = resources.files("mannerforge").joinpath("presets", f"{value}.json")
     if os.path.exists(value):
         with open(value, encoding="utf-8") as fh:
-            return json.load(fh)
-    preset = resources.files("mannerforge").joinpath("presets", f"{value}.json")
-    if preset.is_file():
-        return json.loads(preset.read_text(encoding="utf-8"))
-    raise MannerforgeError(f"no config file or preset named {value!r}")
+            data = json.load(fh)
+    elif preset.is_file():
+        data = json.loads(preset.read_text(encoding="utf-8"))
+    else:
+        raise MannerforgeError(f"no config file or preset named {value!r}")
+    if type(data) is not dict:  # checked before the options are set in it
+        raise ValueError(f"config must be an object, not {data!r}")
+    return data
 
 
 def _preset_names() -> list[str]:

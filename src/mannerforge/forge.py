@@ -16,6 +16,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 from .dsl import parse_program, parse_registry, serialize_registry
 from .errors import (
@@ -92,9 +93,19 @@ class Example:
 
 
 def _check_keys(data: dict, cls, where: str) -> None:
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be an object, not {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise UnknownConfigKey(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
+# The predicate split's named filters, fixed, so that a config naming one re-forges in
+# any process.  Each is called with an example or its Row.
+PREDICATES = MappingProxyType({
+    "has_adverb": lambda ex: ex.adverb_surface is not None,
+    "no_adverb": lambda ex: ex.adverb_surface is None,
+})
 
 
 def _with_tuples(data: dict, *keys: str) -> dict:
@@ -152,8 +163,8 @@ class SplitSpec:
                 if t not in ADVERB_TYPES:
                     raise ValueError(f"unknown adverb type {t!r}")
         elif self.kind == "predicate":
-            if not self.predicate:
-                raise ValueError("predicate split needs a predicate name")
+            if self.predicate not in PREDICATES:
+                raise ValueError(f"predicate must be one of {tuple(PREDICATES)}, not {self.predicate!r}")
         else:
             raise ValueError(f"unknown split kind {self.kind!r}")
 
@@ -185,18 +196,6 @@ class SplitAssignment:
 _SPLIT_SIDES = {"train", "test", "dropped"}  # a split's keys in splits.json
 
 
-# Named predicates for externally defined holdouts; extend via register_predicate.
-PREDICATES: dict = {}
-
-
-def register_predicate(name: str, fn) -> None:
-    PREDICATES[name] = fn
-
-
-register_predicate("has_adverb", lambda ex: ex.adverb_surface is not None)
-register_predicate("no_adverb", lambda ex: ex.adverb_surface is None)
-
-
 @dataclass(frozen=True)
 class ForgeConfig:
     seed: int = 0
@@ -224,6 +223,13 @@ class ForgeConfig:
         require_number("no_adverb_prob", self.no_adverb_prob)
         if not 0 <= self.no_adverb_prob <= 1:
             raise ValueError("no_adverb_prob must lie in [0, 1]")
+        pinned = self.pinned_adverbs
+        if not (isinstance(pinned, tuple) and all(isinstance(text, str) for text in pinned)):
+            raise ValueError(f"pinned_adverbs must be a list of strings, not {pinned!r}")
+        names = [spec.name for spec in self.splits]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"split name {name!r} is used more than once")
 
     def to_dict(self) -> dict:
         return {
@@ -255,6 +261,8 @@ class ForgeConfig:
             _check_keys(kwargs["meta"], MetaGrammarConfig, "meta")
             kwargs["meta"] = MetaGrammarConfig(**_with_tuples(kwargs["meta"], "prefix_len_range"))
         if "splits" in kwargs:
+            if type(kwargs["splits"]) is not list:
+                raise ValueError(f"splits must be a list, not {kwargs['splits']!r}")
             kwargs["splits"] = tuple(SplitSpec.from_dict(s) for s in kwargs["splits"])
         return cls(**kwargs)
 
@@ -364,10 +372,7 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
                 if ex.verb == spec.verb and ex.adverb_surface == spec.surface
             ]
         else:  # predicate
-            try:
-                fn = PREDICATES[spec.predicate]
-            except KeyError:
-                raise ValueError(f"unregistered predicate {spec.predicate!r}") from None
+            fn = PREDICATES[spec.predicate]
             test = [ex.index for ex in examples if fn(ex)]
         held = set(test)
         train = sorted(i for i in indices if i not in held)
@@ -668,67 +673,6 @@ def _write_records(paths, chunks) -> tuple[list[Row], list[str]]:
     return rows, [digest.hexdigest() for digest in digests]
 
 
-def write_dataset(
-    examples,
-    lexicon: Lexicon,
-    splits: dict[str, SplitAssignment],
-    cfg: ForgeConfig,
-    out_dir: str,
-) -> dict:
-    """Persist examples, module records (in the same pass, from each example's
-    trace), registry, splits, and manifest."""
-    examples = list(examples)
-    untraced = [ex.index for ex in examples if ex.trace is None]
-    if untraced:  # fail before any existing file is truncated
-        raise MissingTrace(f"{len(untraced)} example(s) have no oracle trace, first {untraced[0]}")
-    os.makedirs(out_dir, exist_ok=True)
-    first = next((s for s in cfg.splits if s.kind == "random"), None)
-    test = set(splits[first.name].test) if first else set()
-    chunks = (examples[lo:lo + CHUNK_EXAMPLES] for lo in range(0, len(examples), CHUNK_EXAMPLES))
-    return _finish_dataset((_serialize(chunk, test) for chunk in chunks), lexicon, splits, cfg, out_dir)
-
-
-def _finish_dataset(chunks, lexicon: Lexicon, splits, cfg: ForgeConfig, out_dir: str) -> dict:
-    """The chunks' record files, the splits (built from their rows when None), registry,
-    and manifest.  A dataset already in `out_dir` stays whole until the splits are built;
-    a failure before the record files are in place removes their `.part` twins."""
-    paths = [os.path.join(out_dir, filename) for filename in RECORD_FILES.values()]
-    try:
-        rows, digests = _write_records(paths, chunks)
-        if splits is None:
-            splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
-        for path in paths:
-            os.replace(path + ".part", path)
-    except BaseException:
-        for path in paths:
-            with suppress(FileNotFoundError):
-                os.remove(path + ".part")
-        raise
-    registry_path = os.path.join(out_dir, REGISTRY_FILE)
-    with open(registry_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_registry(lexicon.registry))
-
-    sides = {name: vars(a) for name, a in splits.items()}  # train, test, dropped
-    with open(os.path.join(out_dir, SPLITS_FILE), "w", encoding="utf-8") as fh:
-        fh.write(_dumps(sides))
-    adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
-    files = dict(zip(RECORD_FILES.values(), digests))  # hashed as written, not read back
-    files.update({f: _sha256(os.path.join(out_dir, f)) for f in (REGISTRY_FILE, SPLITS_FILE)})
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "registry_digest": files[REGISTRY_FILE],
-        "counts": {name: {side: len(ids) for side, ids in a.items()} for name, a in sides.items()},
-        "num_examples": len(rows),
-        "adverb_counts": dict(sorted(adverb_counts.items())),
-        "files": files,
-    }
-    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return manifest
-
-
 def read_registry(path: str) -> Lexicon:
     """The built-in adverbs plus every program of a registry file, in slot order."""
     with open(path, encoding="utf-8") as fh:
@@ -827,13 +771,16 @@ def read_dataset(path: str) -> Dataset:
 def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     """End-to-end: registry, examples, splits, files.  Returns the manifest.
     Chunks of indices are generated and serialized here or by `jobs` workers
-    (capped at the CPU count) and written in order, whatever `jobs` is."""
+    (capped at the CPU count) and written in order, whatever `jobs` is.  A dataset
+    already in `out_dir` stays whole until the splits are built; a failure before
+    the record files are in place removes their `.part` twins."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1)
     lexicon = build_lexicon(cfg)
     n = cfg.num_examples
-    # The first random split reads only the indices; build_splits draws the same base.
+    # Each record's "split" is its side of the first random split, which reads only
+    # the indices; build_splits draws the same base.
     first = next((s for s in cfg.splits if s.kind == "random"), None)
     base = derive_rng(cfg.seed, "splits").getrandbits(64)
     test = set(_random_test(first, range(n), base)) if first else set()
@@ -842,4 +789,37 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
              for lo in range(0, n, size)]
     os.makedirs(out_dir, exist_ok=True)
     chunks = _pool_chunks(jobs, spans) if jobs > 1 else (_forge_chunk(*span) for span in spans)
-    return _finish_dataset(chunks, lexicon, None, cfg, out_dir)
+    paths = [os.path.join(out_dir, filename) for filename in RECORD_FILES.values()]
+    try:
+        rows, digests = _write_records(paths, chunks)
+        splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
+        for path in paths:
+            os.replace(path + ".part", path)
+    except BaseException:
+        for path in paths:
+            with suppress(FileNotFoundError):
+                os.remove(path + ".part")
+        raise
+    registry_path = os.path.join(out_dir, REGISTRY_FILE)
+    with open(registry_path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_registry(lexicon.registry))
+
+    sides = {name: vars(a) for name, a in splits.items()}  # train, test, dropped
+    with open(os.path.join(out_dir, SPLITS_FILE), "w", encoding="utf-8") as fh:
+        fh.write(_dumps(sides))
+    adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
+    files = dict(zip(RECORD_FILES.values(), digests))  # hashed as written, not read back
+    files.update({f: _sha256(os.path.join(out_dir, f)) for f in (REGISTRY_FILE, SPLITS_FILE)})
+
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg.to_dict(),
+        "registry_digest": files[REGISTRY_FILE],
+        "counts": {name: {side: len(ids) for side, ids in a.items()} for name, a in sides.items()},
+        "num_examples": len(rows),
+        "adverb_counts": dict(sorted(adverb_counts.items())),
+        "files": files,
+    }
+    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return manifest

@@ -22,7 +22,6 @@ from mannerforge.forge import (
     generate_examples,
     read_dataset,
     recompose,
-    write_dataset,
 )
 from mannerforge.metagrammar import (
     CAUTIOUSLY_TYPE,
@@ -113,7 +112,7 @@ def test_criterion_2_oracle_soundness(oracle_corpus, tmp_path):
         trajectory = execute(ex.world, ex.target)
         assert goal_satisfied(ex.verb, ex.world, trajectory), ex.index
 
-    write_dataset(examples, lexicon, {}, cfg, str(tmp_path))
+    forge_dataset(cfg, str(tmp_path))  # writes the same examples, from the same config
     by_index = {ex.index: ex for ex in examples}
     mismatches = persisted = 0
     for records in persisted_module_records(tmp_path):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mannerforge
 from mannerforge.cli import main
 from mannerforge.dsl import parse_program
 from mannerforge.forge import ForgeConfig, SplitSpec, forge_dataset, read_dataset
@@ -284,6 +288,15 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
          "k must be an integer, not '5'"),
         ({"splits": [{"kind": "random", "name": "r", "test_fraction": "0.1"}]},
          "test_fraction must be a number, not '0.1'"),
+        ({"meta": 3}, "meta must be an object, not 3"),
+        ({"splits": [3]}, "split spec must be an object, not 3"),
+        ({"splits": {"kind": "random", "name": "r"}}, "splits must be a list, not {'kind': 'random', 'name': 'r'}"),
+        ({"pinned_adverbs": [3]}, "pinned_adverbs must be a list of strings, not (3,)"),
+        ({"splits": [{"kind": "predicate", "name": "p", "predicate": "walks"}]},
+         "predicate must be one of ('has_adverb', 'no_adverb'), not 'walks'"),
+        ({"splits": [{"kind": "random", "name": "r", "test_fraction": 0.5},
+                     {"kind": "random", "name": "r", "test_fraction": 0.1}]},
+         "split name 'r' is used more than once"),
     ],
 )
 def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data, message):
@@ -294,3 +307,49 @@ def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data
     assert code == 1
     assert err == f"error[ValueError]: {message}"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"vocab_x150"', "null"])
+@pytest.mark.parametrize("seed", [[], ["--seed", "4"]])
+def test_generate_rejects_config_that_is_no_object(capsys, tmp_path, text, seed):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out_dir = tmp_path / "ds"
+    code, _, err = run(capsys, "generate", "--config", str(config), *seed, "--out", str(out_dir))
+    assert code == 1
+    assert err == f"error[ValueError]: config must be an object, not {json.loads(text)!r}"
+    assert not out_dir.exists()
+
+
+# One split of each kind; CI forges the same config through the console script.
+ALL_SPLIT_KINDS = {
+    "seed": 12,
+    "num_examples": 600,
+    "extra_adverbs": 10,
+    "splits": [
+        {"kind": "random", "name": "random", "test_fraction": 0.2},
+        {"kind": "k_shot_adverb", "name": "cautiously_k5", "surface": "cautiously", "k": 5},
+        {"kind": "verb_adverb_holdout", "name": "pull_spin", "verb": "pull", "surface": "while spinning"},
+        {"kind": "type_subset", "name": "no_cautiously",
+         "allowed_types": ["spinning_type", "zigzag_type", "detour_type"]},
+        {"kind": "predicate", "name": "adverbless", "predicate": "no_adverb"},
+    ],
+}
+
+
+def test_every_split_kind_reforges_in_a_fresh_interpreter(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ALL_SPLIT_KINDS))
+    forge_dataset(ForgeConfig.from_dict(ALL_SPLIT_KINDS), str(tmp_path / "here"))
+    src = os.path.dirname(os.path.dirname(mannerforge.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}
+    subprocess.run(
+        [sys.executable, "-m", "mannerforge.cli", "generate", "--config", str(config),
+         "--out", str(tmp_path / "fresh")],
+        env=env, check=True, capture_output=True,
+    )
+    manifest = (tmp_path / "here" / "manifest").read_bytes()
+    assert (tmp_path / "fresh" / "manifest").read_bytes() == manifest
+    counts = json.loads(manifest)["counts"]
+    assert sorted(counts) == sorted(s["name"] for s in ALL_SPLIT_KINDS["splits"])
+    assert all(sum(c.values()) == ALL_SPLIT_KINDS["num_examples"] for c in counts.values())

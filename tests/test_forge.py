@@ -33,8 +33,6 @@ from mannerforge.forge import (
     module_records,
     read_dataset,
     recompose,
-    register_predicate,
-    write_dataset,
 )
 from mannerforge.metagrammar import CAUTIOUSLY_TYPE
 from mannerforge.pipeline import BUILTIN_SURFACES
@@ -75,11 +73,11 @@ def forged_files(cfg, path, jobs) -> dict[str, bytes]:
 
 
 def write_corpus(corpus, path):
-    """Write a (cfg, lexicon, examples) corpus with its splits to `path`; the splits."""
-    cfg, lexicon, examples = corpus
-    splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-    write_dataset(examples, lexicon, splits, cfg, str(path))
-    return splits
+    """Forge a (cfg, lexicon, examples) corpus's config to `path`, which writes those
+    examples; their splits."""
+    cfg, _, examples = corpus
+    forge_dataset(cfg, str(path))
+    return build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +118,10 @@ class TestGenerateExamples:
                 assert ex.command[-len(tokens):] == tokens
 
     def test_parallel_matches_sequential(self, small_corpus, tmp_path, monkeypatch):
-        cfg, lexicon, examples = small_corpus
+        cfg, _, _ = small_corpus
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
         serial = forged_files(cfg, tmp_path / "one", jobs=1)
         assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        write_dataset(examples, lexicon, splits, cfg, str(tmp_path / "library"))
-        assert dataset_files(tmp_path / "library") == serial
 
     @pytest.mark.parametrize("num_examples", [1, 3, 37])
     def test_two_workers_match_one_at_small_sizes(self, num_examples, tmp_path, monkeypatch):
@@ -333,19 +328,13 @@ class TestBuildSplits:
         assert all(by_index[i].adverb_surface for i in assignment.test)
         assert all(by_index[i].adverb_surface is None for i in assignment.train)
 
-    def test_custom_predicate_registration(self, small_corpus):
-        cfg, _, examples = small_corpus
-        register_predicate("walks", lambda ex: ex.verb == "walk")
-        spec = SplitSpec(kind="predicate", name="walk_holdout", predicate="walks")
-        assignment = build_splits(examples, (spec,), random.Random(0))["walk_holdout"]
-        by_index = {ex.index: ex for ex in examples}
-        assert all(by_index[i].verb == "walk" for i in assignment.test)
-
-    def test_unregistered_predicate(self, small_corpus):
-        _, _, examples = small_corpus
-        spec = SplitSpec(kind="predicate", name="x", predicate="missing")
-        with pytest.raises(ValueError):
-            build_splits(examples, (spec,), random.Random(0))
+    def test_unknown_predicate_rejected(self):
+        # The predicates are a fixed table: a spec naming any other is refused when made.
+        for name in ("walks", "", None):
+            with pytest.raises(ValueError, match=r"^predicate must be one of \('has_adverb', 'no_adverb'\)"):
+                SplitSpec(kind="predicate", name="x", predicate=name)
+        with pytest.raises(TypeError):
+            forge_module.PREDICATES["walks"] = lambda ex: ex.verb == "walk"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -388,8 +377,7 @@ class TestModuleDatasets:
 
     def test_recomposition_reproduces_targets(self, small_corpus, tmp_path):
         cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        write_corpus(small_corpus, tmp_path)
         persisted = list(persisted_module_records(tmp_path))
         assert [r["transformation"]["index"] for r in persisted] == [ex.index for ex in examples]
         for records, ex in zip(persisted, examples):
@@ -408,22 +396,12 @@ class TestModuleDatasets:
                 assert mode == "egocentric"
 
     def test_example_read_from_disk_has_no_trace(self, small_corpus, tmp_path):
-        cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        _, _, examples = small_corpus
+        write_corpus(small_corpus, tmp_path)
         read_back = read_dataset(str(tmp_path)).examples[0]
         assert read_back == examples[0] and read_back.trace is None
         with pytest.raises(MissingTrace):
             module_records(read_back)
-
-    def test_rewriting_untraced_examples_leaves_dataset_readable(self, small_corpus, tmp_path):
-        cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        manifest = write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
-        read_back = read_dataset(str(tmp_path)).examples
-        with pytest.raises(MissingTrace):
-            write_dataset(read_back, lexicon, splits, cfg, str(tmp_path))
-        assert read_dataset(str(tmp_path)).manifest == manifest
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_forge_failing_its_splits_leaves_dataset_readable(self, tmp_path, jobs, monkeypatch):
@@ -450,25 +428,27 @@ class TestModuleDatasets:
         assert read_dataset(str(tmp_path)).manifest == manifest
         assert not list(tmp_path.glob("*.part"))
 
-    def test_write_dataset_failing_leaves_no_part_files(self, small_corpus, tmp_path, monkeypatch):
-        cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forge_failing_to_move_its_files_leaves_no_part_files(self, small_corpus, tmp_path, jobs,
+                                                                   monkeypatch):
+        cfg, _, _ = small_corpus
 
         def full_disk(*args):
             raise OSError(28, "No space left on device")
 
-        # The record files are written, and moving them into place fails.
+        # The record files are written and the splits built, and moving the files into place fails.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(forge_module.os, "replace", full_disk)
         with pytest.raises(OSError, match="No space"):
-            write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+            forge_dataset(cfg, str(tmp_path), jobs)
         assert list(tmp_path.iterdir()) == []
 
 
 class TestPersistence:
     def test_write_read_round_trip(self, small_corpus, tmp_path):
         cfg, lexicon, examples = small_corpus
+        manifest = forge_dataset(cfg, str(tmp_path))
         splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        manifest = write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
         ds = read_dataset(str(tmp_path))
         assert list(ds.examples) == examples
         assert ds.splits == splits
@@ -477,16 +457,13 @@ class TestPersistence:
         assert set(ds.lexicon.surfaces()) == set(lexicon.surfaces())
 
     def test_counts_reconcile(self, small_corpus, tmp_path):
-        cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        manifest = write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        cfg, _, examples = small_corpus
+        manifest = forge_dataset(cfg, str(tmp_path))
         for name, counts in manifest["counts"].items():
             assert counts["train"] + counts["test"] + counts["dropped"] == len(examples)
 
     def test_example_split_field_matches_random_split(self, small_corpus, tmp_path):
-        cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        splits = write_corpus(small_corpus, tmp_path)
         test_set = set(splits["random"].test)
         for line in (tmp_path / "examples.ndrec").read_text().splitlines():
             record = json.loads(line)
@@ -494,18 +471,14 @@ class TestPersistence:
             assert record["split"] == expected
 
     def test_tampering_detected(self, small_corpus, tmp_path):
-        cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        write_corpus(small_corpus, tmp_path)
         target = tmp_path / "examples.ndrec"
         target.write_text(target.read_text().replace("walk", "hop", 1))
         with pytest.raises(DigestMismatch):
             read_dataset(str(tmp_path))
 
     def test_schema_mismatch(self, small_corpus, tmp_path):
-        cfg, lexicon, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-        write_dataset(examples, lexicon, splits, cfg, str(tmp_path))
+        write_corpus(small_corpus, tmp_path)
         manifest_path = tmp_path / "manifest"
         data = json.loads(manifest_path.read_text())
         data["schema_version"] = 99
@@ -805,6 +778,12 @@ class TestForgeConfig:
             {"distractors": 3},
             {"no_adverb_prob": "0.2"},
             {"no_adverb_prob": True},
+            {"meta": 3},
+            {"meta": ["type_weights"]},
+            {"splits": {"kind": "random", "name": "r", "test_fraction": 0.1}},
+            {"splits": "random"},
+            {"pinned_adverbs": [3]},
+            {"pinned_adverbs": "name: x\nmode: egocentric\nwalk -> stay walk\n"},
         ],
     )
     def test_mistyped_values_rejected(self, data):
@@ -828,6 +807,29 @@ class TestForgeConfig:
         (key,) = data
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ForgeConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "config must be an object, not []"),
+            ("seed", "config must be an object, not 'seed'"),
+            ({"splits": [3]}, "split spec must be an object, not 3"),
+            ({"splits": [["kind", "name"]]}, "split spec must be an object, not ['kind', 'name']"),
+        ],
+    )
+    def test_non_objects_rejected(self, data, message):
+        with pytest.raises(ValueError) as err:
+            ForgeConfig.from_dict(data)
+        assert str(err.value) == message
+
+    def test_split_names_must_be_unique(self):
+        # Two random splits of one name: the records' "split" and splits.json would disagree.
+        twice = (SplitSpec(kind="random", name="r", test_fraction=0.5),
+                 SplitSpec(kind="k_shot_adverb", name="k", surface="cautiously", k=1),
+                 SplitSpec(kind="random", name="r", test_fraction=0.1))
+        with pytest.raises(ValueError, match="^split name 'r' is used more than once$"):
+            ForgeConfig(splits=twice)
+        ForgeConfig(splits=twice[:2])
 
     def test_smallest_ranges_accepted(self):
         cfg = ForgeConfig.from_dict(

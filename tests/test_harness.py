@@ -14,10 +14,7 @@ from mannerforge.errors import (
 from mannerforge.forge import (
     ForgeConfig,
     SplitSpec,
-    build_lexicon,
-    build_splits,
-    generate_examples,
-    write_dataset,
+    forge_dataset,
     read_dataset,
 )
 from mannerforge.harness import (
@@ -29,7 +26,6 @@ from mannerforge.harness import (
     read_predictions,
     semantically_valid,
 )
-from mannerforge.seeding import derive_rng
 
 from conftest import corrupt_line
 
@@ -48,30 +44,27 @@ SPLITS = (
 
 
 def write_corpus(num_examples, out):
-    """Forge num_examples with SPLITS into `out`; the examples and splits."""
+    """Forge num_examples with SPLITS into `out`; the dataset read back."""
     cfg = ForgeConfig(seed=29, num_examples=num_examples, extra_adverbs=0, splits=SPLITS)
-    lexicon = build_lexicon(cfg)
-    examples = generate_examples(cfg, lexicon)
-    splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
-    write_dataset(examples, lexicon, splits, cfg, str(out))
-    return examples, splits
+    forge_dataset(cfg, str(out))
+    return read_dataset(str(out))
 
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
-    out = tmp_path_factory.mktemp("ds")
-    write_corpus(1250, out)
-    return read_dataset(str(out))
+    return write_corpus(1250, tmp_path_factory.mktemp("ds"))
 
 
 @pytest.fixture
 def corrupted(tmp_path):
     """A dataset whose record of one random-split test index, not tested by
     pull_spin, is not JSON; gold predictions for it, that index, and its path."""
-    examples, splits = write_corpus(300, tmp_path)
+    written = write_corpus(300, tmp_path)
+    splits = written.splits
     victim = min(set(splits["random"].test) - set(splits["pull_spin"].test))
+    gold = gold_predictions(written)  # decoded before the line is corrupted
     corrupt_line(tmp_path, victim + 1)
-    return [PredictionRecord(ex.index, ex.target) for ex in examples], victim, tmp_path
+    return gold, victim, tmp_path
 
 
 def gold_predictions(dataset):
