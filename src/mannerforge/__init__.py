@@ -29,8 +29,6 @@ from .forge import (
     build_lexicon,
     build_splits,
     forge_dataset,
-    generate_examples,
-    module_records,
     read_dataset,
     read_registry,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 
@@ -27,8 +28,14 @@ SEED_ENV = "FORGE_SEED"
 
 
 def _fallback_seed() -> int | None:
+    """$FORGE_SEED as an integer, None if unset or empty; only an optional `-` and
+    decimal digits are read as one."""
     raw = os.environ.get(SEED_ENV)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise ValueError(f"{SEED_ENV} must be an integer, not {raw!r}")
+    return int(raw)
 
 
 def _load_config(value: str) -> dict:

@@ -81,10 +81,6 @@ class UnknownConfigKey(MannerforgeError):
     """A forge config names a key that no config field has."""
 
 
-class MissingTrace(MannerforgeError):
-    """An example carries no oracle trace to write module records from."""
-
-
 class RetryExhausted(MannerforgeError):
     """An adverb/world combination could not be realized on this grid."""
 

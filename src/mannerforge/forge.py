@@ -24,7 +24,6 @@ from .errors import (
     InsufficientExamples,
     MalformedRecord,
     MannerforgeError,
-    MissingTrace,
     RetryExhausted,
     SchemaMismatch,
     UnknownConfigKey,
@@ -79,8 +78,8 @@ DATASET_FILES = (*RECORD_FILES.values(), REGISTRY_FILE, SPLITS_FILE)
 
 @dataclass(frozen=True)
 class Example:
-    """One dataset row: a command, its grounded situation, and the oracle's
-    egocentric target sequence."""
+    """One dataset row, as examples.ndrec stores it: a command, its grounded
+    situation, and the oracle's egocentric target sequence."""
 
     index: int
     command: tuple[str, ...]
@@ -89,7 +88,6 @@ class Example:
     verb: str
     adverb_surface: str | None = None
     adverb_type: str | None = None
-    trace: SolveTrace | None = field(default=None, compare=False, repr=False)  # not persisted
 
 
 def _check_keys(data: dict, cls, where: str) -> None:
@@ -108,6 +106,16 @@ PREDICATES = MappingProxyType({
 })
 
 
+# The keys each split kind reads, besides kind and name; a spec may set no other.
+_SPLIT_KEYS = {
+    "random": ("test_fraction",),
+    "k_shot_adverb": ("surface", "k"),
+    "verb_adverb_holdout": ("verb", "surface"),
+    "type_subset": ("allowed_types", "surfaces"),
+    "predicate": ("predicate",),
+}
+
+
 def _with_tuples(data: dict, *keys: str) -> dict:
     """A copy of config JSON with the lists under `keys` made tuples."""
     return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in data.items()}
@@ -121,6 +129,7 @@ class SplitSpec:
     surface in train, the rest in test), verb_adverb_holdout (every pairing of
     verb and surface in test), type_subset (drop registry adverbs outside the
     allowed types or surfaces from train), predicate (named filter to test).
+    Each kind takes only the keys of _SPLIT_KEYS[kind].
     """
 
     kind: str
@@ -147,6 +156,11 @@ class SplitSpec:
             require_number("test_fraction", self.test_fraction)
         if self.k is not None:
             require_int("k", self.k)
+        if type(self.kind) is not str or self.kind not in _SPLIT_KEYS:
+            raise ValueError(f"unknown split kind {self.kind!r}")
+        for f in fields(self)[2:]:  # after kind and name
+            if getattr(self, f.name) is not None and f.name not in _SPLIT_KEYS[self.kind]:
+                raise ValueError(f"{self.kind} split does not take {f.name}")
         if self.kind == "random":
             if self.test_fraction is None or not 0 < self.test_fraction < 1:
                 raise ValueError("random split needs 0 < test_fraction < 1")
@@ -157,27 +171,20 @@ class SplitSpec:
             if not self.surface or self.verb not in VERBS:
                 raise ValueError("verb_adverb_holdout split needs a verb and a surface")
         elif self.kind == "type_subset":
-            if self.allowed_types is None and self.surfaces is None:
-                raise ValueError("type_subset split needs allowed_types or surfaces")
+            if (self.allowed_types is None) == (self.surfaces is None):
+                raise ValueError("type_subset split takes exactly one of allowed_types and surfaces")
             for t in self.allowed_types or ():
                 if t not in ADVERB_TYPES:
                     raise ValueError(f"unknown adverb type {t!r}")
-        elif self.kind == "predicate":
-            if self.predicate not in PREDICATES:
-                raise ValueError(f"predicate must be one of {tuple(PREDICATES)}, not {self.predicate!r}")
-        else:
-            raise ValueError(f"unknown split kind {self.kind!r}")
+        elif self.predicate not in PREDICATES:  # predicate
+            raise ValueError(f"predicate must be one of {tuple(PREDICATES)}, not {self.predicate!r}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "name": self.name}
-        for key in ("test_fraction", "surface", "k", "verb", "predicate"):
+        for key in _SPLIT_KEYS[self.kind]:
             value = getattr(self, key)
             if value is not None:
-                out[key] = value
-        if self.allowed_types is not None:
-            out["allowed_types"] = list(self.allowed_types)
-        if self.surfaces is not None:
-            out["surfaces"] = list(self.surfaces)
+                out[key] = list(value) if type(value) is tuple else value
         return out
 
     @classmethod
@@ -274,7 +281,9 @@ def build_lexicon(cfg: ForgeConfig) -> Lexicon:
     return Lexicon.build(pinned + sample_registry(rng, cfg.extra_adverbs, cfg.meta))
 
 
-def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> Example:
+def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> tuple[Example, SolveTrace]:
+    """Example `index`, validated by the executor, and the oracle trace its module
+    records are written from.  Every index derives its own RNG stream."""
     rng = derive_rng(cfg.seed, "example", index)
     verb = rng.choice(VERBS)
     surface = None if rng.random() < cfg.no_adverb_prob else rng.choice(surfaces)
@@ -291,7 +300,7 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> E
             continue
         if not goal_satisfied(verb, world, trajectory):
             continue
-        return Example(
+        example = Example(
             index=index,
             command=command.tokens(),
             world=world,
@@ -299,22 +308,13 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> E
             verb=verb,
             adverb_surface=surface,
             adverb_type=lexicon.types[surface] if surface else None,
-            trace=trace,
         )
+        return example, trace
     raise RetryExhausted(
         f"example {index}: could not realize verb {verb!r}"
         + (f" with adverb {surface!r}" if surface else "")
         + f" on a {cfg.grid_size}x{cfg.grid_size} grid after {cfg.retry_limit} attempts"
     )
-
-
-def generate_examples(cfg: ForgeConfig, lexicon: Lexicon | None = None) -> list[Example]:
-    """The configured number of validated examples, in index order.  Every
-    index derives its own RNG stream, so any chunking gives the same output."""
-    if lexicon is None:
-        lexicon = build_lexicon(cfg)
-    surfaces = lexicon.surfaces()
-    return [_generate_one(cfg, lexicon, surfaces, i) for i in range(cfg.num_examples)]
 
 
 # --- splits -------------------------------------------------------------------
@@ -383,59 +383,12 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
 
 # --- per-module records --------------------------------------------------------
 
-def _trace(example: Example) -> SolveTrace:
-    if example.trace is None:
-        raise MissingTrace(f"example {example.index} has no oracle trace (read from disk?)")
-    return example.trace
-
-
 def _percept(trace: SolveTrace) -> dict:
     p = trace.percept
     return {
         "agent": {"row": p.agent_position.row, "col": p.agent_position.col},
         "heading": p.agent_heading,
         "target": {"row": p.target_position.row, "col": p.target_position.col},
-    }
-
-
-def module_records(example: Example) -> dict[str, dict]:
-    """One example's perception, navigation, interaction and transformation
-    records, read from the oracle trace kept at generation.  Their targets
-    recompose to the example's end-to-end target."""
-    trace = _trace(example)
-    percept = _percept(trace)
-    plan = {"mode": trace.plan.mode, "symbols": list(trace.plan.symbols)}
-    situation = world_to_dict(example.world)
-    interactions = list(trace.interactions)
-    return {
-        "perception": {
-            "index": example.index,
-            "command": list(example.command),
-            "situation": situation,
-            "target": percept,
-        },
-        "navigation": {
-            "index": example.index,
-            "percept": percept,
-            "adverb": example.adverb_surface,
-            "target": plan,
-        },
-        "interaction": {
-            "index": example.index,
-            "percept": percept,
-            "situation": situation,
-            "verb": example.verb,
-            "arrival_heading": trace.arrival_heading,
-            "target": interactions,
-        },
-        "transformation": {
-            "index": example.index,
-            "plan": plan,
-            "interactions": interactions,
-            "adverb": example.adverb_surface,
-            "start_heading": example.world.agent_heading,
-            "target": list(example.target),
-        },
     }
 
 
@@ -461,22 +414,6 @@ def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str,
 
 # json.dumps(record, sort_keys=True, separators=(",", ":")), with one encoder for all calls.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def example_to_record(ex: Example, split: str) -> dict:
-    return {
-        "index": ex.index,
-        "split": split,
-        "command": list(ex.command),
-        "target": list(ex.target),
-        "situation": world_to_dict(ex.world),
-        "adverb": (
-            {"surface": ex.adverb_surface, "type": ex.adverb_type}
-            if ex.adverb_surface
-            else None
-        ),
-        "verb": ex.verb,
-    }
 
 
 _RECORD_KEYS = {"index", "split", "command", "target", "situation", "adverb", "verb"}
@@ -512,7 +449,7 @@ def _record_fault(record) -> str:
 
 
 def example_from_record(record: dict) -> Example:
-    """The example an example_to_record object describes.  Its keys are checked as
+    """The example an examples.ndrec record describes.  Its keys are checked as
     world_from_dict checks a world's: inline, then, only if that finds a fault, key by
     key to name the first bad one (ValueError)."""
     try:
@@ -608,15 +545,14 @@ def _strings(tokens) -> str:
     return _dumps(list(tokens))
 
 
-def _serialize(examples, test) -> tuple[list[bytes], list[Row]]:
-    """One byte block per record file of the examples' lines (from their traces), and their rows.
+def _serialize(pairs, test) -> tuple[list[bytes], list[Row]]:
+    """One byte block per record file of the lines of the (example, trace) pairs, and their rows.
     Each value is encoded once per example; each file's line is one template, its keys in sorted
-    order, that those values fill as _dumps writes the example_to_record or module_records record."""
+    order, that those values fill as _dumps would write the whole record."""
     lines: list[list[str]] = [[] for _ in RECORD_FILES]
     examples_out, perception, navigation, interaction, transformation = lines  # RECORD_FILES order
     rows = []
-    for ex in examples:
-        trace = _trace(ex)
+    for ex, trace in pairs:
         index, verb = ex.index, _dumps(ex.verb)
         split = "test" if index in test else "train"
         command, target = _strings(ex.command), _strings(ex.target)

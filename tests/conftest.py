@@ -1,4 +1,4 @@
-"""Shared fixtures and independent tracing helpers for the test suite."""
+"""Shared fixtures, independent tracing helpers and reference record builders for the test suite."""
 from __future__ import annotations
 
 import hashlib
@@ -8,7 +8,8 @@ import os
 import pytest
 
 from mannerforge import builtin_adverbs
-from mannerforge.forge import EXAMPLES_FILE, MANIFEST_FILE, MODULE_FILES
+from mannerforge.forge import EXAMPLES_FILE, MANIFEST_FILE, MODULE_FILES, _generate_one, build_lexicon
+from mannerforge.world import world_to_dict
 
 TURN_LEFT_CYCLE = {"east": "north", "north": "west", "west": "south", "south": "east"}
 TURN_RIGHT_CYCLE = {v: k for k, v in TURN_LEFT_CYCLE.items()}
@@ -49,6 +50,66 @@ def trace_cells(ego_sequence, start=(0, 0), heading="east"):
         if cell != collapsed[-1]:
             collapsed.append(cell)
     return collapsed
+
+
+def generate_pairs(cfg, lexicon=None):
+    """(example, oracle trace) for every index of cfg, in index order, from the forge's
+    own per-example generator: the examples forge_dataset(cfg, ...) writes."""
+    if lexicon is None:
+        lexicon = build_lexicon(cfg)
+    surfaces = lexicon.surfaces()
+    return [_generate_one(cfg, lexicon, surfaces, i) for i in range(cfg.num_examples)]
+
+
+# Reference records.  The forge splices its lines from pre-encoded values; these build
+# each record whole, from the example and its trace alone, and share no code with it.
+
+def example_to_record(ex, split):
+    """The examples.ndrec record of an example on the given side of the first random split."""
+    return {
+        "index": ex.index,
+        "split": split,
+        "command": list(ex.command),
+        "target": list(ex.target),
+        "situation": world_to_dict(ex.world),
+        "adverb": {"surface": ex.adverb_surface, "type": ex.adverb_type} if ex.adverb_surface else None,
+        "verb": ex.verb,
+    }
+
+
+def module_records(ex, trace):
+    """An example's perception, navigation, interaction and transformation records,
+    by module, from its oracle trace."""
+    p = trace.percept
+    percept = {
+        "agent": {"row": p.agent_position.row, "col": p.agent_position.col},
+        "heading": p.agent_heading,
+        "target": {"row": p.target_position.row, "col": p.target_position.col},
+    }
+    plan = {"mode": trace.plan.mode, "symbols": list(trace.plan.symbols)}
+    situation = world_to_dict(ex.world)
+    interactions = list(trace.interactions)
+    return {
+        "perception": {"index": ex.index, "command": list(ex.command), "situation": situation,
+                       "target": percept},
+        "navigation": {"index": ex.index, "percept": percept, "adverb": ex.adverb_surface, "target": plan},
+        "interaction": {"index": ex.index, "percept": percept, "situation": situation, "verb": ex.verb,
+                        "arrival_heading": trace.arrival_heading, "target": interactions},
+        "transformation": {"index": ex.index, "plan": plan, "interactions": interactions,
+                           "adverb": ex.adverb_surface, "start_heading": ex.world.agent_heading,
+                           "target": list(ex.target)},
+    }
+
+
+def reference_lines(pairs, test):
+    """Each record file's lines, by stream name, for (example, trace) pairs whose indices
+    in `test` are on the test side of the first random split."""
+    lines = {"examples": [], **{name: [] for name in MODULE_FILES}}
+    for ex, trace in pairs:
+        split = "test" if ex.index in test else "train"
+        for name, record in {"examples": example_to_record(ex, split), **module_records(ex, trace)}.items():
+            lines[name].append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    return lines
 
 
 def persisted_module_records(out_dir):

@@ -19,7 +19,6 @@ from mannerforge.forge import (
     build_lexicon,
     build_splits,
     forge_dataset,
-    generate_examples,
     read_dataset,
     recompose,
 )
@@ -44,7 +43,7 @@ from mannerforge.seeding import derive_rng
 from mannerforge.symbols import displacement, parse_symbols
 from mannerforge.world import Position, execute, parse_command
 
-from conftest import persisted_module_records, trace_cells
+from conftest import generate_pairs, persisted_module_records, trace_cells
 
 SPIN = "turn_left turn_left turn_left turn_left"
 CAUTIOUS = "turn_left turn_right turn_right turn_left"
@@ -54,13 +53,13 @@ ORACLE_SEED = 20240 + 603
 
 @pytest.fixture(scope="module")
 def oracle_corpus():
-    """10,000 examples on a 6x6 grid with 150 sampled adverbs."""
+    """10,000 (example, oracle trace) pairs on a 6x6 grid with 150 sampled adverbs."""
     cfg = ForgeConfig(seed=ORACLE_SEED, grid_size=6, num_examples=10_000, extra_adverbs=150)
     lexicon = build_lexicon(cfg)
     start = time.perf_counter()
-    examples = generate_examples(cfg, lexicon)
+    pairs = generate_pairs(cfg, lexicon)
     elapsed = time.perf_counter() - start
-    return cfg, lexicon, examples, elapsed
+    return cfg, lexicon, pairs, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +67,7 @@ def builtin_corpus():
     """4,000 examples with only the four built-in adverbs, for split sweeps."""
     cfg = ForgeConfig(seed=91, grid_size=6, num_examples=4_000, extra_adverbs=0)
     lexicon = build_lexicon(cfg)
-    return cfg, lexicon, generate_examples(cfg, lexicon)
+    return cfg, lexicon, [ex for ex, _ in generate_pairs(cfg, lexicon)]
 
 
 def test_criterion_1_golden_suite(builtins):
@@ -105,27 +104,27 @@ def test_criterion_1_golden_suite(builtins):
 
 
 def test_criterion_2_oracle_soundness(oracle_corpus, tmp_path):
-    cfg, lexicon, examples, gen_elapsed = oracle_corpus
-    assert len(examples) == 10_000
+    cfg, lexicon, pairs, gen_elapsed = oracle_corpus
+    assert len(pairs) == 10_000
 
-    for ex in examples:
+    for ex, _ in pairs:
         trajectory = execute(ex.world, ex.target)
         assert goal_satisfied(ex.verb, ex.world, trajectory), ex.index
 
     forge_dataset(cfg, str(tmp_path))  # writes the same examples, from the same config
-    by_index = {ex.index: ex for ex in examples}
+    by_index = {ex.index: (ex, trace) for ex, trace in pairs}
     mismatches = persisted = 0
     for records in persisted_module_records(tmp_path):
-        target = by_index[records["transformation"]["index"]].target
+        target = by_index[records["transformation"]["index"]][0].target
         mismatches += recompose(records, lexicon, cfg.max_depth) != target
         persisted += 1
     assert (persisted, mismatches) == (10_000, 0)
 
-    # The persisted command, world and registry re-solve to the kept trace.
+    # The persisted command, world and registry re-solve to the generated trace.
     dataset = read_dataset(str(tmp_path))
     for ex in dataset.examples:
         trace = solve_trace(parse_command(ex.command), ex.world, dataset.lexicon, cfg.max_depth)
-        assert trace == by_index[ex.index].trace, ex.index
+        assert trace == by_index[ex.index][1], ex.index
     assert gen_elapsed < 60.0
     print(
         f"\nACCEPTANCE 2 PASS: 10,000/10,000 examples execute and satisfy goals, "
@@ -232,8 +231,8 @@ def test_criterion_6_split_cardinalities(builtin_corpus, oracle_corpus):
         for i in hold.train
     )
 
-    _, _, oracle_examples, _ = oracle_corpus
-    surfaces = {ex.adverb_surface for ex in oracle_examples if ex.adverb_surface}
+    _, _, oracle_pairs, _ = oracle_corpus
+    surfaces = {ex.adverb_surface for ex, _ in oracle_pairs if ex.adverb_surface}
     assert len(surfaces) == 154
     print(
         "\nACCEPTANCE 6 PASS: k-shot trains hold exactly k for k in {1,5,10,50}, "

@@ -144,6 +144,27 @@ def test_forge_seed_env_fallback(capsys, tmp_path, monkeypatch):
     c = tmp_path / "c.txt"
     run(capsys, "sample-adverbs", "--n", "3", "--out", str(c))
     assert a.read_text() != c.read_text()
+    monkeypatch.setenv("FORGE_SEED", "-12")
+    run(capsys, "sample-adverbs", "--n", "3", "--out", str(tmp_path / "env.txt"))
+    run(capsys, "sample-adverbs", "--n", "3", "--seed", "-12", "--out", str(tmp_path / "flag.txt"))
+    assert (tmp_path / "env.txt").read_text() == (tmp_path / "flag.txt").read_text()
+
+
+@pytest.mark.parametrize("raw", ["abc", "1_0", " 7", "7.0", "+7", "--7", "٣"])
+@pytest.mark.parametrize("command", [
+    ["generate", "--config", "{config}", "--out", "{out}"],
+    ["sample-adverbs", "--n", "3", "--out", "{out}"],
+])
+def test_forge_seed_must_be_an_integer(capsys, tmp_path, monkeypatch, raw, command):
+    # The config pins no seed, so generate falls back to $FORGE_SEED as sample-adverbs does.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"num_examples": 5}))
+    out = tmp_path / "out"
+    monkeypatch.setenv("FORGE_SEED", raw)
+    code, _, err = run(capsys, *(arg.format(config=config, out=out) for arg in command))
+    assert code == 1
+    assert err == f"error[ValueError]: FORGE_SEED must be an integer, not {raw!r}"
+    assert not out.exists()
 
 
 def test_generate_stats_inspect_evaluate_flow(capsys, tmp_path):
@@ -297,6 +318,8 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
         ({"splits": [{"kind": "random", "name": "r", "test_fraction": 0.5},
                      {"kind": "random", "name": "r", "test_fraction": 0.1}]},
          "split name 'r' is used more than once"),
+        ({"splits": [{"kind": "random", "name": "r", "test_fraction": 0.5, "predicate": "has_adverb"}]},
+         "random split does not take predicate"),
     ],
 )
 def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data, message):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +11,6 @@ from mannerforge.errors import (
     DigestMismatch,
     InsufficientExamples,
     MalformedRecord,
-    MissingTrace,
     RetryExhausted,
     SchemaMismatch,
     UnknownConfigKey,
@@ -27,10 +25,7 @@ from mannerforge.forge import (
     build_lexicon,
     build_splits,
     example_from_record,
-    example_to_record,
     forge_dataset,
-    generate_examples,
-    module_records,
     read_dataset,
     recompose,
 )
@@ -40,7 +35,16 @@ from mannerforge.seeding import derive_rng
 from mannerforge.world import execute, parse_command
 from mannerforge.pipeline import goal_satisfied, solve_trace
 
-from conftest import corrupt_line, edit_examples, edit_manifest, persisted_module_records
+from conftest import (
+    corrupt_line,
+    edit_examples,
+    edit_manifest,
+    example_to_record,
+    generate_pairs,
+    module_records,
+    persisted_module_records,
+    reference_lines,
+)
 
 # `mannerforge generate --config vocab_x150 --num-examples 2000` at schema 1.
 REFERENCE_MANIFEST_SHA256 = "e6104d903481b5ae8c5c291d94f471aa8ad4328ebc541cc0dc7c7cc3509da55c"
@@ -81,25 +85,29 @@ def write_corpus(corpus, path):
 
 
 @pytest.fixture(scope="module")
-def small_corpus():
+def small_pairs():
+    """(cfg, lexicon, (example, trace) pairs) of a 400-example corpus."""
     cfg = ForgeConfig(seed=17, num_examples=400, extra_adverbs=12, splits=BASE_SPLITS)
     lexicon = build_lexicon(cfg)
-    examples = generate_examples(cfg, lexicon)
-    return cfg, lexicon, examples
+    return cfg, lexicon, generate_pairs(cfg, lexicon)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(small_pairs):
+    """(cfg, lexicon, examples) of the small_pairs corpus."""
+    cfg, lexicon, pairs = small_pairs
+    return cfg, lexicon, [ex for ex, _ in pairs]
 
 
 class TestGenerateExamples:
     def test_x0_uses_only_builtin_adverbs(self):
         cfg = ForgeConfig(seed=2, num_examples=200, extra_adverbs=0)
-        surfaces = {ex.adverb_surface for ex in generate_examples(cfg) if ex.adverb_surface}
+        surfaces = {ex.adverb_surface for ex, _ in generate_pairs(cfg) if ex.adverb_surface}
         assert surfaces <= set(BUILTIN_SURFACES)
 
-    def test_streams_are_byte_identical(self, small_corpus):
-        cfg, lexicon, examples = small_corpus
-        again = generate_examples(cfg, lexicon)
-        first = [json.dumps(example_to_record(ex, "train"), sort_keys=True) for ex in examples]
-        second = [json.dumps(example_to_record(ex, "train"), sort_keys=True) for ex in again]
-        assert first == second
+    def test_streams_are_byte_identical(self, small_pairs):
+        cfg, lexicon, pairs = small_pairs
+        assert reference_lines(generate_pairs(cfg, lexicon), set()) == reference_lines(pairs, set())
 
     def test_every_example_validates(self, small_corpus):
         _, _, examples = small_corpus
@@ -347,6 +355,8 @@ class TestBuildSplits:
             SplitSpec(kind="type_subset", name="t")
         with pytest.raises(ValueError):
             SplitSpec(kind="nonsense", name="n")
+        with pytest.raises(ValueError, match=r"^unknown split kind \['random'\]$"):
+            SplitSpec.from_dict({"kind": ["random"], "name": "r", "test_fraction": 0.1})
 
     @pytest.mark.parametrize(
         "key, data",
@@ -369,39 +379,46 @@ class TestBuildSplits:
 
 
 class TestModuleDatasets:
-    def test_walk_interaction_target_is_empty(self, small_corpus):
-        _, _, examples = small_corpus
-        for ex in examples:
+    def test_walk_interaction_target_is_empty(self, small_pairs):
+        _, _, pairs = small_pairs
+        for ex, trace in pairs:
             if ex.verb == "walk":
-                assert module_records(ex)["interaction"]["target"] == []
+                assert module_records(ex, trace)["interaction"]["target"] == []
 
-    def test_recomposition_reproduces_targets(self, small_corpus, tmp_path):
-        cfg, lexicon, examples = small_corpus
+    def test_recomposition_reproduces_targets(self, small_pairs, small_corpus, tmp_path):
+        cfg, lexicon, pairs = small_pairs
         write_corpus(small_corpus, tmp_path)
         persisted = list(persisted_module_records(tmp_path))
-        assert [r["transformation"]["index"] for r in persisted] == [ex.index for ex in examples]
-        for records, ex in zip(persisted, examples):
+        assert [r["transformation"]["index"] for r in persisted] == [ex.index for ex, _ in pairs]
+        for records, (ex, _) in zip(persisted, pairs):
             assert recompose(records, lexicon, cfg.max_depth) == ex.target
         for ex in read_dataset(str(tmp_path)).examples:
             trace = solve_trace(parse_command(ex.command), ex.world, lexicon, cfg.max_depth)
-            assert trace == examples[ex.index].trace
+            assert trace == pairs[ex.index][1]
 
-    def test_navigation_targets_match_modes(self, small_corpus):
-        _, _, examples = small_corpus
-        for ex in examples:
-            mode = module_records(ex)["navigation"]["target"]["mode"]
+    def test_navigation_targets_match_modes(self, small_pairs):
+        _, _, pairs = small_pairs
+        for ex, trace in pairs:
+            mode = module_records(ex, trace)["navigation"]["target"]["mode"]
             if ex.adverb_surface in ("while spinning", "while zigzagging"):
                 assert mode == "allocentric"
             elif ex.adverb_surface in ("cautiously", "hesitantly", None):
                 assert mode == "egocentric"
 
-    def test_example_read_from_disk_has_no_trace(self, small_corpus, tmp_path):
-        _, _, examples = small_corpus
-        write_corpus(small_corpus, tmp_path)
-        read_back = read_dataset(str(tmp_path)).examples[0]
-        assert read_back == examples[0] and read_back.trace is None
-        with pytest.raises(MissingTrace):
-            module_records(read_back)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_read_back_examples_equal_generated(self, small_pairs, tmp_path, jobs, monkeypatch):
+        # Every record file line is the reference record encoded, and every example
+        # read back equals the one generated.
+        cfg, _, pairs = small_pairs
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        forge_dataset(cfg, str(tmp_path), jobs=jobs)
+        dataset = read_dataset(str(tmp_path))
+        lines = reference_lines(pairs, set(dataset.splits["random"].test))
+        for name, filename in forge_module.RECORD_FILES.items():
+            assert (tmp_path / filename).read_text(encoding="utf-8") == "".join(lines[name]), name
+        assert len(dataset.examples) == len(pairs)
+        for read_back, (ex, _) in zip(dataset.examples, pairs, strict=True):
+            assert read_back == ex
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_forge_failing_its_splits_leaves_dataset_readable(self, tmp_path, jobs, monkeypatch):
@@ -533,27 +550,18 @@ class TestPersistence:
         pinned = f"name: {surface}\nmode: egocentric\nwalk -> stay walk\n"
         cfg = ForgeConfig(seed=3, num_examples=120, no_adverb_prob=0.1, pinned_adverbs=(pinned,))
         lexicon = build_lexicon(cfg)
-        examples = generate_examples(cfg, lexicon)
-        assert any(ex.adverb_surface == surface for ex in examples)
-        test = {ex.index for ex in examples if ex.index % 3 == 0}
+        pairs = generate_pairs(cfg, lexicon)
+        assert any(ex.adverb_surface == surface for ex, _ in pairs)
+        test = {ex.index for ex, _ in pairs if ex.index % 3 == 0}
         encoded = []
         dumps = forge_module._dumps
         monkeypatch.setattr(forge_module, "_dumps", lambda value: encoded.append(value) or dumps(value))
-        blocks, _ = forge_module._serialize(examples, test)
+        blocks, _ = forge_module._serialize(pairs, test)
         fallbacks = [value for value in encoded if type(value) is list and value]
         assert fallbacks and all(surface.split()[-1] in value for value in fallbacks)
-        expected = {name: [] for name in forge_module.RECORD_FILES}
-        for ex in examples:
-            split = "test" if ex.index in test else "train"
-            for name, record in {"examples": example_to_record(ex, split), **module_records(ex)}.items():
-                expected[name].append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        expected = reference_lines(pairs, test)
+        assert list(expected) == list(forge_module.RECORD_FILES)
         assert blocks == ["".join(lines).encode("utf-8") for lines in expected.values()]
-
-    def test_serialize_needs_a_trace(self, small_corpus):
-        _, _, examples = small_corpus
-        untraced = dataclasses.replace(examples[1], trace=None)
-        with pytest.raises(MissingTrace, match="example 1 has no oracle trace"):
-            forge_module._serialize([examples[0], untraced], set())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_manifest_digests_are_the_files_sha256(self, tmp_path, jobs, monkeypatch):
@@ -820,6 +828,30 @@ class TestForgeConfig:
     def test_non_objects_rejected(self, data, message):
         with pytest.raises(ValueError) as err:
             ForgeConfig.from_dict(data)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "random", "name": "r", "test_fraction": 0.5, "predicate": "has_adverb"},
+             "random split does not take predicate"),
+            ({"kind": "k_shot_adverb", "name": "k", "surface": "cautiously", "k": 5, "verb": "pull"},
+             "k_shot_adverb split does not take verb"),
+            ({"kind": "verb_adverb_holdout", "name": "v", "verb": "pull", "surface": "cautiously", "k": 5},
+             "verb_adverb_holdout split does not take k"),
+            ({"kind": "type_subset", "name": "t", "surfaces": ["cautiously"], "test_fraction": 0.1},
+             "type_subset split does not take test_fraction"),
+            ({"kind": "predicate", "name": "p", "predicate": "no_adverb", "surface": "cautiously"},
+             "predicate split does not take surface"),
+            ({"kind": "type_subset", "name": "t", "allowed_types": ["spinning_type"], "surfaces": ["cautiously"]},
+             "type_subset split takes exactly one of allowed_types and surfaces"),
+            ({"kind": "type_subset", "name": "t"},
+             "type_subset split takes exactly one of allowed_types and surfaces"),
+        ],
+    )
+    def test_split_spec_takes_only_the_keys_its_kind_reads(self, spec, message):
+        with pytest.raises(ValueError) as err:
+            ForgeConfig.from_dict({"splits": [spec]})
         assert str(err.value) == message
 
     def test_split_names_must_be_unique(self):
