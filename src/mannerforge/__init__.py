@@ -58,7 +58,6 @@ from .world import (
     Command,
     GridObject,
     Position,
-    Trajectory,
     WorldState,
     execute,
     parse_command,

@@ -27,15 +27,23 @@ from .world import parse_command, render_world, world_from_dict
 SEED_ENV = "FORGE_SEED"
 
 
+def integer(text: str) -> int:
+    """`text` as an int if it is an optional `-` and decimal digits (so not `1_0`,
+    `+1` or ` 1`, which int() reads too), else ValueError."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"must be an integer, not {text!r}")
+    return int(text)
+
+
 def _fallback_seed() -> int | None:
-    """$FORGE_SEED as an integer, None if unset or empty; only an optional `-` and
-    decimal digits are read as one."""
+    """$FORGE_SEED as an integer, None if unset or empty."""
     raw = os.environ.get(SEED_ENV)
     if not raw:
         return None
-    if not re.fullmatch(r"-?[0-9]+", raw):
-        raise ValueError(f"{SEED_ENV} must be an integer, not {raw!r}")
-    return int(raw)
+    try:
+        return integer(raw)
+    except ValueError as exc:
+        raise ValueError(f"{SEED_ENV} {exc}") from None
 
 
 def _load_config(value: str) -> dict:
@@ -182,17 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="forge a dataset from a config file or preset")
     p.add_argument("--config", help="JSON config file path or preset name")
-    p.add_argument("--seed", type=int, help=f"override the config seed (falls back to ${SEED_ENV})")
-    p.add_argument("--extra-adverbs", type=int, help="override the sampled adverb count")
-    p.add_argument("--num-examples", type=int, help="override the example count")
+    p.add_argument("--seed", type=integer, help=f"override the config seed (falls back to ${SEED_ENV})")
+    p.add_argument("--extra-adverbs", type=integer, help="override the sampled adverb count")
+    p.add_argument("--num-examples", type=integer, help="override the example count")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=integer, default=1, help="worker processes")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("sample-adverbs", help="sample a registry of novel adverb programs")
-    p.add_argument("--n", type=int, required=True, help="number of programs")
+    p.add_argument("--n", type=integer, required=True, help="number of programs")
     p.add_argument("--weights", help="type weights, e.g. spinning=0.4,cautiously=0.3,detour=0.3")
-    p.add_argument("--seed", type=int, help=f"sampling seed (falls back to ${SEED_ENV})")
+    p.add_argument("--seed", type=integer, help=f"sampling seed (falls back to ${SEED_ENV})")
     p.add_argument("--out", required=True, help="output registry file")
     p.set_defaults(fn=_cmd_sample_adverbs)
 
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True, help="built-in adverb name or program file")
     p.add_argument("--input", required=True, help="space-separated symbol sequence")
     p.add_argument("--heading", required=True, help="starting heading")
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--max-depth", type=integer, default=10)
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("ground", help="ground a mixed sequence into egocentric actions")
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="render one example as an ASCII grid")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=integer, required=True)
     p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser("presets", help="list shipped config presets")

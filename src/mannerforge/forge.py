@@ -295,10 +295,10 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> t
         command = parse_command(lead + phrase + adverb)
         try:
             trace = solve_trace(command, world, lexicon, cfg.max_depth)
-            trajectory = execute(world, trace.target)
+            final = execute(world, trace.target)
         except MannerforgeError:
             continue
-        if not goal_satisfied(verb, world, trajectory):
+        if not goal_satisfied(verb, world, final):
             continue
         example = Example(
             index=index,
@@ -674,6 +674,8 @@ def read_dataset(path: str) -> Dataset:
     manifest_path = os.path.join(path, MANIFEST_FILE)
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if type(manifest) is not dict:
+        raise SchemaMismatch(f"manifest must be an object, not {manifest!r}")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"dataset schema {manifest.get('schema_version')!r}, reader supports {SCHEMA_VERSION}"
@@ -736,16 +738,15 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
             with suppress(FileNotFoundError):
                 os.remove(path + ".part")
         raise
-    registry_path = os.path.join(out_dir, REGISTRY_FILE)
-    with open(registry_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_registry(lexicon.registry))
-
     sides = {name: vars(a) for name, a in splits.items()}  # train, test, dropped
-    with open(os.path.join(out_dir, SPLITS_FILE), "w", encoding="utf-8") as fh:
-        fh.write(_dumps(sides))
-    adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
     files = dict(zip(RECORD_FILES.values(), digests))  # hashed as written, not read back
-    files.update({f: _sha256(os.path.join(out_dir, f)) for f in (REGISTRY_FILE, SPLITS_FILE)})
+    for filename, text in ((REGISTRY_FILE, serialize_registry(lexicon.registry)),
+                           (SPLITS_FILE, _dumps(sides))):
+        data = text.encode("utf-8")
+        with open(os.path.join(out_dir, filename), "wb") as fh:
+            fh.write(data)
+        files[filename] = hashlib.sha256(data).hexdigest()
+    adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,

@@ -30,6 +30,7 @@ from .world import execute
 # Each action symbol as one shared string: a prediction token in the vocabulary is
 # read as this object, not as a new string of its own.
 _SYMBOLS = {symbol: symbol for symbol in ALL_SYMBOLS}
+_PREDICTION_KEYS = {"index", "prediction"}
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,10 @@ def exact_match(prediction, target) -> bool:
 def semantically_valid(example: Example, prediction) -> bool:
     """Does the prediction execute without error and satisfy the verb's goal?"""
     try:
-        trajectory = execute(example.world, tuple(prediction))
+        final = execute(example.world, tuple(prediction))
     except MannerforgeError:
         return False
-    return goal_satisfied(example.verb, example.world, trajectory)
+    return goal_satisfied(example.verb, example.world, final)
 
 
 def read_predictions(path: str) -> list[PredictionRecord]:
@@ -110,6 +111,8 @@ def read_predictions(path: str) -> list[PredictionRecord]:
                 index, prediction = data["index"], data["prediction"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise MalformedRecord(path, lineno, str(exc)) from None
+            if data.keys() != _PREDICTION_KEYS:
+                raise MalformedRecord(path, lineno, f"unknown key {min(data.keys() - _PREDICTION_KEYS)!r}")
             if type(index) is not int:  # bool is an int subclass
                 raise MalformedRecord(path, lineno, f"index must be an integer, not {index!r}")
             if not isinstance(prediction, list) or not all(isinstance(t, str) for t in prediction):

@@ -15,7 +15,7 @@ from .dsl import AdverbProgram, apply_program, builtin_adverbs, ground
 from .errors import UnknownAdverb
 from .metagrammar import classify_program
 from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP, final_heading
-from .world import HEAVY_SIZES, Command, Position, Trajectory, WorldState, resolve_target
+from .world import HEAVY_SIZES, Command, Position, WorldState, resolve_target
 
 HEAVY_ACTIONS_PER_CELL = 2
 
@@ -218,14 +218,13 @@ def solve(
     return solve_trace(command, world, lexicon, max_depth).target
 
 
-def goal_satisfied(verb: str, world: WorldState, trajectory: Trajectory) -> bool:
-    """Check the verb's goal on an executed trajectory.
+def goal_satisfied(verb: str, world: WorldState, final: WorldState) -> bool:
+    """Check the verb's goal from the world before execution and the one after.
 
     walk: the agent ends on the target's cell.  push/pull: the object ends
     flush against the grid edge or another object along the direction it was
     moved (the heading's push or pull direction when it never moved at all).
     """
-    final = trajectory.final_world
     target_before = world.target.position
     target_after = final.target.position
     if verb == "walk":

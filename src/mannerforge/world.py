@@ -149,18 +149,8 @@ def parse_command(tokens) -> Command:
     return Command(verb=verb, shape=shape, color=color, size_adj=size_adj, adverb=adverb)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Result of executing an action sequence: the cells the agent visited
-    (consecutive duplicates collapsed), the final world, and the action count."""
-
-    visited_cells: tuple[Position, ...]
-    final_world: WorldState
-    length: int
-
-
-def execute(world: WorldState, actions) -> Trajectory:
-    """Simulate an egocentric action sequence and return its trajectory.
+def execute(world: WorldState, actions) -> WorldState:
+    """Simulate an egocentric action sequence and return the world it leaves.
 
     walk moves the agent one cell along its heading; turn_left / turn_right
     rotate in place; stay does nothing.  push and pull require the agent to
@@ -178,12 +168,11 @@ def execute(world: WorldState, actions) -> Trajectory:
     n = world.grid_size
     heading = world.agent_heading
     target = world.target
-    target_pos = target.position
+    trow, tcol = target.position.row, target.position.col
     row, col = world.agent_position.row, world.agent_position.col
     heavy = target.size in HEAVY_SIZES
     blockers = world.blockers
     pending: str | None = None
-    visited = [world.agent_position]
 
     for action in actions:
         heading, dr, dc = STEP[heading, action]
@@ -192,9 +181,9 @@ def execute(world: WorldState, actions) -> Trajectory:
         if action == "walk":
             pending = None
         else:  # push or pull
-            if row != target_pos.row or col != target_pos.col:
+            if row != trow or col != tcol:
                 raise IllegalInteraction(
-                    f"{action} at {Position(row, col)} but target object is at {target_pos}"
+                    f"{action} at {Position(row, col)} but target object is at {Position(trow, tcol)}"
                 )
             if heavy and pending != action:
                 pending = action
@@ -208,22 +197,20 @@ def execute(world: WorldState, actions) -> Trajectory:
             if action == "walk":
                 raise OutOfBounds(f"cannot walk to {Position(row, col)}")
             raise OutOfBounds(f"cannot move object to {Position(row, col)}")
-        visited.append(Position(row, col))  # every move changes cell, so no duplicates
         if action != "walk":
             if (row, col) in blockers:
-                raise Blocked(f"cell {visited[-1]} is occupied")
-            target_pos = visited[-1]
+                raise Blocked(f"cell {Position(row, col)} is occupied")
+            trow, tcol = row, col
 
     objects = list(world.objects)
-    objects[world.target_index] = GridObject(target.shape, target.color, target.size, target_pos)
-    final = WorldState(
+    objects[world.target_index] = GridObject(target.shape, target.color, target.size, Position(trow, tcol))
+    return WorldState(
         grid_size=n,
-        agent_position=visited[-1],
+        agent_position=Position(row, col),
         agent_heading=heading,
         objects=tuple(objects),
         target_index=world.target_index,
     )
-    return Trajectory(visited_cells=tuple(visited), final_world=final, length=len(actions))
 
 
 def resolve_target(command: Command, world: WorldState) -> int:

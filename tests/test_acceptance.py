@@ -108,8 +108,7 @@ def test_criterion_2_oracle_soundness(oracle_corpus, tmp_path):
     assert len(pairs) == 10_000
 
     for ex, _ in pairs:
-        trajectory = execute(ex.world, ex.target)
-        assert goal_satisfied(ex.verb, ex.world, trajectory), ex.index
+        assert goal_satisfied(ex.verb, ex.world, execute(ex.world, ex.target)), ex.index
 
     forge_dataset(cfg, str(tmp_path))  # writes the same examples, from the same config
     by_index = {ex.index: (ex, trace) for ex, trace in pairs}

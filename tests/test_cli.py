@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import mannerforge
-from mannerforge.cli import main
+from mannerforge.cli import build_parser, main
 from mannerforge.dsl import parse_program
 from mannerforge.forge import ForgeConfig, SplitSpec, forge_dataset, read_dataset
 from mannerforge.pipeline import BUILTIN_SURFACES
@@ -167,6 +167,34 @@ def test_forge_seed_must_be_an_integer(capsys, tmp_path, monkeypatch, raw, comma
     assert not out.exists()
 
 
+# Every integer option, in a command line that is complete but for its value.
+INTEGER_OPTIONS = [
+    ["generate", "--seed", "{v}", "--num-examples", "5", "--out", "{out}"],
+    ["generate", "--extra-adverbs", "{v}", "--num-examples", "5", "--out", "{out}"],
+    ["generate", "--num-examples", "{v}", "--out", "{out}"],
+    ["generate", "--num-examples", "5", "--jobs", "{v}", "--out", "{out}"],
+    ["sample-adverbs", "--n", "{v}", "--out", "{out}"],
+    ["sample-adverbs", "--n", "2", "--seed", "{v}", "--out", "{out}"],
+    ["transform", "--program", "cautiously", "--input", "walk", "--heading", "east",
+     "--max-depth", "{v}"],
+    ["inspect", "--dataset", "{out}", "--index", "{v}"],
+]
+
+
+@pytest.mark.parametrize("command", INTEGER_OPTIONS, ids=lambda c: f"{c[0]}{c[c.index('{v}') - 1]}")
+def test_integer_options_read_only_decimal_digits(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    argv = [arg.format(v="1_0", out=out) for arg in command]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    option = command[command.index("{v}") - 1]
+    assert f"argument {option}: invalid integer value: '1_0'" in capsys.readouterr().err
+    assert not out.exists()
+    args = build_parser().parse_args([arg.format(v="-3", out=out) for arg in command])
+    assert getattr(args, option[2:].replace("-", "_")) == -3
+
+
 def test_generate_stats_inspect_evaluate_flow(capsys, tmp_path):
     cfg = {
         "seed": 5,
@@ -231,6 +259,13 @@ def test_domain_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "stats", "--dataset", str(tmp_path / "missing"))
     assert code == 1
     assert "error[" in err
+
+
+def test_manifest_that_is_no_object_is_domain_error(capsys, tmp_path):
+    (tmp_path / "manifest").write_text("[]\n")
+    code, _, err = run(capsys, "stats", "--dataset", str(tmp_path))
+    assert code == 1
+    assert err == "error[SchemaMismatch]: manifest must be an object, not []"
 
 
 def test_unknown_program_is_domain_error(capsys):

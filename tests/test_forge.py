@@ -112,8 +112,7 @@ class TestGenerateExamples:
     def test_every_example_validates(self, small_corpus):
         _, _, examples = small_corpus
         for ex in examples:
-            trajectory = execute(ex.world, ex.target)
-            assert goal_satisfied(ex.verb, ex.world, trajectory)
+            assert goal_satisfied(ex.verb, ex.world, execute(ex.world, ex.target))
 
     def test_adverb_metadata_presence(self, small_corpus):
         _, _, examples = small_corpus
@@ -701,6 +700,14 @@ class TestReadDataset:
         edit_manifest(tmp_path, lambda manifest: manifest.update(num_examples="400"))
         with pytest.raises(SchemaMismatch, match="num_examples must be a count"):
             read_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("text, shown", [("[]", "[]"), ("3", "3"), ("null", "None"), ('"m"', "'m'")])
+    def test_manifest_must_be_an_object(self, small_corpus, tmp_path, text, shown):
+        write_corpus(small_corpus, tmp_path)
+        (tmp_path / "manifest").write_text(text + "\n")
+        with pytest.raises(SchemaMismatch) as err:
+            read_dataset(str(tmp_path))
+        assert str(err.value) == f"manifest must be an object, not {shown}"
 
     def test_records_decode_on_first_use(self, small_corpus, tmp_path):
         _, _, examples = small_corpus

@@ -233,6 +233,23 @@ class TestPredictionIO:
         assert err.value.line == 2
 
 
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            ('{"index": 1, "prediction": ["walk"], "extra": 5}', "extra"),
+            ('{"score": 1, "index": 1, "prediction": ["walk"], "extra": 5}', "extra"),
+            ('{"index": 1, "Prediction": ["walk"], "prediction": ["walk"]}', "Prediction"),
+        ],
+    )
+    def test_prediction_line_takes_no_other_key(self, tmp_path, record, key):
+        path = tmp_path / "preds.ndrec"
+        path.write_text('{"index": 0, "prediction": ["walk"]}\n' + record + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_predictions(str(path))
+        assert err.value.line == 2
+        assert str(err.value) == f"{path}:2: unknown key {key!r}"
+
+
 class TestStats:
     def test_stats_shape(self, dataset):
         stats = dataset_stats(dataset)

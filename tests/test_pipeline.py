@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import trace_cells
 from mannerforge.dsl import ground, parse_program
 from mannerforge.errors import AmbiguousReferent, UnknownAdverb
 from mannerforge.metagrammar import (
@@ -209,8 +210,7 @@ class TestSolve:
         world = make_world(agent=(3, 2), heading="east")
         out = solve(Command("push", "circle", adverb=("cautiously",)), world)
         assert out[-5:] == parse_symbols(f"{CAUTIOUS} push")
-        trajectory = execute(world, out)
-        assert goal_satisfied("push", world, trajectory)
+        assert goal_satisfied("push", world, execute(world, out))
 
     def test_unknown_adverb(self):
         world = make_world()
@@ -236,9 +236,9 @@ class TestSolve:
         )
         cmd = Command("push", "circle", adverb=("while", "wandering"))
         out = solve(cmd, world, lexicon)
-        trajectory = execute(world, out)
-        assert goal_satisfied("push", world, trajectory)
-        assert trajectory.final_world.target.position.row == world.grid_size - 1
+        final = execute(world, out)
+        assert goal_satisfied("push", world, final)
+        assert final.target.position == Position(world.grid_size - 1, 3)
 
     def test_solved_commands_execute_and_satisfy_goals(self):
         cfg = MetaGrammarConfig()
@@ -264,10 +264,10 @@ class TestSolve:
                           adverb=tuple(surface.split()) if surface else None)
             try:
                 out = solve(cmd, world, lexicon)
-                trajectory = execute(world, out)
+                final = execute(world, out)
             except Exception:
                 continue  # detours may leave the grid; the forge resamples these
-            assert goal_satisfied(verb, world, trajectory)
+            assert goal_satisfied(verb, world, final)
             solved += 1
         assert solved == 500
 
@@ -297,8 +297,11 @@ class TestMannerConservativity:
             lexicon = Lexicon.build([program]) if program.surface not in (
                 "while spinning", "cautiously", "hesitantly", "while zigzagging"
             ) else None
-            plain = execute(world, solve(plain_cmd, world, lexicon))
-            mannered = execute(world, solve(manner_cmd, world, lexicon))
-            assert mannered.visited_cells == plain.visited_cells
-            assert mannered.final_world == plain.final_world
+            plain = solve(plain_cmd, world, lexicon)
+            mannered = solve(manner_cmd, world, lexicon)
+            start = (world.agent_position.row, world.agent_position.col)
+            assert trace_cells(mannered, start, world.agent_heading) == trace_cells(
+                plain, start, world.agent_heading
+            )
+            assert execute(world, mannered) == execute(world, plain)
             checked += 1

@@ -79,16 +79,23 @@ def _heading_after(sequence, heading):
 
 
 def _check_against_tracer(world, sequence):
+    """The worlds that executing each prefix of `sequence` leaves, each checked
+    against the tracer: OutOfBounds exactly when the traced path leaves the
+    grid, else the traced end cell and heading.  None for a prefix that raised."""
     start = (world.agent_position.row, world.agent_position.col)
-    expected = trace_cells(sequence, start=start, heading=world.agent_heading)
-    if not all(0 <= r < GRID and 0 <= c < GRID for r, c in expected):
-        with pytest.raises(OutOfBounds):
-            execute(world, sequence)
-        return None
-    traj = execute(world, sequence)
-    assert [(p.row, p.col) for p in traj.visited_cells] == expected
-    assert traj.final_world.agent_heading == _heading_after(sequence, world.agent_heading)
-    return traj
+    finals = []
+    for k in range(len(sequence) + 1):
+        expected = trace_cells(sequence[:k], start=start, heading=world.agent_heading)
+        if not all(0 <= r < GRID and 0 <= c < GRID for r, c in expected):
+            with pytest.raises(OutOfBounds):
+                execute(world, sequence[:k])
+            finals.append(None)
+            continue
+        final = execute(world, sequence[:k])
+        assert (final.agent_position.row, final.agent_position.col) == expected[-1]
+        assert final.agent_heading == _heading_after(sequence[:k], world.agent_heading)
+        finals.append(final)
+    return finals
 
 
 @PROPERTY_SETTINGS
@@ -106,9 +113,9 @@ def test_execute_walking_agrees_with_tracer(start, target, heading, sequence):
         objects=(GridObject("circle", "red", 1, Position(*target)),),
         target_index=0,
     )
-    traj = _check_against_tracer(world, sequence)
-    if traj is not None:
-        assert traj.final_world.target.position == Position(*target)
+    for final in _check_against_tracer(world, sequence):
+        if final is not None:
+            assert final.target.position == Position(*target)
 
 
 @PROPERTY_SETTINGS
@@ -128,9 +135,9 @@ def test_execute_interaction_agrees_with_tracer(start, heading, sequence):
         objects=(GridObject("square", "blue", 1, Position(*start)),),
         target_index=0,
     )
-    traj = _check_against_tracer(world, sequence)
-    if traj is not None:
-        assert traj.final_world.target.position == traj.final_world.agent_position
+    for final in _check_against_tracer(world, sequence):
+        if final is not None:
+            assert final.target.position == final.agent_position
 
 
 @PROPERTY_SETTINGS
@@ -203,8 +210,8 @@ def test_executed_oracle_target_satisfies_the_goal(seed, grid_size, surface, ver
     except MannerforgeError:
         return
     try:
-        trajectory = execute(world, trace.target)
+        final = execute(world, trace.target)
     except OutOfBounds:
         assert LEXICON.types.get(surface) == DETOUR_TYPE
         return
-    assert goal_satisfied(verb, world, trajectory)
+    assert goal_satisfied(verb, world, final)

@@ -71,58 +71,58 @@ class TestExecute:
     def test_walk_and_turn_hand_trace(self):
         # turn_left faces north, two walks to (1,2), turn_left faces west, walk to (1,1)
         world = make_world(agent=(3, 2), heading="east")
-        traj = execute(world, ("turn_left", "walk", "walk", "turn_left", "walk"))
-        assert traj.final_world.agent_position == Position(1, 1)
-        assert traj.final_world.agent_heading == "west"
-        assert traj.visited_cells == (
+        actions = ("turn_left", "walk", "walk", "turn_left", "walk")
+        final = execute(world, actions)
+        assert final.agent_position == Position(1, 1)
+        assert final.agent_heading == "west"
+        assert final.objects == world.objects
+        assert [execute(world, actions[:k]).agent_position for k in range(len(actions) + 1)] == [
+            Position(3, 2),
             Position(3, 2),
             Position(2, 2),
             Position(1, 2),
+            Position(1, 2),
             Position(1, 1),
-        )
-        assert traj.length == 5
+        ]
 
     def test_empty_sequence_is_identity(self):
         world = make_world()
-        traj = execute(world, ())
-        assert traj.visited_cells == (world.agent_position,)
-        assert traj.final_world == world
-        assert traj.length == 0
+        assert execute(world, ()) == world
 
     def test_push_light_object_one_cell(self):
         world = make_world(agent=(1, 1), heading="west")
-        traj = execute(world, ("push",))
-        assert traj.final_world.agent_position == Position(1, 0)
-        assert traj.final_world.target.position == Position(1, 0)
+        final = execute(world, ("push",))
+        assert final.agent_position == Position(1, 0)
+        assert final.target.position == Position(1, 0)
 
     def test_pull_moves_against_heading(self):
         world = make_world(agent=(1, 1), heading="west")
-        traj = execute(world, ("pull",))
-        assert traj.final_world.target.position == Position(1, 2)
-        assert traj.final_world.agent_position == Position(1, 2)
+        final = execute(world, ("pull",))
+        assert final.target.position == Position(1, 2)
+        assert final.agent_position == Position(1, 2)
 
     def test_heavy_object_needs_a_pair(self):
         heavy = [GridObject("square", "blue", 4, Position(2, 2))]
         world = make_world(agent=(2, 2), heading="east", objects=heavy)
         one = execute(world, ("push",))
-        assert one.final_world.target.position == Position(2, 2)
+        assert one.target.position == Position(2, 2)
         two = execute(world, ("push", "push"))
-        assert two.final_world.target.position == Position(2, 3)
+        assert two.target.position == Position(2, 3)
 
     def test_heavy_pair_survives_turns_and_stay(self):
         # A manner may spin or pause between the two pushes of a pair.
         heavy = [GridObject("square", "blue", 3, Position(2, 2))]
         world = make_world(agent=(2, 2), heading="east", objects=heavy)
         spun = execute(world, ("push", "turn_left", "turn_left", "turn_left", "turn_left", "push"))
-        assert spun.final_world.target.position == Position(2, 3)
+        assert spun.target.position == Position(2, 3)
         paused = execute(world, ("push", "stay", "push"))
-        assert paused.final_world.target.position == Position(2, 3)
+        assert paused.target.position == Position(2, 3)
 
     def test_heavy_pair_reset_by_opposite_interaction(self):
         heavy = [GridObject("square", "blue", 3, Position(2, 2))]
         world = make_world(agent=(2, 2), heading="east", objects=heavy)
-        traj = execute(world, ("push", "pull", "push"))
-        assert traj.final_world.target.position == Position(2, 2)
+        final = execute(world, ("push", "pull", "push"))
+        assert final.target.position == Position(2, 2)
 
     def test_walk_out_of_bounds(self):
         world = make_world(agent=(0, 0), heading="north")
@@ -161,11 +161,10 @@ class TestExecute:
                                size=8)
             actions = [rng.choice(("walk", "turn_left", "turn_right", "stay")) for _ in range(6)]
             try:
-                traj = execute(world, actions)
+                end = execute(world, actions).agent_position
             except OutOfBounds:
                 continue
             start = world.agent_position
-            end = traj.final_world.agent_position
             from mannerforge.symbols import displacement
             assert (end.row - start.row, end.col - start.col) == displacement(
                 actions, world.agent_heading
