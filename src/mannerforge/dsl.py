@@ -78,9 +78,6 @@ class AdverbProgram:
     def surface(self) -> str:
         return " ".join(self.name)
 
-    def rule_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self._rule_map)
-
 
 def apply_pass(program: AdverbProgram, sequence) -> tuple[str, ...]:
     """One parallel rewriting pass: every matched symbol is replaced by its

@@ -486,28 +486,20 @@ def _sha256(path: str) -> str:
 
 class ExampleLines(Sequence):
     """The examples of an examples file, read-only, one per line.  Example i is decoded
-    from line i + 1 when first used and kept; any fault in that line, an index other
-    than i among them, raises MalformedRecord(path, i + 1, message) on each use."""
+    from line i + 1 on each use and not kept; any fault in that line, an index other
+    than i among them, raises MalformedRecord(path, i + 1, message)."""
 
     def __init__(self, path: str, lines: list[bytes]):
         self.path = path
-        self._lines: list[bytes | None] = lines
-        self._examples: list[Example | None] = [None] * len(lines)
+        self._lines = lines
 
     def __len__(self) -> int:
-        return len(self._examples)
+        return len(self._lines)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        example = self._examples[i]
-        if example is None:
-            i = range(len(self))[i]  # a negative i as its line's position
-            example = self._examples[i] = self._decode(i)
-            self._lines[i] = None  # kept as the example from now on
-        return example
-
-    def _decode(self, i: int) -> Example:
+        i = range(len(self))[i]  # a negative i as its line's position
         try:
             example = example_from_record(json.loads(self._lines[i]))
         except ValueError as exc:  # bad UTF-8, JSON, record or world alike
@@ -519,8 +511,8 @@ class ExampleLines(Sequence):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A dataset's examples, a sequence with examples[i].index == i (an ExampleLines
-    when read from disk), its splits, manifest and lexicon."""
+    """A dataset's examples, a sequence with examples[i].index == i (an ExampleLines,
+    which keeps no decoded example, when read from disk), its splits, manifest and lexicon."""
 
     examples: Sequence
     splits: dict
@@ -669,8 +661,8 @@ def read_dataset(path: str) -> Dataset:
     parsed.  The examples file must hold exactly num_examples lines, and every
     split index must lie in [0, num_examples).  The examples are an ExampleLines:
     a record is decoded, with every check of example_from_record and its index
-    against its line, only when it is first used, so a record that nothing reads
-    is hashed but never decoded."""
+    against its line, each time it is used and is not kept, so a record that
+    nothing reads is hashed but never decoded."""
     manifest_path = os.path.join(path, MANIFEST_FILE)
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)

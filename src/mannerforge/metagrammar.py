@@ -278,6 +278,8 @@ def sample_registry(
 ) -> list[AdverbProgram]:
     """Sample `count` novel adverbs, rejecting any program equal to a built-in
     or to an earlier entry.  Deterministic in the rng's state."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, not {count}")
     if cfg is None:
         cfg = MetaGrammarConfig()
     base = rng.getrandbits(64)

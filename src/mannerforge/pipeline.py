@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dsl import AdverbProgram, apply_program, builtin_adverbs, ground
-from .errors import UnknownAdverb
+from .errors import NoReferent, UnknownAdverb
 from .metagrammar import classify_program
 from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP, final_heading
 from .world import HEAVY_SIZES, Command, Position, WorldState, resolve_target
@@ -42,7 +42,13 @@ class Plan:
 
 
 def perceive(command: Command, world: WorldState) -> Percept:
-    target = world.objects[resolve_target(command, world)]
+    """Agent pose and target cell.  The object the command names must be the world's
+    target, since interaction, the executor and the goal check act on that one."""
+    index = resolve_target(command, world)
+    if index != world.target_index:
+        raise NoReferent(f"{' '.join(command.tokens())!r} names object {index}, "
+                         f"not the world's target, object {world.target_index}")
+    target = world.objects[index]
     return Percept(
         agent_position=world.agent_position,
         agent_heading=world.agent_heading,

@@ -275,24 +275,26 @@ def _cells_outside(grid_size: int, r0: int, r1: int, c0: int, c1: int) -> tuple[
     )
 
 
+SITUATION_ATTEMPTS = 200  # layouts sample_situation draws before it gives up
+
+
 def sample_situation(
     rng: random.Random,
     grid_size: int = 6,
     distractors: tuple[int, int] = (0, 3),
-    max_attempts: int = 200,
 ) -> tuple[WorldState, tuple[str, ...]]:
     """Sample a world plus a noun phrase that uniquely resolves to its target.
 
     The agent and target occupy distinct cells, and distractors are kept out
     of the rectangle spanned by agent and target so navigation paths stay
     unobstructed.  Raises ExhaustedRetries when no uniquely describable layout
-    is found within the attempt budget.
+    is found in SITUATION_ATTEMPTS draws.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     all_cells = _grid_cells(grid_size)
 
-    for _ in range(max_attempts):
+    for _ in range(SITUATION_ATTEMPTS):
         agent_pos, target_pos = rng.sample(all_cells, 2)
         heading = rng.choice(("north", "east", "south", "west"))
         r0, r1 = sorted((agent_pos.row, target_pos.row))
@@ -325,7 +327,7 @@ def sample_situation(
             return world, phrase
 
     raise ExhaustedRetries(
-        f"no uniquely describable target after {max_attempts} attempts"
+        f"no uniquely describable target after {SITUATION_ATTEMPTS} attempts"
     )
 
 

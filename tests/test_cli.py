@@ -84,6 +84,26 @@ def test_solve_rejects_bad_world_file(capsys, tmp_path):
     assert err.startswith("error[ValueError]: objects[0].shape must be one of")
 
 
+def test_solve_refuses_a_command_naming_another_object(capsys, tmp_path):
+    world = WorldState(
+        grid_size=6,
+        agent_position=Position(4, 1),
+        agent_heading="north",
+        objects=(
+            GridObject("circle", "red", 2, Position(1, 1)),
+            GridObject("square", "blue", 2, Position(4, 4)),
+        ),
+        target_index=0,
+    )
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(world_to_dict(world)))
+    for command in ("push a square", "walk to a square"):
+        code, out, err = run(capsys, "solve", "--world", str(path), "--command", command)
+        assert code == 1
+        assert out == ""
+        assert err == f"error[NoReferent]: {command!r} names object 1, not the world's target, object 0"
+
+
 def test_solve_with_sampled_registry(capsys, tmp_path):
     forge_dataset(ForgeConfig(seed=3, num_examples=40, extra_adverbs=4), str(tmp_path / "ds"))
     example = next(
@@ -118,6 +138,15 @@ def test_sample_adverbs_writes_the_forged_registry(capsys, tmp_path):
     code, _, _ = run(capsys, "sample-adverbs", "--n", "150", "--seed", "7", "--out", str(out_file))
     assert code == 0
     assert out_file.read_bytes() == (tmp_path / "ds" / "registry.txt").read_bytes()
+
+
+def test_sample_adverbs_refuses_a_negative_count(capsys, tmp_path):
+    out_file = tmp_path / "registry.txt"
+    code, out, err = run(capsys, "sample-adverbs", "--n", "-3", "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error[ValueError]: count must be at least 0, not -3"
+    assert not out_file.exists()
 
 
 def test_sample_adverbs_weight_keys_take_an_optional_type_suffix(capsys, tmp_path):

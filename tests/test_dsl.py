@@ -48,7 +48,7 @@ class TestApplyPass:
         rng = random.Random(2)
         vocab = sorted(parse_symbols("walk push pull stay turn_left turn_right North South East West"))
         for program in builtin_adverbs():
-            rules = program.rule_map()
+            rules = {rule.lhs: rule.rhs for rule in program.rules}
             for _ in range(50):
                 seq = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
                 expected_len = sum(len(rules[s]) if s in rules else 1 for s in seq)

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import os
 import random
+import weakref
 from importlib import resources
 
 import pytest
@@ -725,17 +727,27 @@ class TestReadDataset:
             list(dataset.examples)
         assert err.value.line == k
 
-    def test_decoded_examples_are_kept(self, small_corpus, tmp_path):
+    def test_examples_are_a_sequence(self, small_corpus, tmp_path):
         _, _, examples = small_corpus
         write_corpus(small_corpus, tmp_path)
         read_back = read_dataset(str(tmp_path)).examples
-        assert read_back[4] is read_back[4]
-        assert read_back[-1] == examples[-1] and read_back[-1] is read_back[len(examples) - 1]
+        assert read_back[4] == examples[4]
+        assert read_back[-1] == examples[-1]
         assert read_back[3:9:2] == examples[3:9:2]
         assert read_back[-2:] == examples[-2:]
         with pytest.raises(IndexError):
             read_back[len(examples)]
         assert examples[7] in read_back
+
+    def test_no_decoded_example_is_kept(self, small_corpus, tmp_path):
+        write_corpus(small_corpus, tmp_path)
+        dataset = read_dataset(str(tmp_path))
+        example = dataset.examples[3]
+        ref = weakref.ref(example)
+        del example
+        gc.collect()
+        assert ref() is None
+        assert dataset.examples[3].index == 3
 
     def test_index_must_equal_line_position(self, small_corpus, tmp_path):
         write_corpus(small_corpus, tmp_path)

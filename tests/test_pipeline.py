@@ -5,7 +5,7 @@ import pytest
 
 from conftest import trace_cells
 from mannerforge.dsl import ground, parse_program
-from mannerforge.errors import AmbiguousReferent, UnknownAdverb
+from mannerforge.errors import AmbiguousReferent, NoReferent, UnknownAdverb
 from mannerforge.metagrammar import (
     CAUTIOUSLY_TYPE,
     DETOUR_TYPE,
@@ -75,6 +75,16 @@ class TestPerceive:
         world = make_world(objects=objects)
         with pytest.raises(AmbiguousReferent):
             perceive(Command("walk", "circle", size_adj="small"), world)
+
+    def test_referent_must_be_the_target(self):
+        objects = [
+            GridObject("circle", "red", 2, Position(1, 1)),
+            GridObject("square", "blue", 2, Position(4, 4)),
+        ]
+        command = Command("walk", "square")
+        with pytest.raises(NoReferent, match="^'walk to a square' names object 1, not the world's target, object 0$"):
+            perceive(command, make_world(objects=objects))
+        assert perceive(command, make_world(objects=objects, target=1)).target_position == Position(4, 4)
 
 
 class TestPlanNavigation:

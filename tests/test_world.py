@@ -234,7 +234,7 @@ class TestSampleSituation:
 
     def test_exhausted_retries(self):
         with pytest.raises(ExhaustedRetries):
-            sample_situation(random.Random(0), 2, (5, 5), max_attempts=30)
+            sample_situation(random.Random(0), 2, (5, 5))
 
     @pytest.mark.parametrize("distractors", [(0, 0), (0, 3), (2, 5)])
     @pytest.mark.parametrize("grid_size", range(2, 9))
