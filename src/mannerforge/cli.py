@@ -75,7 +75,10 @@ def _parse_weights(text: str) -> dict:
         adverb_type = key if key in ADVERB_TYPES else key + "_type"
         if adverb_type not in ADVERB_TYPES:
             raise MannerforgeError(f"unknown adverb type in --weights: {key!r}")
-        weights[adverb_type] = float(value)
+        try:
+            weights[adverb_type] = float(value)
+        except ValueError:
+            raise MannerforgeError(f"--weights entry {part!r} must be type=number") from None
     return weights
 
 

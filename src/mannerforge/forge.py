@@ -40,6 +40,7 @@ from .metagrammar import (
 from .pipeline import (
     BUILTIN_SURFACES,
     Lexicon,
+    Percept,
     Plan,
     SolveTrace,
     goal_satisfied,
@@ -47,14 +48,16 @@ from .pipeline import (
     transform,
 )
 from .seeding import derive_rng
+from .symbols import HEADINGS
 from .world import (
+    COLORS,
+    SHAPES,
     VERBS,
     WorldState,
     execute,
     parse_command,
     sample_situation,
     world_from_dict,
-    world_to_dict,
 )
 
 SCHEMA_VERSION = 1
@@ -383,15 +386,6 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
 
 # --- per-module records --------------------------------------------------------
 
-def _percept(trace: SolveTrace) -> dict:
-    p = trace.percept
-    return {
-        "agent": {"row": p.agent_position.row, "col": p.agent_position.col},
-        "heading": p.agent_heading,
-        "target": {"row": p.target_position.row, "col": p.target_position.col},
-    }
-
-
 def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str, ...]:
     """Re-run the transformation module on persisted navigation, interaction,
     and transformation records; the result must equal the example target."""
@@ -537,10 +531,36 @@ def _strings(tokens) -> str:
     return _dumps(list(tokens))
 
 
+# The JSON text of each string a situation or percept template may hold.  A string
+# outside the vocabulary is a KeyError, so no unescaped string reaches a file.
+_VOCAB_JSON = {value: _dumps(value) for value in (*SHAPES, *COLORS, *HEADINGS)}
+
+
+def _situation_json(world: WorldState) -> str:
+    """_dumps(world_to_dict(world)), written from one template."""
+    agent = world.agent_position
+    objects = ",".join([
+        f'{{"col":{o.position.col},"color":{_VOCAB_JSON[o.color]},"row":{o.position.row},'
+        f'"shape":{_VOCAB_JSON[o.shape]},"size":{o.size}}}'
+        for o in world.objects
+    ])
+    return (f'{{"agent":{{"col":{agent.col},"heading":{_VOCAB_JSON[world.agent_heading]},"row":{agent.row}}},'
+            f'"grid_size":{world.grid_size},"objects":[{objects}],"target_index":{world.target_index}}}')
+
+
+def _percept_json(p: Percept) -> str:
+    """The percept's record value, agent cell, heading and target cell, written from one template."""
+    agent, target = p.agent_position, p.target_position
+    return (f'{{"agent":{{"col":{agent.col},"row":{agent.row}}},"heading":{_VOCAB_JSON[p.agent_heading]},'
+            f'"target":{{"col":{target.col},"row":{target.row}}}}}')
+
+
 def _serialize(pairs, test) -> tuple[list[bytes], list[Row]]:
     """One byte block per record file of the lines of the (example, trace) pairs, and their rows.
     Each value is encoded once per example; each file's line is one template, its keys in sorted
-    order, that those values fill as _dumps would write the whole record."""
+    order, that those values fill as _dumps would write the whole record.  The situation and
+    the percept fill templates of their own (_situation_json, _percept_json), so neither
+    builds a JSON encoder."""
     lines: list[list[str]] = [[] for _ in RECORD_FILES]
     examples_out, perception, navigation, interaction, transformation = lines  # RECORD_FILES order
     rows = []
@@ -548,10 +568,10 @@ def _serialize(pairs, test) -> tuple[list[bytes], list[Row]]:
         index, verb = ex.index, _dumps(ex.verb)
         split = "test" if index in test else "train"
         command, target = _strings(ex.command), _strings(ex.target)
-        situation = _dumps(world_to_dict(ex.world))
-        surface = _dumps(ex.adverb_surface)
+        situation = _situation_json(ex.world)
+        surface = "null" if ex.adverb_surface is None else _dumps(ex.adverb_surface)
         adverb = f'{{"surface":{surface},"type":{_dumps(ex.adverb_type)}}}' if ex.adverb_surface else "null"
-        percept = _dumps(_percept(trace))
+        percept = _percept_json(trace.percept)
         plan = f'{{"mode":{_dumps(trace.plan.mode)},"symbols":{_strings(trace.plan.symbols)}}}'
         interactions = _strings(trace.interactions)
         arrival, start = _dumps(trace.arrival_heading), _dumps(ex.world.agent_heading)

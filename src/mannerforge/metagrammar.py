@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 
 from .dsl import AdverbProgram, RewriteRule, builtin_adverbs, programs_equal
 from .errors import RejectBudgetExceeded, Unclassifiable
@@ -50,8 +50,12 @@ def require_int(key: str, value) -> None:
 
 
 def require_number(key: str, value) -> None:
+    """An int or a finite float.  NaN is refused, since every comparison with it is false (a NaN
+    type weight would pass the weights' sum check), and so are the infinities."""
     if not (_is_int(value) or isinstance(value, float)):
         raise ValueError(f"{key} must be a number, not {value!r}")
+    if isinstance(value, float) and not isfinite(value):
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
 
 
 def require_int_pair(key: str, value) -> None:

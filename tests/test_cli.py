@@ -162,6 +162,26 @@ def test_sample_adverbs_weight_keys_take_an_optional_type_suffix(capsys, tmp_pat
     assert "unknown adverb type in --weights: 'spinning_typo'" in err
 
 
+@pytest.mark.parametrize("entry", ["spinning", "spinning=", "spinning=half"])
+def test_sample_adverbs_names_a_weight_entry_with_no_number(capsys, tmp_path, entry):
+    out_file = tmp_path / "registry.txt"
+    code, _, err = run(capsys, "sample-adverbs", "--n", "5", "--out", str(out_file),
+                       "--weights", f"{entry},cautiously=0.5,detour=0.5")
+    assert code == 1
+    assert err == f"error[MannerforgeError]: --weights entry {entry!r} must be type=number"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("spelling", ["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"])
+def test_sample_adverbs_refuses_a_non_finite_weight(capsys, tmp_path, spelling):
+    out_file = tmp_path / "registry.txt"
+    code, _, err = run(capsys, "sample-adverbs", "--n", "5", "--out", str(out_file),
+                       "--weights", f"spinning={spelling},cautiously=0.5,detour=0.5")
+    assert code == 1
+    assert err == f"error[ValueError]: type_weights['spinning_type'] must be a finite number, not {float(spelling)!r}"
+    assert not out_file.exists()
+
+
 def test_forge_seed_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FORGE_SEED", "77")
     a = tmp_path / "a.txt"
@@ -393,6 +413,28 @@ def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data
     code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(out_dir))
     assert code == 1
     assert err == f"error[ValueError]: {message}"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"meta": {"type_weights": {"spinning_type": %s, "cautiously_type": 0.5, "detour_type": 0.5}}}',
+         "type_weights['spinning_type']"),
+        ('{"splits": [{"kind": "random", "name": "r", "test_fraction": %s}]}', "test_fraction"),
+        ('{"no_adverb_prob": %s}', "no_adverb_prob"),
+    ],
+)
+def test_generate_refuses_a_non_finite_number(capsys, tmp_path, spelling, text, key):
+    # json.load reads NaN and the infinities; every comparison with NaN is false.
+    config = tmp_path / "config.json"
+    config.write_text(text % spelling)
+    out_dir = tmp_path / "ds"
+    code, _, err = run(capsys, "generate", "--config", str(config), "--num-examples", "5",
+                       "--out", str(out_dir))
+    assert code == 1
+    assert err == f"error[ValueError]: {key} must be a finite number, not {float(spelling)!r}"
     assert not out_dir.exists()
 
 

@@ -206,5 +206,11 @@ class TestMetaGrammarConfig:
         with pytest.raises(ValueError, match=f"^{key}"):
             MetaGrammarConfig(**kwargs)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        weights = {SPINNING_TYPE: weight, CAUTIOUSLY_TYPE: 0.5, DETOUR_TYPE: 0.5}
+        with pytest.raises(ValueError, match=r"^type_weights\['spinning_type'\] must be a finite number"):
+            MetaGrammarConfig(type_weights=weights)
+
     def test_integer_weight_accepted(self):
         assert MetaGrammarConfig(type_weights={SPINNING_TYPE: 1}).type_weights == {SPINNING_TYPE: 1}

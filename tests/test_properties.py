@@ -1,14 +1,35 @@
 """Property tests against code that shares nothing with the package's compass
 table: conftest's own turn cycles, delta table and cell tracer."""
+import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _DELTAS, TURN_LEFT_CYCLE, TURN_RIGHT_CYCLE, trace_cells
-from mannerforge.dsl import AdverbProgram, RewriteRule, parse_program, serialize_program
+import mannerforge.forge as forge_module
+from conftest import (
+    _DELTAS,
+    TURN_LEFT_CYCLE,
+    TURN_RIGHT_CYCLE,
+    generate_pairs,
+    module_records,
+    reference_lines,
+    trace_cells,
+)
+from mannerforge.dsl import AdverbProgram, RewriteRule, apply_program, parse_program, serialize_program
 from mannerforge.errors import MannerforgeError, OutOfBounds
+from mannerforge.forge import (
+    RECORD_FILES,
+    Example,
+    ForgeConfig,
+    SplitSpec,
+    _percept_json,
+    _serialize,
+    _situation_json,
+    forge_dataset,
+)
 from mannerforge.metagrammar import (
     ADVERB_TYPES,
     CAUTIOUSLY_TYPE,
@@ -18,9 +39,12 @@ from mannerforge.metagrammar import (
     sample_program,
     sample_registry,
 )
-from mannerforge.pipeline import Lexicon, goal_satisfied, solve_trace
+from mannerforge.pipeline import Lexicon, Percept, Plan, SolveTrace, goal_satisfied, solve_trace
 from mannerforge.symbols import ALL_SYMBOLS, EGO_SYMBOLS, STEP
 from mannerforge.world import (
+    COLORS,
+    SHAPES,
+    SIZES,
     VERBS,
     GridObject,
     Position,
@@ -28,6 +52,7 @@ from mannerforge.world import (
     execute,
     parse_command,
     sample_situation,
+    world_to_dict,
 )
 
 HEADINGS = sorted(_DELTAS)
@@ -215,3 +240,92 @@ def test_executed_oracle_target_satisfies_the_goal(seed, grid_size, surface, ver
         assert LEXICON.types.get(surface) == DETOUR_TYPE
         return
     assert goal_satisfied(verb, world, final)
+
+
+symbol_sequences = st.lists(st.sampled_from(sorted(ALL_SYMBOLS)), max_size=12).map(tuple)
+
+
+@PROPERTY_SETTINGS
+@given(program=programs(), a=symbol_sequences, b=symbol_sequences)
+def test_a_program_distributes_over_concatenation(program, a, b):
+    """A pass rewrites each symbol on its own, so rewriting two parts of a
+    sequence apart gives the rewrite of the whole sequence."""
+    assert apply_program(program, a + b) == apply_program(program, a) + apply_program(program, b)
+
+
+# --- record templates -----------------------------------------------------------
+# _serialize writes the situation and the percept from templates; the reference is
+# the JSON encoder on world_to_dict and on conftest's module records.
+
+def _encoded(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def worlds(draw):
+    """A world on a grid of 2 to 16 cells a side, so that some coordinates have two
+    digits, with one to five objects of any shape, color and size on distinct cells."""
+    n = draw(st.integers(2, 16))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    cells = draw(st.lists(cell, min_size=1, max_size=5, unique=True))
+    objects = tuple(
+        GridObject(draw(st.sampled_from(SHAPES)), draw(st.sampled_from(COLORS)),
+                   draw(st.sampled_from(SIZES)), Position(*c))
+        for c in cells
+    )
+    return WorldState(grid_size=n, agent_position=Position(*draw(cell)),
+                      agent_heading=draw(st.sampled_from(HEADINGS)), objects=objects,
+                      target_index=draw(st.integers(0, len(objects) - 1)))
+
+
+def _pair(world):
+    """An example in `world` and a trace holding perception's view of it; the other
+    fields are left empty, as only the situation and percept are under test."""
+    example = Example(index=0, command=("walk", "to", "a", "circle"), world=world, target=(), verb="walk")
+    percept = Percept(world.agent_position, world.agent_heading, world.target.position)
+    return example, SolveTrace(percept, Plan("egocentric", ()), world.agent_heading, (), ())
+
+
+def _check_lines(pair):
+    blocks, _ = _serialize([pair], set())
+    expected = reference_lines([pair], set())
+    assert blocks == ["".join(lines).encode("utf-8") for lines in expected.values()]
+
+
+@PROPERTY_SETTINGS
+@given(world=worlds())
+def test_situation_and_percept_templates_match_the_encoder(world):
+    example, trace = _pair(world)
+    assert _situation_json(world) == _encoded(world_to_dict(world))
+    assert _percept_json(trace.percept) == _encoded(module_records(example, trace)["navigation"]["percept"])
+    _check_lines((example, trace))
+
+
+def test_templates_cover_every_heading_shape_color_and_size():
+    for heading, (shape, color, size) in product(HEADINGS, product(SHAPES, COLORS, SIZES)):
+        world = WorldState(12, Position(11, 10), heading, (GridObject(shape, color, size, Position(10, 11)),), 0)
+        assert _situation_json(world) == _encoded(world_to_dict(world))
+        _check_lines(_pair(world))
+
+
+@pytest.mark.parametrize(
+    "obj", [GridObject("circle", 're"d', 1, Position(1, 1)), GridObject("cïrcle", "red", 1, Position(1, 1))]
+)
+def test_a_string_outside_the_vocabulary_is_never_written(obj):
+    """A quote to escape, or a letter outside ASCII, is no key of the template's table."""
+    with pytest.raises(KeyError):
+        _serialize([_pair(WorldState(4, Position(0, 0), "north", (obj,), 0))], set())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_12_forge_lines_equal_the_reference(tmp_path, jobs, monkeypatch):
+    monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+    cfg = ForgeConfig(seed=9, grid_size=12, num_examples=400, extra_adverbs=20,
+                      splits=(SplitSpec(kind="random", name="random", test_fraction=0.2),))
+    forge_dataset(cfg, str(tmp_path), jobs=jobs)
+    pairs = generate_pairs(cfg)
+    assert any(max(ex.world.agent_position.row, ex.world.agent_position.col) >= 10 for ex, _ in pairs)
+    test = set(json.loads((tmp_path / "splits.json").read_text())["random"]["test"])
+    expected = reference_lines(pairs, test)
+    for name, filename in RECORD_FILES.items():
+        assert (tmp_path / filename).read_text(encoding="utf-8").splitlines(keepends=True) == expected[name]
