@@ -14,12 +14,12 @@ import re
 import sys
 from importlib import resources
 
-from .dsl import apply_program, builtin_adverbs, ground, parse_program, serialize_registry
+from .dsl import builtin_adverbs, ground, parse_program, serialize_registry
 from .errors import MannerforgeError
 from .forge import ForgeConfig, forge_dataset, read_dataset, read_registry
 from .harness import dataset_stats, evaluate, read_predictions
 from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
-from .pipeline import solve
+from .pipeline import solve, transform
 from .seeding import derive_rng
 from .symbols import parse_symbols, require_heading
 from .world import parse_command, render_world, world_from_dict
@@ -127,15 +127,15 @@ def _cmd_transform(args) -> int:
     program = _resolve_program(args.program)
     sequence = parse_symbols(args.input)
     heading = require_heading(args.heading)
-    rewritten = apply_program(program, sequence, args.max_depth)
-    print(" ".join(ground(rewritten, heading)))
+    actions, _ = transform(sequence, program, heading, args.max_depth)
+    print(" ".join(actions))
     return 0
 
 
 def _cmd_ground(args) -> int:
     sequence = parse_symbols(args.input)
     heading = require_heading(args.heading)
-    print(" ".join(ground(sequence, heading)))
+    print(" ".join(ground(sequence, heading)[0]))
     return 0
 
 

@@ -8,7 +8,7 @@ explicitly to keep programs from spinning forever.
 
 Grounding converts a mixed sequence into pure egocentric primitives by
 tracking the agent's heading and expanding each allocentric symbol into the
-minimal turn sequence plus a walk.
+minimal turn sequence plus a walk; it returns the heading it ends on too.
 """
 from __future__ import annotations
 
@@ -112,8 +112,9 @@ GROUND = {(h, s): (after, (*turns_between(h, after), "walk") if s in ALLO_SYMBOL
           for (h, s), (after, _, _) in STEP.items()}
 
 
-def ground(sequence, start: str) -> tuple[str, ...]:
-    """Convert a mixed sequence to egocentric primitives.
+def ground(sequence, start: str) -> tuple[tuple[str, ...], str]:
+    """Convert a mixed sequence to egocentric primitives, and return them with
+    the heading they end on.
 
     Egocentric symbols pass through; each allocentric symbol becomes the
     minimal turn sequence toward its direction followed by walk, with 180
@@ -129,7 +130,7 @@ def ground(sequence, start: str) -> tuple[str, ...]:
             raise ValueError(f"unknown action symbol: {s!r}")
         h, emitted = step
         out += emitted
-    return tuple(out)
+    return tuple(out), h
 
 
 def programs_equal(a: AdverbProgram, b: AdverbProgram) -> bool:

@@ -20,6 +20,7 @@ from types import MappingProxyType
 
 from .dsl import parse_program, parse_registry, serialize_registry
 from .errors import (
+    DepthExceeded,
     DigestMismatch,
     InsufficientExamples,
     MalformedRecord,
@@ -280,6 +281,10 @@ class ForgeConfig:
 def build_lexicon(cfg: ForgeConfig) -> Lexicon:
     """Pinned programs first (in config order), then the sampled registry."""
     pinned = [parse_program(text) for text in cfg.pinned_adverbs]
+    for program in pinned:
+        if program.passes > cfg.max_depth:
+            raise DepthExceeded(f"pinned adverb {program.surface!r} needs {program.passes} passes, "
+                                f"max_depth is {cfg.max_depth}")
     rng = derive_rng(cfg.seed, "registry")
     return Lexicon.build(pinned + sample_registry(rng, cfg.extra_adverbs, cfg.meta))
 
@@ -388,20 +393,17 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
 
 def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str, ...]:
     """Re-run the transformation module on persisted navigation, interaction,
-    and transformation records; the result must equal the example target."""
+    and transformation records; the result must equal the example target.  The
+    interactions are transformed from the heading the transformed plan ends on."""
     transformation = record_tuple["transformation"]
     plan = Plan(
         mode=transformation["plan"]["mode"],
         symbols=tuple(transformation["plan"]["symbols"]),
     )
     adverb = lexicon.lookup(transformation["adverb"]) if transformation["adverb"] else None
-    return transform(
-        plan,
-        tuple(transformation["interactions"]),
-        adverb,
-        start=transformation["start_heading"],
-        max_depth=max_depth,
-    )
+    moves, arrival = transform(plan.symbols, adverb, transformation["start_heading"], max_depth)
+    actions, _ = transform(tuple(transformation["interactions"]), adverb, arrival, max_depth)
+    return moves + actions
 
 
 # --- persistence ----------------------------------------------------------------

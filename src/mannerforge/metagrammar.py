@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import comb, isfinite
+from sys import float_info
 
 from .dsl import AdverbProgram, RewriteRule, builtin_adverbs, programs_equal
 from .errors import RejectBudgetExceeded, Unclassifiable
@@ -50,12 +51,15 @@ def require_int(key: str, value) -> None:
 
 
 def require_number(key: str, value) -> None:
-    """An int or a finite float.  NaN is refused, since every comparison with it is false (a NaN
-    type weight would pass the weights' sum check), and so are the infinities."""
+    """An int a float can hold, or a finite float.  NaN is refused, since every comparison with
+    it is false (a NaN type weight would pass the weights' sum check), and so are the infinities
+    and an int whose sum with a float would overflow."""
     if not (_is_int(value) or isinstance(value, float)):
         raise ValueError(f"{key} must be a number, not {value!r}")
     if isinstance(value, float) and not isfinite(value):
         raise ValueError(f"{key} must be a finite number, not {value!r}")
+    if _is_int(value) and abs(value) > float_info.max:
+        raise ValueError(f"{key} must be a number a float can hold, not an integer this large")
 
 
 def require_int_pair(key: str, value) -> None:

@@ -4,8 +4,9 @@ Four small modules mirror the cognitive decomposition of the task and compose
 into a ground-truth solver.  Perception locates agent and target.  Navigation
 plans a path, allocentric or egocentric depending on the manner.  Interaction
 decides how many push or pull actions bring the object flush against the wall
-or the first obstacle.  Transformation rewrites the combined sequence with the
-adverb's program and grounds everything into egocentric primitives.
+or the first obstacle.  Transformation rewrites a sequence with the adverb's
+program and grounds it into egocentric primitives: first the plan, whose end
+heading is the one the agent arrives in, then the interactions from there.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from .dsl import AdverbProgram, apply_program, builtin_adverbs, ground
 from .errors import NoReferent, UnknownAdverb
 from .metagrammar import classify_program
-from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP, final_heading
+from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP
 from .world import HEAVY_SIZES, Command, Position, WorldState, resolve_target
 
 HEAVY_ACTIONS_PER_CELL = 2
@@ -95,7 +96,7 @@ def plan_navigation(percept: Percept, adverb: AdverbProgram | None = None) -> Pl
     canonical = canonical_allo_plan(drow, dcol)
     if adverb is not None and adverb.mode == "allocentric":
         return Plan("allocentric", canonical)
-    return Plan("egocentric", ground(canonical, percept.agent_heading))
+    return Plan("egocentric", ground(canonical, percept.agent_heading)[0])
 
 
 def free_cells(world: WorldState, start: Position, drow: int, dcol: int) -> int:
@@ -128,18 +129,21 @@ def plan_interaction(
 
 
 def transform(
-    plan: Plan,
-    interactions,
+    symbols,
     adverb: AdverbProgram | None,
     start: str,
     max_depth: int = 10,
-) -> tuple[str, ...]:
-    """Rewrite plan plus interactions with the manner's program and ground the
-    result.  With no adverb an egocentric plan passes through unchanged."""
-    sequence = plan.symbols + tuple(interactions)
+) -> tuple[tuple[str, ...], str]:
+    """Rewrite symbols with the manner's program and ground the result from
+    `start`; return the actions and the heading they end on.  With no adverb
+    egocentric symbols pass through unchanged.
+
+    A program rewrites each symbol on its own and grounding is a left-to-right
+    fold, so transforming a plan and then its interactions from the plan's end
+    heading gives the actions of transforming the two joined."""
     if adverb is not None:
-        sequence = apply_program(adverb, sequence, max_depth)
-    return ground(sequence, start)
+        symbols = apply_program(adverb, symbols, max_depth)
+    return ground(symbols, start)
 
 
 BUILTIN_SURFACES = tuple(p.surface for p in builtin_adverbs())
@@ -193,25 +197,22 @@ def solve_trace(
     lexicon: Lexicon | None = None,
     max_depth: int = 10,
 ) -> SolveTrace:
-    """Run perception, navigation, interaction and transformation in turn.
+    """Run perception, navigation, transformation of the plan, interaction and
+    transformation of the interactions.
 
-    The interaction heading is taken from the transformed plan, not the plain
-    one: a detour manner can leave the agent facing elsewhere when it reaches
-    the target, and the object must be pushed the way the agent actually faces.
+    The interaction heading is the one the transformed plan ends on, not the
+    plain plan's: a detour manner can leave the agent facing elsewhere when it
+    reaches the target, and the object must be pushed the way the agent faces.
     """
     if lexicon is None:
         lexicon = Lexicon.build()
     adverb = lexicon.lookup(command.adverb) if command.adverb else None
     percept = perceive(command, world)
     plan = plan_navigation(percept, adverb)
-    if adverb is None:
-        executed_plan = plan.symbols
-    else:
-        executed_plan = apply_program(adverb, plan.symbols, max_depth)
-    arrival = final_heading(executed_plan, world.agent_heading)
+    moves, arrival = transform(plan.symbols, adverb, world.agent_heading, max_depth)
     interactions = plan_interaction(percept, world, command, arrival)
-    target = transform(plan, interactions, adverb, start=world.agent_heading, max_depth=max_depth)
-    return SolveTrace(percept, plan, arrival, interactions, target)
+    actions, _ = transform(interactions, adverb, arrival, max_depth)
+    return SolveTrace(percept, plan, arrival, interactions, moves + actions)
 
 
 def solve(

@@ -65,13 +65,6 @@ def parse_symbols(text: str) -> tuple[str, ...]:
     return tuple(require_symbol(tok) for tok in text.split())
 
 
-def turn(heading: str, direction: str) -> str:
-    """Rotate a heading by one turn_left or turn_right step."""
-    if direction != "turn_left" and direction != "turn_right":
-        raise ValueError(f"not a turn symbol: {direction!r}")
-    return STEP[heading, direction][0]
-
-
 def turns_between(start: str, goal: str) -> tuple[str, ...]:
     """Minimal turn sequence rotating `start` onto `goal`.
 
@@ -97,14 +90,6 @@ def net_rotation(symbols) -> int:
         elif s == "turn_right":
             r -= 1
     return r % 4
-
-
-def final_heading(symbols, start: str) -> str:
-    """Heading after following a mixed symbol sequence from `start`."""
-    h = start
-    for s in symbols:
-        h = STEP[h, s][0]
-    return h
 
 
 def displacement(symbols, start: str) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from mannerforge import builtin_adverbs
+from mannerforge import apply_program, builtin_adverbs, ground
 from mannerforge.forge import EXAMPLES_FILE, MANIFEST_FILE, MODULE_FILES, _generate_one, build_lexicon
 from mannerforge.world import world_to_dict
 
@@ -126,6 +126,17 @@ def persisted_module_records(out_dir):
     finally:
         for fh in handles:
             fh.close()
+
+
+def joined_target(records, lexicon, max_depth=10):
+    """An example's target from its persisted navigation and interaction records: the
+    adverb's program applied to the plan joined to the interactions, and grounded from
+    the perceived heading, in one call each."""
+    navigation, interaction = records["navigation"], records["interaction"]
+    sequence = tuple(navigation["target"]["symbols"]) + tuple(interaction["target"])
+    if navigation["adverb"] is not None:
+        sequence = apply_program(lexicon.lookup(navigation["adverb"]), sequence, max_depth)
+    return ground(sequence, navigation["percept"]["heading"])[0]
 
 
 def edit_manifest(out_dir, edit):

@@ -80,19 +80,19 @@ def test_criterion_1_golden_suite(builtins):
 
     spun = apply_program(builtins["while spinning"], parse_symbols("North North West West"))
     spin_out = f"{SPIN} turn_left walk {SPIN} walk {SPIN} turn_left walk {SPIN} walk"
-    assert " ".join(ground(spun, "east")) == spin_out
+    assert " ".join(ground(spun, "east")[0]) == spin_out
 
-    assert " ".join(ground(parse_symbols("North North West"), "east")) == (
+    assert " ".join(ground(parse_symbols("North North West"), "east")[0]) == (
         "turn_left walk walk turn_left walk"
     )
 
     north_spun = apply_pass(builtins["while spinning"], ("North",))
     assert " ".join(north_spun) == f"{SPIN} North"
-    assert " ".join(ground(north_spun, "east")) == f"{SPIN} turn_left walk"
+    assert " ".join(ground(north_spun, "east")[0]) == f"{SPIN} turn_left walk"
 
     zig = plan_navigation(Percept(Position(3, 2), "east", Position(1, 1)),
                           builtins["while zigzagging"])
-    assert " ".join(ground(zig.symbols, "east")) == (
+    assert " ".join(ground(zig.symbols, "east")[0]) == (
         "turn_left walk turn_left walk turn_right walk"
     )
 
@@ -143,9 +143,9 @@ def test_criterion_3_within_cell_invariance():
             dcol = rng.randint(-5, 5)
             heading = rng.choice(("north", "east", "south", "west"))
             allo = canonical_allo_plan(drow, dcol)
-            plan = allo if kind == SPINNING_TYPE else ground(allo, heading)
-            plain = trace_cells(ground(plan, heading), heading=heading)
-            mannered = trace_cells(ground(apply_program(program, plan), heading), heading=heading)
+            plan = allo if kind == SPINNING_TYPE else ground(allo, heading)[0]
+            plain = trace_cells(ground(plan, heading)[0], heading=heading)
+            mannered = trace_cells(ground(apply_program(program, plan), heading)[0], heading=heading)
             if plain != mannered:
                 violations += 1
     assert violations == 0
@@ -165,8 +165,8 @@ def test_criterion_4_detour_property():
                      for _ in range(rng.randint(0, 5))]
             rng.shuffle(plan)
             heading = rng.choice(("north", "east", "south", "west"))
-            plain = ground(plan, heading)
-            mannered = ground(apply_program(program, plan), heading)
+            plain, _ = ground(plan, heading)
+            mannered, _ = ground(apply_program(program, plan), heading)
             if displacement(mannered, heading) != displacement(plain, heading):
                 violations += 1
             if len(mannered) <= len(plain):

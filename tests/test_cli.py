@@ -404,6 +404,12 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
          "split name 'r' is used more than once"),
         ({"splits": [{"kind": "random", "name": "r", "test_fraction": 0.5, "predicate": "has_adverb"}]},
          "random split does not take predicate"),
+        # Integers beyond the largest float: summing one into a float raises OverflowError.
+        ({"meta": {"type_weights": {"spinning_type": 10**400, "cautiously_type": 0.5, "detour_type": 0.5}}},
+         "type_weights['spinning_type'] must be a number a float can hold, not an integer this large"),
+        ({"splits": [{"kind": "random", "name": "r", "test_fraction": 10**400}]},
+         "test_fraction must be a number a float can hold, not an integer this large"),
+        ({"no_adverb_prob": -(10**400)}, "no_adverb_prob must be a number a float can hold, not an integer this large"),
     ],
 )
 def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data, message):
@@ -435,6 +441,17 @@ def test_generate_refuses_a_non_finite_number(capsys, tmp_path, spelling, text, 
                        "--out", str(out_dir))
     assert code == 1
     assert err == f"error[ValueError]: {key} must be a finite number, not {float(spelling)!r}"
+    assert not out_dir.exists()
+
+
+def test_generate_refuses_a_pinned_program_deeper_than_max_depth(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"num_examples": 5, "max_depth": 2, "pinned_adverbs": [
+        "name: deeply\nmode: egocentric\npasses: 3\nwalk -> stay walk\n"]}))
+    out_dir = tmp_path / "ds"
+    code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(out_dir))
+    assert code == 1
+    assert err == "error[DepthExceeded]: pinned adverb 'deeply' needs 3 passes, max_depth is 2"
     assert not out_dir.exists()
 
 

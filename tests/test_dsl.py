@@ -87,27 +87,33 @@ class TestApplyProgram:
 
 class TestGround:
     def test_compass_plan_from_east(self):
-        assert ground(parse_symbols("North North West"), "east") == parse_symbols(
-            "turn_left walk walk turn_left walk"
+        assert ground(parse_symbols("North North West"), "east") == (
+            parse_symbols("turn_left walk walk turn_left walk"), "west"
         )
 
     def test_no_turn_needed(self):
-        assert ground(("North",), "north") == ("walk",)
+        assert ground(("North",), "north") == (("walk",), "north")
 
     def test_spin_prefix_then_turn(self):
-        assert ground(parse_symbols(f"{SPIN} North"), "east") == parse_symbols(
-            f"{SPIN} turn_left walk"
+        assert ground(parse_symbols(f"{SPIN} North"), "east") == (
+            parse_symbols(f"{SPIN} turn_left walk"), "north"
         )
 
     def test_half_turn_is_two_lefts(self):
-        assert ground(("South",), "north") == ("turn_left", "turn_left", "walk")
+        assert ground(("South",), "north") == (("turn_left", "turn_left", "walk"), "south")
+
+    def test_returns_the_heading_it_ends_on(self):
+        assert ground(("North", "West"), "east")[1] == "west"
+        assert ground(("turn_left", "turn_left"), "north")[1] == "south"
+        assert ground(("walk", "stay", "push"), "east")[1] == "east"
+        assert ground((), "south") == ((), "south")
 
     def test_output_is_egocentric_only(self):
         rng = random.Random(7)
         vocab = sorted(parse_symbols("North South East West walk stay turn_left turn_right"))
         for _ in range(200):
             seq = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
-            out = ground(seq, "north")
+            out, _ = ground(seq, "north")
             assert all(s.islower() for s in out)
 
     def test_displacement_preserved_for_turn_only_ego_content(self):
@@ -120,7 +126,7 @@ class TestGround:
             start = rng.choice(("north", "east", "south", "west"))
             drow = sum(HEADING_DELTAS[ALLO_TO_HEADING[s]][0] for s in seq if s in ALLO_TO_HEADING)
             dcol = sum(HEADING_DELTAS[ALLO_TO_HEADING[s]][1] for s in seq if s in ALLO_TO_HEADING)
-            assert displacement(ground(seq, start), start) == (drow, dcol)
+            assert displacement(ground(seq, start)[0], start) == (drow, dcol)
 
     def test_turn_prefix_does_not_change_cells(self):
         rng = random.Random(9)
@@ -129,8 +135,8 @@ class TestGround:
             seq = [rng.choice(allo) for _ in range(rng.randint(1, 8))]
             prefix = [rng.choice(("turn_left", "turn_right")) for _ in range(rng.randint(1, 6))]
             start = rng.choice(("north", "east", "south", "west"))
-            plain = trace_cells(ground(seq, start), heading=start)
-            prefixed = trace_cells(ground(prefix + seq, start), heading=start)
+            plain = trace_cells(ground(seq, start)[0], heading=start)
+            prefixed = trace_cells(ground(prefix + seq, start)[0], heading=start)
             assert plain == prefixed
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from mannerforge import forge as forge_module
 from mannerforge.errors import (
+    DepthExceeded,
     DigestMismatch,
     InsufficientExamples,
     MalformedRecord,
@@ -31,7 +32,7 @@ from mannerforge.forge import (
     read_dataset,
     recompose,
 )
-from mannerforge.metagrammar import CAUTIOUSLY_TYPE
+from mannerforge.metagrammar import ADVERB_TYPES, CAUTIOUSLY_TYPE
 from mannerforge.pipeline import BUILTIN_SURFACES
 from mannerforge.seeding import derive_rng
 from mannerforge.world import execute, parse_command
@@ -43,6 +44,7 @@ from conftest import (
     edit_manifest,
     example_to_record,
     generate_pairs,
+    joined_target,
     module_records,
     persisted_module_records,
     reference_lines,
@@ -262,6 +264,18 @@ class TestGenerateExamples:
             _generate_one(cfg, lexicon, ("while plunging",), 0)
         assert "while plunging" in str(err.value)
 
+    def test_pinned_program_deeper_than_max_depth_is_refused(self, tmp_path):
+        # Every solve with it would raise DepthExceeded, and every example using
+        # it would exhaust its retries; the lexicon refuses it instead.
+        deep = "name: deeply\nmode: egocentric\npasses: 3\nwalk -> stay walk\n"
+        cfg = ForgeConfig(num_examples=5, max_depth=2, pinned_adverbs=(deep,))
+        with pytest.raises(DepthExceeded, match=r"^pinned adverb 'deeply' needs 3 passes, max_depth is 2$"):
+            build_lexicon(cfg)
+        with pytest.raises(DepthExceeded):
+            forge_dataset(cfg, str(tmp_path / "ds"))
+        assert not (tmp_path / "ds").exists()
+        assert "deeply" in build_lexicon(ForgeConfig(max_depth=3, pinned_adverbs=(deep,))).programs
+
 
 class TestBuildSplits:
     def test_random_partition(self, small_corpus):
@@ -396,6 +410,17 @@ class TestModuleDatasets:
         for ex in read_dataset(str(tmp_path)).examples:
             trace = solve_trace(parse_command(ex.command), ex.world, lexicon, cfg.max_depth)
             assert trace == pairs[ex.index][1]
+
+    def test_targets_equal_the_joined_rewrite(self, small_corpus, tmp_path):
+        # The oracle transforms the plan and the interactions apart; the reference
+        # rewrites and grounds them joined.
+        cfg, lexicon, examples = small_corpus
+        write_corpus(small_corpus, tmp_path)
+        persisted = list(persisted_module_records(tmp_path))
+        assert len(persisted) == len(examples)
+        assert {ex.adverb_type for ex in examples} == {None, *ADVERB_TYPES}
+        for records, ex in zip(persisted, examples):
+            assert joined_target(records, lexicon, cfg.max_depth) == ex.target, ex.index
 
     def test_navigation_targets_match_modes(self, small_pairs):
         _, _, pairs = small_pairs

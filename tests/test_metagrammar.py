@@ -1,4 +1,5 @@
 import random
+from sys import float_info
 
 import pytest
 
@@ -13,6 +14,7 @@ from mannerforge.metagrammar import (
     classify_program,
     generate_name,
     is_valid_detour_rule,
+    require_number,
     sample_program,
     sample_registry,
 )
@@ -211,6 +213,17 @@ class TestMetaGrammarConfig:
         weights = {SPINNING_TYPE: weight, CAUTIOUSLY_TYPE: 0.5, DETOUR_TYPE: 0.5}
         with pytest.raises(ValueError, match=r"^type_weights\['spinning_type'\] must be a finite number"):
             MetaGrammarConfig(type_weights=weights)
+
+    @pytest.mark.parametrize("weight", [10**400, -(10**400), int(float_info.max) + 1])
+    def test_weight_no_float_holds_rejected(self, weight):
+        # Each lies beyond the largest float; summing 10**400 into a float raises OverflowError.
+        weights = {SPINNING_TYPE: weight, CAUTIOUSLY_TYPE: 0.5, DETOUR_TYPE: 0.5}
+        with pytest.raises(ValueError, match=r"^type_weights\['spinning_type'\] must be a number a float can hold"):
+            MetaGrammarConfig(type_weights=weights)
+
+    def test_largest_float_as_integer_accepted(self):
+        require_number("w", int(float_info.max))
+        require_number("w", -int(float_info.max))
 
     def test_integer_weight_accepted(self):
         assert MetaGrammarConfig(type_weights={SPINNING_TYPE: 1}).type_weights == {SPINNING_TYPE: 1}

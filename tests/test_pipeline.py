@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
+import mannerforge.pipeline as pipeline_module
 from conftest import trace_cells
-from mannerforge.dsl import ground, parse_program
+from mannerforge.dsl import apply_program, ground, parse_program
 from mannerforge.errors import AmbiguousReferent, NoReferent, UnknownAdverb
 from mannerforge.metagrammar import (
     CAUTIOUSLY_TYPE,
@@ -25,6 +26,7 @@ from mannerforge.pipeline import (
     plan_interaction,
     plan_navigation,
     solve,
+    solve_trace,
     transform,
     zigzag_allo_plan,
 )
@@ -99,8 +101,8 @@ class TestPlanNavigation:
     def test_zigzag_plan_and_grounding(self, builtins):
         plan = plan_navigation(FIG_PERCEPT, builtins["while zigzagging"])
         assert plan == Plan("allocentric", ("North", "West", "North"))
-        assert ground(plan.symbols, "east") == parse_symbols(
-            "turn_left walk turn_left walk turn_right walk"
+        assert ground(plan.symbols, "east") == (
+            parse_symbols("turn_left walk turn_left walk turn_right walk"), "north"
         )
 
     def test_agent_at_target_gives_empty_plan(self):
@@ -173,25 +175,28 @@ class TestPlanInteraction:
 class TestTransform:
     def test_spinning_end_to_end(self, builtins):
         plan = Plan("allocentric", parse_symbols("North North West West"))
-        out = transform(plan, (), builtins["while spinning"], start="east")
-        assert out == parse_symbols(
-            f"{SPIN} turn_left walk {SPIN} walk {SPIN} turn_left walk {SPIN} walk"
+        out = transform(plan.symbols, builtins["while spinning"], start="east")
+        assert out == (
+            parse_symbols(f"{SPIN} turn_left walk {SPIN} walk {SPIN} turn_left walk {SPIN} walk"), "west"
         )
 
     def test_cautious_sequence(self, builtins):
         plan = Plan("egocentric", parse_symbols("turn_left walk walk turn_left walk walk"))
-        out = transform(plan, (), builtins["cautiously"], start="east")
-        assert out == parse_symbols(
-            f"turn_left {CAUTIOUS} walk {CAUTIOUS} walk turn_left {CAUTIOUS} walk {CAUTIOUS} walk"
+        out = transform(plan.symbols, builtins["cautiously"], start="east")
+        assert out == (
+            parse_symbols(f"turn_left {CAUTIOUS} walk {CAUTIOUS} walk turn_left {CAUTIOUS} walk {CAUTIOUS} walk"),
+            "west",
         )
 
     def test_no_adverb_appends_interactions_unchanged(self):
         plan = Plan("egocentric", parse_symbols("walk walk"))
-        assert transform(plan, ("push",), None, start="north") == parse_symbols("walk walk push")
+        assert transform(plan.symbols + ("push",), None, start="north") == (
+            parse_symbols("walk walk push"), "north"
+        )
 
     def test_allocentric_plan_without_adverb_is_grounded(self):
         plan = Plan("allocentric", ("North",))
-        assert transform(plan, (), None, start="east") == ("turn_left", "walk")
+        assert transform(plan.symbols, None, start="east") == (("turn_left", "walk"), "north")
 
 
 class TestLexicon:
@@ -249,6 +254,28 @@ class TestSolve:
         final = execute(world, out)
         assert goal_satisfied("push", world, final)
         assert final.target.position == Position(world.grid_size - 1, 3)
+
+    def test_plan_and_interactions_are_rewritten_apart(self, monkeypatch):
+        # No rewrite sees the plan joined to its interactions: the plan is rewritten
+        # once, then the interactions once; the target is still the joined transform.
+        wander = parse_program("name: while wandering\nmode: allocentric\nEast -> North East South\n")
+        lexicon = Lexicon.build([wander])
+        world = make_world(agent=(2, 1), heading="east",
+                           objects=[GridObject("circle", "red", 1, Position(2, 3))])
+        calls = []
+
+        def recording(program, sequence, max_depth=10):
+            calls.append(tuple(sequence))
+            return apply_program(program, sequence, max_depth)
+
+        monkeypatch.setattr(pipeline_module, "apply_program", recording)
+        for surface in lexicon.surfaces():
+            calls.clear()
+            trace = solve_trace(Command("push", "circle", adverb=tuple(surface.split())), world, lexicon)
+            assert trace.interactions
+            assert calls == [trace.plan.symbols, trace.interactions]
+            joined = trace.plan.symbols + trace.interactions
+            assert trace.target == transform(joined, lexicon.lookup(surface), world.agent_heading)[0]
 
     def test_solved_commands_execute_and_satisfy_goals(self):
         cfg = MetaGrammarConfig()

@@ -39,7 +39,7 @@ from mannerforge.metagrammar import (
     sample_program,
     sample_registry,
 )
-from mannerforge.pipeline import Lexicon, Percept, Plan, SolveTrace, goal_satisfied, solve_trace
+from mannerforge.pipeline import Lexicon, Percept, Plan, SolveTrace, goal_satisfied, solve_trace, transform
 from mannerforge.symbols import ALL_SYMBOLS, EGO_SYMBOLS, STEP
 from mannerforge.world import (
     COLORS,
@@ -251,6 +251,21 @@ def test_a_program_distributes_over_concatenation(program, a, b):
     """A pass rewrites each symbol on its own, so rewriting two parts of a
     sequence apart gives the rewrite of the whole sequence."""
     assert apply_program(program, a + b) == apply_program(program, a) + apply_program(program, b)
+
+
+@PROPERTY_SETTINGS
+@given(
+    program=st.one_of(st.sampled_from((None, *LEXICON.programs.values())), programs()),
+    a=symbol_sequences,
+    b=symbol_sequences,
+)
+def test_transform_splits_at_the_heading_the_first_part_ends_on(program, a, b):
+    """solve_trace transforms the plan, then the interactions from the plan's end
+    heading; that is the transform of the two joined."""
+    for heading in HEADINGS:
+        first, middle = transform(a, program, heading)
+        second, end = transform(b, program, middle)
+        assert transform(a + b, program, heading) == (first + second, end)
 
 
 # --- record templates -----------------------------------------------------------

@@ -2,36 +2,15 @@ import random
 
 import pytest
 
+from mannerforge.dsl import ground
 from mannerforge.symbols import (
     ALL_SYMBOLS,
+    STEP,
     displacement,
-    final_heading,
     net_rotation,
     parse_symbols,
-    turn,
     turns_between,
 )
-
-
-def test_turn_left_cycle():
-    assert turn("east", "turn_left") == "north"
-    assert turn("north", "turn_left") == "west"
-    assert turn("west", "turn_left") == "south"
-    assert turn("south", "turn_left") == "east"
-
-
-def test_turn_right_inverts_turn_left():
-    for h in ("north", "east", "south", "west"):
-        assert turn(turn(h, "turn_left"), "turn_right") == h
-        assert turn(turn(h, "turn_right"), "turn_left") == h
-
-
-def test_four_lefts_are_identity():
-    for h in ("north", "east", "south", "west"):
-        out = h
-        for _ in range(4):
-            out = turn(out, "turn_left")
-        assert out == h
 
 
 @pytest.mark.parametrize(
@@ -53,7 +32,7 @@ def test_turns_between_actually_rotates_there():
         for goal in ("north", "east", "south", "west"):
             h = start
             for t in turns_between(start, goal):
-                h = turn(h, t)
+                h = STEP[h, t][0]
             assert h == goal
 
 
@@ -69,13 +48,6 @@ def test_parse_symbols_validates():
     assert parse_symbols("North walk push") == ("North", "walk", "push")
     with pytest.raises(ValueError):
         parse_symbols("North fly")
-
-
-def test_final_heading_tracks_allo_and_turns():
-    assert final_heading(("North", "West"), "east") == "west"
-    assert final_heading(("turn_left", "turn_left"), "north") == "south"
-    assert final_heading(("walk", "stay", "push"), "east") == "east"
-    assert final_heading((), "south") == "south"
 
 
 def test_displacement_matches_hand_trace():
@@ -95,5 +67,5 @@ def test_displacement_is_additive():
         b = [rng.choice(symbols) for _ in range(rng.randint(0, 8))]
         joint = displacement(a + b, "north")
         da = displacement(a, "north")
-        db = displacement(b, final_heading(a, "north"))
+        db = displacement(b, ground(a, "north")[1])
         assert joint == (da[0] + db[0], da[1] + db[1])
