@@ -3,7 +3,9 @@
 Subcommands cover the full workflow: forging datasets, sampling adverb
 registries, applying and grounding manner programs, solving single commands,
 and scoring prediction files.  Exit status is 0 on success, 2 for usage
-errors, and 1 for domain errors (reported as `error[Type]: message`).
+errors, and 1 when input is refused (a MannerforgeError) or a file operation
+fails (an OSError), each reported as `error[Type]: message`.  Any other
+exception is a bug, and its traceback is shown.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ import re
 import sys
 from importlib import resources
 
-from .dsl import builtin_adverbs, ground, parse_program, serialize_registry
-from .errors import MannerforgeError
+from .dsl import builtin_adverbs, decode_text, ground, parse_program, serialize_registry
+from .errors import ConfigError, MannerforgeError
 from .forge import ForgeConfig, forge_dataset, read_dataset, read_registry
 from .harness import dataset_stats, evaluate, read_predictions
 from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
@@ -29,9 +31,10 @@ SEED_ENV = "FORGE_SEED"
 
 def integer(text: str) -> int:
     """`text` as an int if it is an optional `-` and decimal digits (so not `1_0`,
-    `+1` or ` 1`, which int() reads too), else ValueError."""
+    `+1` or ` 1`, which int() reads too), else ConfigError, a ValueError as argparse's
+    type check needs."""
     if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"must be an integer, not {text!r}")
+        raise ConfigError(f"must be an integer, not {text!r}")
     return int(text)
 
 
@@ -43,21 +46,29 @@ def _fallback_seed() -> int | None:
     try:
         return integer(raw)
     except ValueError as exc:
-        raise ValueError(f"{SEED_ENV} {exc}") from None
+        raise ConfigError(f"{SEED_ENV} {exc}") from None
+
+
+def _read_json(path: str, what: str):
+    """The JSON value of the file at `path`; ConfigError naming the file if it is not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ConfigError(f"{what} {path!r} is not UTF-8 JSON: {exc}") from None
 
 
 def _load_config(value: str) -> dict:
     """The JSON object of the config file or preset named `value`."""
     preset = resources.files("mannerforge").joinpath("presets", f"{value}.json")
     if os.path.exists(value):
-        with open(value, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(value, "config file")
     elif preset.is_file():
         data = json.loads(preset.read_text(encoding="utf-8"))
     else:
         raise MannerforgeError(f"no config file or preset named {value!r}")
     if type(data) is not dict:  # checked before the options are set in it
-        raise ValueError(f"config must be an object, not {data!r}")
+        raise ConfigError(f"config must be an object, not {data!r}")
     return data
 
 
@@ -87,8 +98,8 @@ def _resolve_program(name_or_path: str):
         if program.surface == name_or_path:
             return program
     if os.path.exists(name_or_path):
-        with open(name_or_path, encoding="utf-8") as fh:
-            return parse_program(fh.read())
+        with open(name_or_path, "rb") as fh:
+            return parse_program(decode_text(fh.read()))
     raise MannerforgeError(f"no built-in adverb or program file named {name_or_path!r}")
 
 
@@ -140,8 +151,7 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    with open(args.world, encoding="utf-8") as fh:
-        world = world_from_dict(json.load(fh))
+    world = world_from_dict(_read_json(args.world, "world file"))
     command = parse_command(args.command.split())
     lexicon = read_registry(args.registry) if args.registry else None
     print(" ".join(solve(command, world, lexicon)))
@@ -252,10 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MannerforgeError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (MannerforgeError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 

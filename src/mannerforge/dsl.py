@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, DuplicateLhs, ParseError
+from .errors import ConfigError, DepthExceeded, DuplicateLhs, ParseError
 from .symbols import ALLO_SYMBOLS, STEP, is_allo, require_heading, require_symbol, turns_between
 
 MODES = ("allocentric", "egocentric")
@@ -31,7 +31,7 @@ class RewriteRule:
     def __post_init__(self):
         require_symbol(self.lhs)
         if not self.rhs:
-            raise ValueError(f"rule for {self.lhs!r} has empty rhs")
+            raise ConfigError(f"rule for {self.lhs!r} has empty rhs")
         for s in self.rhs:
             require_symbol(s)
 
@@ -54,11 +54,11 @@ class AdverbProgram:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode!r}")
+            raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.plan_shape not in PLAN_SHAPES:
-            raise ValueError(f"unknown plan shape: {self.plan_shape!r}")
+            raise ConfigError(f"unknown plan shape: {self.plan_shape!r}")
         if self.passes < 1:
-            raise ValueError("passes must be at least 1")
+            raise ConfigError("passes must be at least 1")
         rule_map = {}
         for rule in self.rules:
             if rule.lhs in rule_map:
@@ -67,10 +67,10 @@ class AdverbProgram:
         object.__setattr__(self, "_rule_map", rule_map)  # apply_pass's lookup table
         if self.mode == "egocentric":
             if any(is_allo(r.lhs) for r in self.rules):
-                raise ValueError("egocentric programs may only rewrite egocentric symbols")
+                raise ConfigError("egocentric programs may only rewrite egocentric symbols")
         else:
             if not any(is_allo(r.lhs) for r in self.rules) and self.plan_shape != "zigzag":
-                raise ValueError(
+                raise ConfigError(
                     "allocentric programs need an allocentric rule or a zigzag plan"
                 )
 
@@ -96,7 +96,7 @@ def apply_pass(program: AdverbProgram, sequence) -> tuple[str, ...]:
 def apply_program(program: AdverbProgram, sequence, max_depth: int = 10) -> tuple[str, ...]:
     """Apply the program's passes, refusing to recurse past max_depth."""
     if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+        raise ConfigError("max_depth must be at least 1")
     if program.passes > max_depth:
         raise DepthExceeded(
             f"program {program.surface!r} needs {program.passes} passes, depth limit {max_depth}"
@@ -127,7 +127,7 @@ def ground(sequence, start: str) -> tuple[tuple[str, ...], str]:
     for s in sequence:
         step = GROUND.get((h, s))
         if step is None:
-            raise ValueError(f"unknown action symbol: {s!r}")
+            raise ConfigError(f"unknown action symbol: {s!r}")
         h, emitted = step
         out += emitted
     return tuple(out), h
@@ -280,3 +280,16 @@ def serialize_registry(programs) -> str:
 
 def parse_registry(text: str) -> list[AdverbProgram]:
     return [parse_program(block) for block in text.split("\n\n") if block.strip()]
+
+
+def decode_text(data: bytes) -> str:
+    """The bytes of a program or registry file as text, newlines made `\n` as a text-mode
+    open() makes them; ParseError at the line and column of the first byte not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line_start = head.rfind(b"\n") + 1
+        column = len(head[line_start:].decode("utf-8")) + 1
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", head.count(b"\n") + 1, column) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -1,13 +1,21 @@
 """Exception hierarchy.
 
-Every domain failure raises a subclass of :class:`MannerforgeError`; the CLI
-maps these to exit code 1 with a categorized message.
+Every refusal of outside input (a config, a world or program file, a dataset, a
+predictions file, a symbol or a command) raises a subclass of
+:class:`MannerforgeError`.  The CLI maps these, and OSError, to exit code 1 with
+an `error[Type]: message` line; any other exception is a bug and shows its traceback.
 """
 from __future__ import annotations
 
 
 class MannerforgeError(Exception):
     """Base class for all domain errors."""
+
+
+class ConfigError(MannerforgeError, ValueError):
+    """A value breaks a documented constraint: a config field, a split spec, a world,
+    a command, a symbol or a heading.  It is a ValueError too, so argparse's type
+    check and callers that catch ValueError read it as before."""
 
 
 # --- gridworld ---------------------------------------------------------------

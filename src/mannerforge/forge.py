@@ -18,8 +18,9 @@ from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
-from .dsl import parse_program, parse_registry, serialize_registry
+from .dsl import decode_text, parse_program, parse_registry, serialize_registry
 from .errors import (
+    ConfigError,
     DepthExceeded,
     DigestMismatch,
     InsufficientExamples,
@@ -96,7 +97,7 @@ class Example:
 
 def _check_keys(data: dict, cls, where: str) -> None:
     if type(data) is not dict:
-        raise ValueError(f"{where} must be an object, not {data!r}")
+        raise ConfigError(f"{where} must be an object, not {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise UnknownConfigKey(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
@@ -150,38 +151,38 @@ class SplitSpec:
         for key in ("name", "surface", "verb", "predicate"):
             value = getattr(self, key)
             if not isinstance(value, str) and (key == "name" or value is not None):
-                raise ValueError(f"{key} must be a string, not {value!r}")
+                raise ConfigError(f"{key} must be a string, not {value!r}")
         for key in ("allowed_types", "surfaces"):
             value = getattr(self, key)
             strings = isinstance(value, tuple) and all(isinstance(v, str) for v in value)
             if value is not None and not strings:
-                raise ValueError(f"{key} must be a list of strings, not {value!r}")
+                raise ConfigError(f"{key} must be a list of strings, not {value!r}")
         if self.test_fraction is not None:
             require_number("test_fraction", self.test_fraction)
         if self.k is not None:
             require_int("k", self.k)
         if type(self.kind) is not str or self.kind not in _SPLIT_KEYS:
-            raise ValueError(f"unknown split kind {self.kind!r}")
+            raise ConfigError(f"unknown split kind {self.kind!r}")
         for f in fields(self)[2:]:  # after kind and name
             if getattr(self, f.name) is not None and f.name not in _SPLIT_KEYS[self.kind]:
-                raise ValueError(f"{self.kind} split does not take {f.name}")
+                raise ConfigError(f"{self.kind} split does not take {f.name}")
         if self.kind == "random":
             if self.test_fraction is None or not 0 < self.test_fraction < 1:
-                raise ValueError("random split needs 0 < test_fraction < 1")
+                raise ConfigError("random split needs 0 < test_fraction < 1")
         elif self.kind == "k_shot_adverb":
             if not self.surface or self.k is None or self.k < 1:
-                raise ValueError("k_shot_adverb split needs a surface and k >= 1")
+                raise ConfigError("k_shot_adverb split needs a surface and k >= 1")
         elif self.kind == "verb_adverb_holdout":
             if not self.surface or self.verb not in VERBS:
-                raise ValueError("verb_adverb_holdout split needs a verb and a surface")
+                raise ConfigError("verb_adverb_holdout split needs a verb and a surface")
         elif self.kind == "type_subset":
             if (self.allowed_types is None) == (self.surfaces is None):
-                raise ValueError("type_subset split takes exactly one of allowed_types and surfaces")
+                raise ConfigError("type_subset split takes exactly one of allowed_types and surfaces")
             for t in self.allowed_types or ():
                 if t not in ADVERB_TYPES:
-                    raise ValueError(f"unknown adverb type {t!r}")
+                    raise ConfigError(f"unknown adverb type {t!r}")
         elif self.predicate not in PREDICATES:  # predicate
-            raise ValueError(f"predicate must be one of {tuple(PREDICATES)}, not {self.predicate!r}")
+            raise ConfigError(f"predicate must be one of {tuple(PREDICATES)}, not {self.predicate!r}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "name": self.name}
@@ -194,6 +195,8 @@ class SplitSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SplitSpec":
         _check_keys(data, cls, "split spec")
+        if not {"kind", "name"} <= data.keys():
+            raise ConfigError("split spec needs a kind and a name")
         return cls(**_with_tuples(data, "allowed_types", "surfaces"))
 
 
@@ -227,20 +230,20 @@ class ForgeConfig:
                            ("max_depth", 1), ("retry_limit", 1)):
             require_int(key, getattr(self, key))
             if getattr(self, key) < least:
-                raise ValueError(f"{key} must be at least {least}, not {getattr(self, key)!r}")
+                raise ConfigError(f"{key} must be at least {least}, not {getattr(self, key)!r}")
         require_int_pair("distractors", self.distractors)
         if not 0 <= self.distractors[0] <= self.distractors[1]:
-            raise ValueError(f"distractors must be [min, max] with 0 <= min <= max, not {self.distractors!r}")
+            raise ConfigError(f"distractors must be [min, max] with 0 <= min <= max, not {self.distractors!r}")
         require_number("no_adverb_prob", self.no_adverb_prob)
         if not 0 <= self.no_adverb_prob <= 1:
-            raise ValueError("no_adverb_prob must lie in [0, 1]")
+            raise ConfigError("no_adverb_prob must lie in [0, 1]")
         pinned = self.pinned_adverbs
         if not (isinstance(pinned, tuple) and all(isinstance(text, str) for text in pinned)):
-            raise ValueError(f"pinned_adverbs must be a list of strings, not {pinned!r}")
+            raise ConfigError(f"pinned_adverbs must be a list of strings, not {pinned!r}")
         names = [spec.name for spec in self.splits]
         for name in names:
             if names.count(name) > 1:
-                raise ValueError(f"split name {name!r} is used more than once")
+                raise ConfigError(f"split name {name!r} is used more than once")
 
     def to_dict(self) -> dict:
         return {
@@ -273,7 +276,7 @@ class ForgeConfig:
             kwargs["meta"] = MetaGrammarConfig(**_with_tuples(kwargs["meta"], "prefix_len_range"))
         if "splits" in kwargs:
             if type(kwargs["splits"]) is not list:
-                raise ValueError(f"splits must be a list, not {kwargs['splits']!r}")
+                raise ConfigError(f"splits must be a list, not {kwargs['splits']!r}")
             kwargs["splits"] = tuple(SplitSpec.from_dict(s) for s in kwargs["splits"])
         return cls(**kwargs)
 
@@ -304,6 +307,8 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> t
         try:
             trace = solve_trace(command, world, lexicon, cfg.max_depth)
             final = execute(world, trace.target)
+        except ConfigError:
+            raise  # a broken oracle or world invariant, not an unlucky situation
         except MannerforgeError:
             continue
         if not goal_satisfied(verb, world, final):
@@ -447,7 +452,7 @@ def _record_fault(record) -> str:
 def example_from_record(record: dict) -> Example:
     """The example an examples.ndrec record describes.  Its keys are checked as
     world_from_dict checks a world's: inline, then, only if that finds a fault, key by
-    key to name the first bad one (ValueError)."""
+    key to name the first bad one (ConfigError)."""
     try:
         command, target, verb, adverb = record["command"], record["target"], record["verb"], record["adverb"]
         surface, adverb_type = (None, None) if adverb is None else (adverb["surface"], adverb["type"])
@@ -460,7 +465,7 @@ def example_from_record(record: dict) -> Example:
     except (AttributeError, KeyError, TypeError):
         bad = True
     if bad:
-        raise ValueError(_record_fault(record))
+        raise ConfigError(_record_fault(record))
     return Example(
         index=record["index"],
         command=tuple(command),
@@ -625,8 +630,8 @@ def _write_records(paths, chunks) -> tuple[list[Row], list[str]]:
 
 def read_registry(path: str) -> Lexicon:
     """The built-in adverbs plus every program of a registry file, in slot order."""
-    with open(path, encoding="utf-8") as fh:
-        return Lexicon.build(parse_registry(fh.read()))
+    with open(path, "rb") as fh:
+        return Lexicon.build(parse_registry(decode_text(fh.read())))
 
 
 def _hashed_lines(path: str) -> tuple[list[bytes], str]:
@@ -687,7 +692,10 @@ def read_dataset(path: str) -> Dataset:
     nothing reads is hashed but never decoded."""
     manifest_path = os.path.join(path, MANIFEST_FILE)
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise SchemaMismatch(f"manifest is not UTF-8 JSON: {exc}") from None
     if type(manifest) is not dict:
         raise SchemaMismatch(f"manifest must be an object, not {manifest!r}")
     if manifest.get("schema_version") != SCHEMA_VERSION:
@@ -716,7 +724,7 @@ def read_dataset(path: str) -> Dataset:
     examples_path = os.path.join(path, EXAMPLES_FILE)
     examples = ExampleLines(examples_path, _example_lines(examples_path, parsed[EXAMPLES_FILE], n))
     splits = _read_splits(os.path.join(path, SPLITS_FILE), b"".join(parsed[SPLITS_FILE]), n)
-    lexicon = Lexicon.build(parse_registry(b"".join(parsed[REGISTRY_FILE]).decode("utf-8")))
+    lexicon = Lexicon.build(parse_registry(decode_text(b"".join(parsed[REGISTRY_FILE]))))
     return Dataset(examples=examples, splits=splits, manifest=manifest, lexicon=lexicon)
 
 
@@ -727,7 +735,7 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     already in `out_dir` stays whole until the splits are built; a failure before
     the record files are in place removes their `.part` twins."""
     if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+        raise ConfigError("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1)
     lexicon = build_lexicon(cfg)
     n = cfg.num_examples

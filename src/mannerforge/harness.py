@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from .errors import (
+    ConfigError,
     DuplicatePrediction,
     MalformedRecord,
     MannerforgeError,
@@ -95,24 +96,31 @@ def semantically_valid(example: Example, prediction) -> bool:
     """Does the prediction execute without error and satisfy the verb's goal?"""
     try:
         final = execute(example.world, tuple(prediction))
+    except ConfigError:
+        raise  # a broken world invariant, not a prediction that fails
     except MannerforgeError:
         return False
     return goal_satisfied(example.verb, example.world, final)
 
 
 def read_predictions(path: str) -> list[PredictionRecord]:
+    """The records of a predictions file, one JSON object a line; blank lines are skipped.
+    Any fault in a line, bytes that are not UTF-8 among them, is MalformedRecord(path, lineno, ...)."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                index, prediction = data["index"], data["prediction"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                data = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
                 raise MalformedRecord(path, lineno, str(exc)) from None
+            if type(data) is not dict:
+                raise MalformedRecord(path, lineno, f"prediction record must be an object, not {data!r}")
             if data.keys() != _PREDICTION_KEYS:
-                raise MalformedRecord(path, lineno, f"unknown key {min(data.keys() - _PREDICTION_KEYS)!r}")
+                key = min(data.keys() ^ _PREDICTION_KEYS)
+                raise MalformedRecord(path, lineno, f"{'unknown' if key in data else 'missing'} key {key!r}")
+            index, prediction = data["index"], data["prediction"]
             if type(index) is not int:  # bool is an int subclass
                 raise MalformedRecord(path, lineno, f"index must be an integer, not {index!r}")
             if not isinstance(prediction, list) or not all(isinstance(t, str) for t in prediction):

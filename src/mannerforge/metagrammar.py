@@ -16,7 +16,7 @@ from math import comb, isfinite
 from sys import float_info
 
 from .dsl import AdverbProgram, RewriteRule, builtin_adverbs, programs_equal
-from .errors import RejectBudgetExceeded, Unclassifiable
+from .errors import ConfigError, RejectBudgetExceeded, Unclassifiable
 from .seeding import derive_rng
 from .symbols import displacement, is_allo, net_rotation
 
@@ -39,7 +39,7 @@ DEFAULT_TYPE_WEIGHTS = {
 }
 
 
-# Checks on config JSON values: each raises ValueError naming `key` unless
+# Checks on config JSON values: each raises ConfigError naming `key` unless
 # `value` has the type.  bool is an int subclass, but no integer or number here.
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -47,7 +47,7 @@ def _is_int(value) -> bool:
 
 def require_int(key: str, value) -> None:
     if not _is_int(value):
-        raise ValueError(f"{key} must be an integer, not {value!r}")
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
 
 
 def require_number(key: str, value) -> None:
@@ -55,16 +55,16 @@ def require_number(key: str, value) -> None:
     it is false (a NaN type weight would pass the weights' sum check), and so are the infinities
     and an int whose sum with a float would overflow."""
     if not (_is_int(value) or isinstance(value, float)):
-        raise ValueError(f"{key} must be a number, not {value!r}")
+        raise ConfigError(f"{key} must be a number, not {value!r}")
     if isinstance(value, float) and not isfinite(value):
-        raise ValueError(f"{key} must be a finite number, not {value!r}")
+        raise ConfigError(f"{key} must be a finite number, not {value!r}")
     if _is_int(value) and abs(value) > float_info.max:
-        raise ValueError(f"{key} must be a number a float can hold, not an integer this large")
+        raise ConfigError(f"{key} must be a number a float can hold, not an integer this large")
 
 
 def require_int_pair(key: str, value) -> None:
     if not (isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))):
-        raise ValueError(f"{key} must be two integers, not {value!r}")
+        raise ConfigError(f"{key} must be two integers, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,27 +76,29 @@ class MetaGrammarConfig:
 
     def __post_init__(self):
         if not isinstance(self.type_weights, dict):
-            raise ValueError(f"type_weights must map adverb types to numbers, not {self.type_weights!r}")
+            raise ConfigError(f"type_weights must map adverb types to numbers, not {self.type_weights!r}")
         require_int_pair("prefix_len_range", self.prefix_len_range)
         require_int("detour_rhs_max", self.detour_rhs_max)
         require_int("max_rejects", self.max_rejects)
+        if self.max_rejects < 0:
+            raise ConfigError(f"max_rejects must be at least 0, not {self.max_rejects!r}")
         total = 0.0
         for t, w in self.type_weights.items():
             if t not in ADVERB_TYPES:
-                raise ValueError(f"unknown adverb type: {t!r}")
+                raise ConfigError(f"unknown adverb type: {t!r}")
             require_number(f"type_weights[{t!r}]", w)
             if w < 0:
-                raise ValueError(f"negative weight for {t}")
+                raise ConfigError(f"negative weight for {t}")
             total += w
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"type weights sum to {total}, expected 1")
+            raise ConfigError(f"type weights sum to {total}, expected 1")
         if self.type_weights.get(ZIGZAG_TYPE, 0.0) != 0.0:
-            raise ValueError("zigzag_type cannot be sampled; its weight must be 0")
+            raise ConfigError("zigzag_type cannot be sampled; its weight must be 0")
         lo, hi = self.prefix_len_range
         if not any(n % 2 == 0 for n in range(max(lo, 2), hi + 1)):
-            raise ValueError("prefix_len_range admits no even length >= 2")
+            raise ConfigError("prefix_len_range admits no even length >= 2")
         if self.detour_rhs_max < 3:
-            raise ValueError("detour_rhs_max must allow at least one inserted pair")
+            raise ConfigError("detour_rhs_max must allow at least one inserted pair")
 
 
 def _net_zero_count(n: int) -> int:
@@ -187,7 +189,7 @@ def sample_program(
         name = generate_name(rng, "allocentric", used_names)
         return AdverbProgram(name=name, rules=frozenset(rules), mode="allocentric")
 
-    raise ValueError(f"cannot sample adverb type {adverb_type!r}")
+    raise ConfigError(f"cannot sample adverb type {adverb_type!r}")
 
 
 def classify_program(program: AdverbProgram) -> str:
@@ -287,7 +289,7 @@ def sample_registry(
     """Sample `count` novel adverbs, rejecting any program equal to a built-in
     or to an earlier entry.  Deterministic in the rng's state."""
     if count < 0:
-        raise ValueError(f"count must be at least 0, not {count}")
+        raise ConfigError(f"count must be at least 0, not {count}")
     if cfg is None:
         cfg = MetaGrammarConfig()
     base = rng.getrandbits(64)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dsl import AdverbProgram, apply_program, builtin_adverbs, ground
-from .errors import NoReferent, UnknownAdverb
+from .errors import ConfigError, NoReferent, UnknownAdverb
 from .metagrammar import classify_program
 from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP
 from .world import HEAVY_SIZES, Command, Position, WorldState, resolve_target
@@ -39,7 +39,7 @@ class Plan:
         vocab = ALLO_SYMBOLS if self.mode == "allocentric" else EGO_SYMBOLS
         for s in self.symbols:
             if s not in vocab:
-                raise ValueError(f"{self.mode} plan cannot contain {s!r}")
+                raise ConfigError(f"{self.mode} plan cannot contain {s!r}")
 
 
 def perceive(command: Command, world: WorldState) -> Percept:
@@ -164,7 +164,7 @@ class Lexicon:
         programs = {}
         for program in (*builtin_adverbs(), *registry):
             if program.surface in programs:
-                raise ValueError(f"adverb surface {program.surface!r} already registered")
+                raise ConfigError(f"adverb surface {program.surface!r} already registered")
             programs[program.surface] = program
         types = {surface: classify_program(p) for surface, p in programs.items()}
         return cls(programs=programs, types=types, registry=registry)

@@ -7,6 +7,8 @@ this module is pure token math; grid state lives in :mod:`mannerforge.world`.
 """
 from __future__ import annotations
 
+from .errors import ConfigError
+
 EGO_SYMBOLS = frozenset({"walk", "push", "pull", "stay", "turn_left", "turn_right"})
 ALLO_SYMBOLS = frozenset({"North", "South", "East", "West"})
 ALL_SYMBOLS = EGO_SYMBOLS | ALLO_SYMBOLS
@@ -50,13 +52,13 @@ def is_allo(symbol: str) -> bool:
 
 def require_symbol(symbol: str) -> str:
     if symbol not in ALL_SYMBOLS:
-        raise ValueError(f"unknown action symbol: {symbol!r}")
+        raise ConfigError(f"unknown action symbol: {symbol!r}")
     return symbol
 
 
 def require_heading(heading: str) -> str:
     if heading not in _HEADING_INDEX:
-        raise ValueError(f"unknown heading: {heading!r}")
+        raise ConfigError(f"unknown heading: {heading!r}")
     return heading
 
 

@@ -18,6 +18,7 @@ from .errors import (
     AlloSymbolPresent,
     AmbiguousReferent,
     Blocked,
+    ConfigError,
     ExhaustedRetries,
     IllegalInteraction,
     NoReferent,
@@ -59,19 +60,19 @@ class WorldState:
     def __post_init__(self):
         n = self.grid_size
         if n < 2:
-            raise ValueError("grid_size must be at least 2")
+            raise ConfigError("grid_size must be at least 2")
         require_heading(self.agent_heading)
         if not (0 <= self.agent_position.row < n and 0 <= self.agent_position.col < n):
-            raise ValueError(f"agent out of bounds: {self.agent_position}")
+            raise ConfigError(f"agent out of bounds: {self.agent_position}")
         if not 0 <= self.target_index < len(self.objects):
-            raise ValueError(f"target_index {self.target_index} out of range")
+            raise ConfigError(f"target_index {self.target_index} out of range")
         seen = set()
         for obj in self.objects:
             cell = (obj.position.row, obj.position.col)  # hashed faster than a Position
             if not (0 <= cell[0] < n and 0 <= cell[1] < n):
-                raise ValueError(f"object out of bounds: {obj}")
+                raise ConfigError(f"object out of bounds: {obj}")
             if cell in seen:
-                raise ValueError(f"two objects share cell {obj.position}")
+                raise ConfigError(f"two objects share cell {obj.position}")
             seen.add(cell)
 
     @property
@@ -102,9 +103,9 @@ class Command:
 
     def __post_init__(self):
         if self.verb not in VERBS:
-            raise ValueError(f"unknown verb: {self.verb!r}")
+            raise ConfigError(f"unknown verb: {self.verb!r}")
         if self.size_adj not in (None, "small", "big"):
-            raise ValueError(f"unknown size adjective: {self.size_adj!r}")
+            raise ConfigError(f"unknown size adjective: {self.size_adj!r}")
 
     def tokens(self) -> tuple[str, ...]:
         toks = [self.verb]
@@ -129,13 +130,13 @@ def parse_command(tokens) -> Command:
     """
     toks = list(tokens)
     if not toks or toks[0] not in VERBS:
-        raise ValueError(f"command must start with a verb: {toks!r}")
+        raise ConfigError(f"command must start with a verb: {toks!r}")
     verb = toks.pop(0)
     if verb == "walk":
         if not toks or toks.pop(0) != "to":
-            raise ValueError("walk commands read 'walk to a ...'")
+            raise ConfigError("walk commands read 'walk to a ...'")
     if not toks or toks.pop(0) != "a":
-        raise ValueError("expected article 'a' before the noun phrase")
+        raise ConfigError("expected article 'a' before the noun phrase")
     size_adj = None
     if toks and toks[0] in ("small", "big"):
         size_adj = toks.pop(0)
@@ -143,7 +144,7 @@ def parse_command(tokens) -> Command:
     if toks and toks[0] in COLORS:
         color = toks.pop(0)
     if not toks or toks[0] not in SHAPES:
-        raise ValueError(f"expected a shape noun, got {toks[:1]!r}")
+        raise ConfigError(f"expected a shape noun, got {toks[:1]!r}")
     shape = toks.pop(0)
     adverb = tuple(toks) if toks else None
     return Command(verb=verb, shape=shape, color=color, size_adj=size_adj, adverb=adverb)
@@ -291,7 +292,7 @@ def sample_situation(
     is found in SITUATION_ATTEMPTS draws.
     """
     if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+        raise ConfigError("grid_size must be at least 2")
     all_cells = _grid_cells(grid_size)
 
     for _ in range(SITUATION_ATTEMPTS):
@@ -367,18 +368,18 @@ _KNOWN = frozenset(product(SHAPES, COLORS, SIZES))  # (shape, color, size)
 
 
 def _laid_out(data, keys: set, where: str) -> dict:
-    """`data` if it has exactly `keys`, each value as _KINDS says; else ValueError naming the key."""
+    """`data` if it has exactly `keys`, each value as _KINDS says; else ConfigError naming the key."""
     if type(data) is not dict:
-        raise ValueError(f"{where[:-1] or 'world'} must be an object, not {data!r}")
+        raise ConfigError(f"{where[:-1] or 'world'} must be an object, not {data!r}")
     if data.keys() != keys:
         key = min(data.keys() ^ keys)
-        raise ValueError(f"{'unknown' if key in data else 'missing'} world key {where}{key}")
+        raise ConfigError(f"{'unknown' if key in data else 'missing'} world key {where}{key}")
     for key, value in data.items():
         kind = _KINDS[key]
         if type(kind) is tuple and (type(value) is not type(kind[0]) or value not in kind):
-            raise ValueError(f"{where}{key} must be one of {kind}, not {value!r}")
+            raise ConfigError(f"{where}{key} must be one of {kind}, not {value!r}")
         if type(kind) is type and type(value) is not kind:
-            raise ValueError(f"{where}{key} must be {_KIND_NAMES[kind]}, not {value!r}")
+            raise ConfigError(f"{where}{key} must be {_KIND_NAMES[kind]}, not {value!r}")
     return data
 
 

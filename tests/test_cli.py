@@ -1,16 +1,21 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import mannerforge
+from mannerforge import forge as forge_module
 from mannerforge.cli import build_parser, main
 from mannerforge.dsl import parse_program
 from mannerforge.forge import ForgeConfig, SplitSpec, forge_dataset, read_dataset
 from mannerforge.pipeline import BUILTIN_SURFACES
 from mannerforge.world import world_to_dict, GridObject, Position, WorldState
+
+from conftest import edit_manifest
 
 SPIN = "turn_left turn_left turn_left turn_left"
 CAUTIOUS_OUT = (
@@ -81,7 +86,7 @@ def test_solve_rejects_bad_world_file(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--world", str(path), "--command", "walk to a circle")
     assert code == 1
     assert out == ""
-    assert err.startswith("error[ValueError]: objects[0].shape must be one of")
+    assert err.startswith("error[ConfigError]: objects[0].shape must be one of")
 
 
 def test_solve_refuses_a_command_naming_another_object(capsys, tmp_path):
@@ -145,7 +150,7 @@ def test_sample_adverbs_refuses_a_negative_count(capsys, tmp_path):
     code, out, err = run(capsys, "sample-adverbs", "--n", "-3", "--out", str(out_file))
     assert code == 1
     assert out == ""
-    assert err == "error[ValueError]: count must be at least 0, not -3"
+    assert err == "error[ConfigError]: count must be at least 0, not -3"
     assert not out_file.exists()
 
 
@@ -178,7 +183,7 @@ def test_sample_adverbs_refuses_a_non_finite_weight(capsys, tmp_path, spelling):
     code, _, err = run(capsys, "sample-adverbs", "--n", "5", "--out", str(out_file),
                        "--weights", f"spinning={spelling},cautiously=0.5,detour=0.5")
     assert code == 1
-    assert err == f"error[ValueError]: type_weights['spinning_type'] must be a finite number, not {float(spelling)!r}"
+    assert err == f"error[ConfigError]: type_weights['spinning_type'] must be a finite number, not {float(spelling)!r}"
     assert not out_file.exists()
 
 
@@ -212,7 +217,7 @@ def test_forge_seed_must_be_an_integer(capsys, tmp_path, monkeypatch, raw, comma
     monkeypatch.setenv("FORGE_SEED", raw)
     code, _, err = run(capsys, *(arg.format(config=config, out=out) for arg in command))
     assert code == 1
-    assert err == f"error[ValueError]: FORGE_SEED must be an integer, not {raw!r}"
+    assert err == f"error[ConfigError]: FORGE_SEED must be an integer, not {raw!r}"
     assert not out.exists()
 
 
@@ -333,7 +338,7 @@ def test_usage_error_exit_code():
 def test_bad_symbol_is_domain_error(capsys):
     code, _, err = run(capsys, "ground", "--input", "North fly", "--heading", "east")
     assert code == 1
-    assert "error[ValueError]" in err
+    assert "error[ConfigError]" in err
 
 
 def test_unknown_split_is_domain_error(capsys, tmp_path):
@@ -367,7 +372,7 @@ def test_generate_rejects_jobs_below_one(capsys, tmp_path, jobs):
     code, _, err = run(capsys, "generate", "--num-examples", "20", "--jobs", jobs,
                        "--out", str(out_dir))
     assert code == 1
-    assert "error[ValueError]: jobs must be at least 1" in err
+    assert "error[ConfigError]: jobs must be at least 1" in err
     assert not out_dir.exists()
 
 
@@ -377,7 +382,7 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
     out_dir = tmp_path / "ds"
     code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(out_dir))
     assert code == 1
-    assert "error[ValueError]: seed must be an integer, not 7.0" in err
+    assert "error[ConfigError]: seed must be an integer, not 7.0" in err
     assert not out_dir.exists()
 
 
@@ -410,6 +415,7 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
         ({"splits": [{"kind": "random", "name": "r", "test_fraction": 10**400}]},
          "test_fraction must be a number a float can hold, not an integer this large"),
         ({"no_adverb_prob": -(10**400)}, "no_adverb_prob must be a number a float can hold, not an integer this large"),
+        ({"meta": {"max_rejects": -1}}, "max_rejects must be at least 0, not -1"),
     ],
 )
 def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data, message):
@@ -418,7 +424,7 @@ def test_generate_rejects_bad_config_value_before_writing(capsys, tmp_path, data
     out_dir = tmp_path / "ds"
     code, _, err = run(capsys, "generate", "--config", str(config), "--out", str(out_dir))
     assert code == 1
-    assert err == f"error[ValueError]: {message}"
+    assert err == f"error[ConfigError]: {message}"
     assert not out_dir.exists()
 
 
@@ -440,7 +446,7 @@ def test_generate_refuses_a_non_finite_number(capsys, tmp_path, spelling, text, 
     code, _, err = run(capsys, "generate", "--config", str(config), "--num-examples", "5",
                        "--out", str(out_dir))
     assert code == 1
-    assert err == f"error[ValueError]: {key} must be a finite number, not {float(spelling)!r}"
+    assert err == f"error[ConfigError]: {key} must be a finite number, not {float(spelling)!r}"
     assert not out_dir.exists()
 
 
@@ -463,7 +469,7 @@ def test_generate_rejects_config_that_is_no_object(capsys, tmp_path, text, seed)
     out_dir = tmp_path / "ds"
     code, _, err = run(capsys, "generate", "--config", str(config), *seed, "--out", str(out_dir))
     assert code == 1
-    assert err == f"error[ValueError]: config must be an object, not {json.loads(text)!r}"
+    assert err == f"error[ConfigError]: config must be an object, not {json.loads(text)!r}"
     assert not out_dir.exists()
 
 
@@ -499,3 +505,97 @@ def test_every_split_kind_reforges_in_a_fresh_interpreter(tmp_path):
     counts = json.loads(manifest)["counts"]
     assert sorted(counts) == sorted(s["name"] for s in ALL_SPLIT_KINDS["splits"])
     assert all(sum(c.values()) == ALL_SPLIT_KINDS["num_examples"] for c in counts.values())
+
+
+CIRCLE_WORLD = json.dumps(world_to_dict(WorldState(
+    grid_size=6, agent_position=Position(2, 1), agent_heading="north",
+    objects=(GridObject("circle", "red", 2, Position(1, 1)),), target_index=0,
+))).encode()
+NOT_UTF8 = b"name: caf\xe9 walking\nwalk -> stay walk\n"
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("small") / "ds"
+    forge_dataset(ForgeConfig(seed=3, num_examples=20, splits=(SplitSpec("random", "random", test_fraction=0.5),)),
+                  str(out_dir))
+    return out_dir
+
+
+def _file(tmp_path, name, data: bytes) -> str:
+    (tmp_path / name).write_bytes(data)
+    return str(tmp_path / name)
+
+
+def _dataset_with(tmp_path, dataset, filename, data: bytes) -> str:
+    """A copy of `dataset` whose `filename` holds `data`; a listed file's digest is updated."""
+    out_dir = tmp_path / "copy"
+    shutil.copytree(dataset, out_dir)
+    (out_dir / filename).write_bytes(data)
+    if filename != "manifest":
+        edit_manifest(str(out_dir), lambda m: m["files"].update({filename: hashlib.sha256(data).hexdigest()}))
+    return str(out_dir)
+
+
+def _evaluate(tmp_path, dataset, line: bytes) -> list:
+    preds = _file(tmp_path, "preds.ndrec", line + b"\n")
+    return ["evaluate", "--dataset", str(dataset), "--predictions", preds]
+
+
+# Each outside input a boundary refuses: the argv that hands it over, made from a scratch
+# directory and a small dataset, and the start of the one line the refusal prints.
+OUTSIDE_INPUT = {
+    "config that is not JSON": (
+        lambda t, ds: ["generate", "--config", _file(t, "c.json", b"{seed: 1}"), "--out", str(t / "out")],
+        "error[ConfigError]: config file "),
+    "config that is not UTF-8": (
+        lambda t, ds: ["generate", "--config", _file(t, "c.json", b'{"seed": "\xff"}'), "--out", str(t / "out")],
+        "error[ConfigError]: config file "),
+    "split spec without a kind": (
+        lambda t, ds: ["generate", "--config", _file(t, "c.json", b'{"splits": [{"name": "r", "test_fraction": 0.5}]}'),
+                       "--out", str(t / "out")],
+        "error[ConfigError]: split spec needs a kind and a name"),
+    "world file that is not JSON": (
+        lambda t, ds: ["solve", "--world", _file(t, "w.json", b"not json"), "--command", "walk to a circle"],
+        "error[ConfigError]: world file "),
+    "program file that is not UTF-8": (
+        lambda t, ds: ["transform", "--program", _file(t, "p.adv", NOT_UTF8), "--input", "North", "--heading", "east"],
+        "error[ParseError]: line 1, column 10: byte 0xe9 is not UTF-8"),
+    "registry file that is not UTF-8": (
+        lambda t, ds: ["solve", "--world", _file(t, "w.json", CIRCLE_WORLD), "--command", "walk to a circle",
+                       "--registry", _file(t, "r.txt", NOT_UTF8)],
+        "error[ParseError]: line 1, column 10: byte 0xe9 is not UTF-8"),
+    "dataset registry that is not UTF-8": (
+        lambda t, ds: ["stats", "--dataset", _dataset_with(t, ds, "registry.txt", NOT_UTF8)],
+        "error[ParseError]: line 1, column 10: byte 0xe9 is not UTF-8"),
+    "manifest that is not JSON": (
+        lambda t, ds: ["stats", "--dataset", _dataset_with(t, ds, "manifest", b"{")],
+        "error[SchemaMismatch]: manifest is not UTF-8 JSON: "),
+    "manifest that is not UTF-8": (
+        lambda t, ds: ["stats", "--dataset", _dataset_with(t, ds, "manifest", b'{"schema_version": "\xff"}')],
+        "error[SchemaMismatch]: manifest is not UTF-8 JSON: "),
+    "prediction line that is no object": (
+        lambda t, ds: _evaluate(t, ds, b'"x"'), "error[MalformedRecord]: "),
+    "prediction line that is not UTF-8": (
+        lambda t, ds: _evaluate(t, ds, b'{"index": 0, "prediction": ["\xff"]}'), "error[MalformedRecord]: "),
+}
+
+
+@pytest.mark.parametrize("argv, start", OUTSIDE_INPUT.values(), ids=OUTSIDE_INPUT.keys())
+def test_every_boundary_refuses_bad_input_as_a_domain_error(capsys, tmp_path, small_dataset, argv, start):
+    # main catches MannerforgeError and OSError only: anything else raises here instead.
+    code, out, err = run(capsys, *argv(tmp_path, small_dataset))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(start)
+    assert "\n" not in err  # one error line, no traceback
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_internal_key_error_is_not_reported_as_bad_input(capsys, tmp_path, monkeypatch):
+    # A string missing from the serializer's vocabulary is a bug in the program, not in
+    # the config: main lets it through, with its traceback, instead of `error[KeyError]`.
+    monkeypatch.delitem(forge_module._VOCAB_JSON, "red")
+    with pytest.raises(KeyError, match="'red'"):
+        main(["generate", "--num-examples", "50", "--seed", "1", "--out", str(tmp_path / "ds")])
+    assert capsys.readouterr().err == ""

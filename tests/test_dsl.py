@@ -9,6 +9,7 @@ from mannerforge.dsl import (
     apply_pass,
     apply_program,
     builtin_adverbs,
+    decode_text,
     ground,
     parse_program,
     parse_registry,
@@ -242,6 +243,22 @@ class TestRegistryText:
     def test_sampled_registry_round_trips(self):
         programs = sample_registry(random.Random(13), 60)
         assert parse_registry(serialize_registry(programs)) == programs
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_newlines_read_as_a_text_mode_open_reads_them(self, newline):
+        programs = sample_registry(random.Random(13), 5)
+        data = serialize_registry(programs).replace("\n", newline).encode()
+        assert parse_registry(decode_text(data)) == programs
+
+    @pytest.mark.parametrize("data, line, column", [
+        (b"\xff", 1, 1),
+        (b"name: caf\xe9\n", 1, 10),
+        (b"name: ok\nwalk -> stay walk\n\nname: s\xc3\xa9 d\xe9j\xe0\n", 4, 11),
+    ])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, data, line, column):
+        with pytest.raises(ParseError) as err:
+            decode_text(data)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 class TestProgramInvariants:

@@ -10,6 +10,7 @@ import pytest
 
 from mannerforge import forge as forge_module
 from mannerforge.errors import (
+    ConfigError,
     DepthExceeded,
     DigestMismatch,
     InsufficientExamples,
@@ -127,6 +128,20 @@ class TestGenerateExamples:
                 assert ex.adverb_type is not None
                 tokens = tuple(ex.adverb_surface.split())
                 assert ex.command[-len(tokens):] == tokens
+
+    def test_config_error_is_raised_not_retried(self, tmp_path, monkeypatch):
+        # A ConfigError from the oracle is a broken invariant: re-sampling the situation
+        # would hide it and skew the corpus, so it ends the forge on the first attempt.
+        calls = []
+
+        def broken_oracle(*args):
+            calls.append(args)
+            raise ConfigError("a plan holds a symbol of the other mode")
+
+        monkeypatch.setattr(forge_module, "solve_trace", broken_oracle)
+        with pytest.raises(ConfigError, match="^a plan holds a symbol of the other mode$"):
+            forge_dataset(ForgeConfig(seed=1, num_examples=5, retry_limit=50), str(tmp_path))
+        assert len(calls) == 1
 
     def test_parallel_matches_sequential(self, small_corpus, tmp_path, monkeypatch):
         cfg, _, _ = small_corpus
@@ -390,6 +405,13 @@ class TestBuildSplits:
     )
     def test_mistyped_spec_values_rejected(self, key, data):
         with pytest.raises(ValueError, match=f"^{key} must be"):
+            SplitSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data", [{"name": "r", "test_fraction": 0.5}, {"kind": "random", "test_fraction": 0.5}, {}]
+    )
+    def test_spec_without_kind_or_name_rejected(self, data):
+        with pytest.raises(ConfigError, match="^split spec needs a kind and a name$"):
             SplitSpec.from_dict(data)
 
 

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from mannerforge import harness as harness_module
 from mannerforge.cli import main
 from mannerforge.errors import (
+    ConfigError,
     DuplicatePrediction,
     MalformedRecord,
     MissingPrediction,
@@ -159,6 +161,19 @@ class TestEvaluate:
         for sample in dataset.examples[:100]:
             assert semantically_valid(sample, sample.target)
 
+    def test_semantic_check_raises_a_config_error(self, dataset, monkeypatch):
+        # An executor error makes a prediction invalid; a ConfigError is a broken world
+        # invariant, which no prediction causes, so it is not scored as one.
+        ex = dataset.examples[0]
+        assert not semantically_valid(ex, ("North",))  # AlloSymbolPresent
+
+        def broken_executor(world, actions):
+            raise ConfigError("two objects share cell (1, 1)")
+
+        monkeypatch.setattr(harness_module, "execute", broken_executor)
+        with pytest.raises(ConfigError):
+            semantically_valid(ex, ex.target)
+
     def test_report_digests_are_stable(self, dataset):
         a = evaluate(dataset, gold_predictions(dataset))
         b = evaluate(dataset, gold_predictions(dataset))
@@ -232,6 +247,29 @@ class TestPredictionIO:
             read_predictions(str(path))
         assert err.value.line == 2
 
+
+    @pytest.mark.parametrize("record, shown", [('"x"', "'x'"), ("[1]", "[1]"), ("7", "7"), ("null", "None")])
+    def test_prediction_line_that_is_no_object(self, tmp_path, record, shown):
+        path = tmp_path / "preds.ndrec"
+        path.write_text('{"index": 0, "prediction": ["walk"]}\n' + record + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_predictions(str(path))
+        assert str(err.value) == f"{path}:2: prediction record must be an object, not {shown}"
+
+    def test_prediction_line_missing_a_key(self, tmp_path):
+        path = tmp_path / "preds.ndrec"
+        path.write_text('{"index": 1}\n')
+        with pytest.raises(MalformedRecord) as err:
+            read_predictions(str(path))
+        assert str(err.value) == f"{path}:1: missing key 'prediction'"
+
+    def test_prediction_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "preds.ndrec"
+        path.write_bytes(b'{"index": 0, "prediction": ["walk"]}\n\n{"index": 1, "prediction": ["w\xe9lk"]}\n')
+        with pytest.raises(MalformedRecord) as err:
+            read_predictions(str(path))
+        assert err.value.line == 3
+        assert "'utf-8' codec can't decode byte 0xe9" in str(err.value)
 
     @pytest.mark.parametrize(
         "record, key",

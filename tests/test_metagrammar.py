@@ -191,6 +191,11 @@ class TestMetaGrammarConfig:
         with pytest.raises(ValueError):
             MetaGrammarConfig(prefix_len_range=(3, 3))
 
+    def test_negative_max_rejects_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_rejects must be at least 0, not -1$"):
+            MetaGrammarConfig(max_rejects=-1)
+        assert MetaGrammarConfig(max_rejects=0).max_rejects == 0
+
     @pytest.mark.parametrize(
         "key, kwargs",
         [
