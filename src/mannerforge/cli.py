@@ -54,7 +54,7 @@ def _read_json(path: str, what: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or JSON nested too deep
             raise ConfigError(f"{what} {path!r} is not UTF-8 JSON: {exc}") from None
 
 

@@ -12,6 +12,7 @@ minimal turn sequence plus a walk; it returns the heading it ends on too.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError, DepthExceeded, DuplicateLhs, ParseError
@@ -258,16 +259,15 @@ def parse_program(text: str) -> AdverbProgram:
         raise ParseError("missing name header", 1)
     mode = headers.get("mode", "egocentric")
     plan_shape = headers.get("plan_shape", "canonical")
-    try:
-        passes = int(headers.get("passes", "1"))
-    except ValueError:
-        raise ParseError(f"passes is not an integer: {headers['passes']!r}", 1)
+    passes = headers.get("passes", "1")
+    if not re.fullmatch("[0-9]+", passes):  # int() would read 1_0, +2 and non-ASCII digits too
+        raise ParseError(f"passes must be decimal digits, not {passes!r}", 1)
     try:
         return AdverbProgram(
             name=tuple(headers["name"].split()),
             rules=frozenset(rules),
             mode=mode,
-            passes=passes,
+            passes=int(passes),
             plan_shape=plan_shape,
         )
     except ValueError as exc:

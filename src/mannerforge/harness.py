@@ -113,7 +113,7 @@ def read_predictions(path: str) -> list[PredictionRecord]:
                 continue
             try:
                 data = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or JSON nested too deep
                 raise MalformedRecord(path, lineno, str(exc)) from None
             if type(data) is not dict:
                 raise MalformedRecord(path, lineno, f"prediction record must be an object, not {data!r}")

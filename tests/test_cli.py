@@ -537,6 +537,17 @@ def _dataset_with(tmp_path, dataset, filename, data: bytes) -> str:
     return str(out_dir)
 
 
+# JSON nested deeper than the interpreter's recursion limit: the decoder raises
+# RecursionError, not ValueError.
+DEEP_JSON = b"[" * 100000
+
+
+def _deep_first_example(dataset) -> bytes:
+    """The examples file of `dataset` with its first line nested too deep."""
+    lines = (dataset / "examples.ndrec").read_bytes().splitlines(keepends=True)
+    return DEEP_JSON + b"\n" + b"".join(lines[1:])
+
+
 def _evaluate(tmp_path, dataset, line: bytes) -> list:
     preds = _file(tmp_path, "preds.ndrec", line + b"\n")
     return ["evaluate", "--dataset", str(dataset), "--predictions", preds]
@@ -555,8 +566,14 @@ OUTSIDE_INPUT = {
         lambda t, ds: ["generate", "--config", _file(t, "c.json", b'{"splits": [{"name": "r", "test_fraction": 0.5}]}'),
                        "--out", str(t / "out")],
         "error[ConfigError]: split spec needs a kind and a name"),
+    "config nested too deep": (
+        lambda t, ds: ["generate", "--config", _file(t, "c.json", DEEP_JSON), "--out", str(t / "out")],
+        "error[ConfigError]: config file "),
     "world file that is not JSON": (
         lambda t, ds: ["solve", "--world", _file(t, "w.json", b"not json"), "--command", "walk to a circle"],
+        "error[ConfigError]: world file "),
+    "world file nested too deep": (
+        lambda t, ds: ["solve", "--world", _file(t, "w.json", DEEP_JSON), "--command", "walk to a circle"],
         "error[ConfigError]: world file "),
     "program file that is not UTF-8": (
         lambda t, ds: ["transform", "--program", _file(t, "p.adv", NOT_UTF8), "--input", "North", "--heading", "east"],
@@ -574,10 +591,21 @@ OUTSIDE_INPUT = {
     "manifest that is not UTF-8": (
         lambda t, ds: ["stats", "--dataset", _dataset_with(t, ds, "manifest", b'{"schema_version": "\xff"}')],
         "error[SchemaMismatch]: manifest is not UTF-8 JSON: "),
+    "manifest nested too deep": (
+        lambda t, ds: ["stats", "--dataset", _dataset_with(t, ds, "manifest", DEEP_JSON)],
+        "error[SchemaMismatch]: manifest is not UTF-8 JSON: maximum recursion depth exceeded"),
+    "splits file nested too deep": (
+        lambda t, ds: ["stats", "--dataset", _dataset_with(t, ds, "splits.json", DEEP_JSON)],
+        "error[MalformedRecord]: "),
+    "example line nested too deep": (
+        lambda t, ds: ["stats", "--dataset", _dataset_with(t, ds, "examples.ndrec", _deep_first_example(ds))],
+        "error[MalformedRecord]: "),
     "prediction line that is no object": (
         lambda t, ds: _evaluate(t, ds, b'"x"'), "error[MalformedRecord]: "),
     "prediction line that is not UTF-8": (
         lambda t, ds: _evaluate(t, ds, b'{"index": 0, "prediction": ["\xff"]}'), "error[MalformedRecord]: "),
+    "prediction line nested too deep": (
+        lambda t, ds: _evaluate(t, ds, DEEP_JSON), "error[MalformedRecord]: "),
 }
 
 

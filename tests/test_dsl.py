@@ -232,6 +232,15 @@ class TestProgramText:
         with pytest.raises(ParseError):
             parse_program("mode: egocentric\n")  # no name
 
+    @pytest.mark.parametrize("value", ["1_0", "+2", "-1", "2.0", "0x2", "\uff12", ""])
+    def test_passes_header_takes_decimal_digits_only(self, value):
+        # int() reads the first three and the full-width digit; a registry file
+        # or pinned adverb must not be reinterpreted.
+        with pytest.raises(ParseError, match="^line 1, column 1: passes must be decimal digits, not ") as err:
+            parse_program(f"name: x\npasses: {value}\nwalk -> stay walk\n")
+        assert repr(value) in str(err.value)
+        assert parse_program("name: x\npasses: 2\nwalk -> stay walk\n").passes == 2
+
     def test_rules_serialized_sorted_by_lhs(self, builtins):
         text = serialize_program(builtins["while spinning"])
         rule_lines = [l for l in text.splitlines() if "->" in l]

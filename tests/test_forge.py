@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import tracemalloc
 import weakref
 from importlib import resources
 
@@ -104,6 +105,43 @@ def small_corpus(small_pairs):
     return cfg, lexicon, [ex for ex, _ in pairs]
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """multiprocessing.Pool replaced by a pool that runs in this process, on a
+    two-CPU machine: its initializer once, then each span in order.  The list of
+    the (span, chunk) pairs it ran."""
+    ran = []
+
+    class InlinePool:
+        def __init__(self, processes, initializer=None, initargs=()):
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, spans):
+            for span in spans:
+                chunk = fn(span)
+                ran.append((span, chunk))
+                yield chunk
+
+    monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(forge_module.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(forge_module, "_worker_state", ())  # what the initializer sets, restored after
+    return ran
+
+
+def reference_config(num_examples=2000) -> ForgeConfig:
+    """The vocab_x150 preset with `num_examples` examples."""
+    data = json.loads(resources.files("mannerforge").joinpath("presets", "vocab_x150.json").read_text())
+    data["num_examples"] = num_examples
+    return ForgeConfig.from_dict(data)
+
+
 class TestGenerateExamples:
     def test_x0_uses_only_builtin_adverbs(self):
         cfg = ForgeConfig(seed=2, num_examples=200, extra_adverbs=0)
@@ -184,7 +222,7 @@ class TestGenerateExamples:
         random_names = [s.name for s in splits if s.kind == "random"]
         assert marked == (saved[random_names[0]]["test"] if random_names else [])
 
-    def test_workers_take_the_lexicon_with_their_chunk(self, tmp_path, monkeypatch):
+    def test_workers_take_the_lexicon_from_the_parent(self, tmp_path, monkeypatch):
         cfg = ForgeConfig(seed=8, num_examples=40, extra_adverbs=6)
         serial = forged_files(cfg, tmp_path / "one", jobs=1)
         parent, real, calls = os.getpid(), forge_module.build_lexicon, []
@@ -201,38 +239,32 @@ class TestGenerateExamples:
         assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
         assert calls == [cfg]
 
-    def test_pool_chunks_carry_only_bytes_and_rows(self, small_corpus, tmp_path, monkeypatch):
+    def test_pool_chunks_carry_only_bytes_and_rows(self, small_corpus, tmp_path, inline_pool):
         cfg, _, _ = small_corpus
-        results = []
-
-        class InlinePool:
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, spans):
-                for span in spans:
-                    result = fn(span)
-                    results.append(result)
-                    yield result
 
         def plain(value):
             if isinstance(value, (list, tuple)):  # a Row is a tuple
                 return all(map(plain, value))
             return value is None or isinstance(value, (bytes, int, str))
 
-        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(forge_module.multiprocessing, "Pool", InlinePool)
         assert forged_files(cfg, tmp_path / "two", jobs=2) == forged_files(cfg, tmp_path / "one", jobs=1)
-        assert len(results) > 1
-        for blocks, rows in results:
+        assert len(inline_pool) > 1
+        for _, (blocks, rows) in inline_pool:
             assert len(blocks) == 5 and all(isinstance(b, bytes) for b in blocks)
             assert rows and all(type(row) is Row and plain(row) for row in rows)
+
+    def test_pool_spans_carry_only_indices(self, small_corpus, tmp_path, inline_pool):
+        # The config and lexicon reach each worker once, through the pool's initializer;
+        # a span is (lo, hi, the test indices among lo..hi-1) and nothing more.
+        cfg, _, _ = small_corpus
+        forge_dataset(cfg, str(tmp_path), jobs=2)
+        spans = [span for span, _ in inline_pool]
+        assert len(spans) > 1
+        assert spans[0][0] == 0 and spans[-1][1] == cfg.num_examples
+        assert all(prev[1] == span[0] for prev, span in zip(spans, spans[1:]))
+        for lo, hi, test in spans:
+            assert type(lo) is type(hi) is int and lo < hi
+            assert type(test) is set and all(type(i) is int and lo <= i < hi for i in test)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, small_corpus, tmp_path, jobs):
@@ -259,7 +291,7 @@ class TestGenerateExamples:
         class Refused(Exception):
             pass
 
-        def recording_pool(processes):
+        def recording_pool(processes, initializer=None, initargs=()):
             asked.append(processes)
             raise Refused
 
@@ -568,13 +600,32 @@ class TestPersistence:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reference_manifest_digest(self, tmp_path, jobs):
-        data = json.loads(
-            resources.files("mannerforge").joinpath("presets", "vocab_x150.json").read_text()
-        )
-        data["num_examples"] = 2000
-        forge_dataset(ForgeConfig.from_dict(data), str(tmp_path), jobs=jobs)
+        forge_dataset(reference_config(), str(tmp_path), jobs=jobs)
         digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
         assert digest == REFERENCE_MANIFEST_SHA256
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 500])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reference_manifest_digest_for_any_chunk_size(self, tmp_path, monkeypatch, inline_pool, chunk, jobs):
+        # With jobs=2 the chunks are capped at 2000 // 16 = 125 examples.
+        monkeypatch.setattr(forge_module, "CHUNK_EXAMPLES", chunk)
+        forge_dataset(reference_config(), str(tmp_path), jobs=jobs)
+        digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
+        assert digest == REFERENCE_MANIFEST_SHA256
+        assert len(inline_pool) == (0 if jobs == 1 else {1: 2000, 7: 286, 100: 20, 500: 16}[chunk])
+
+    def test_forge_heap_peak_is_bounded(self, tmp_path):
+        # The forge holds one chunk's examples at a time, besides the rows, lexicon and
+        # caches.  On Python 3.11 the traced peak of this forge is 2.1 MB with chunks of
+        # at most 100 examples, and 5.7 MB with chunks of 500.
+        cfg = reference_config(4000)
+        tracemalloc.start()
+        try:
+            forge_dataset(cfg, str(tmp_path), jobs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_unknown_example_index_is_named(self, small_corpus):
         _, lexicon, examples = small_corpus
