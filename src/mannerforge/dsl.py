@@ -9,6 +9,8 @@ explicitly to keep programs from spinning forever.
 Grounding converts a mixed sequence into pure egocentric primitives by
 tracking the agent's heading and expanding each allocentric symbol into the
 minimal turn sequence plus a walk; it returns the heading it ends on too.
+Each program compiles, on first use, into a table of the same shape as
+grounding's own, so that rewriting and grounding a sequence is one fold.
 """
 from __future__ import annotations
 
@@ -66,6 +68,7 @@ class AdverbProgram:
                 raise DuplicateLhs(f"two rules rewrite {rule.lhs!r}")
             rule_map[rule.lhs] = rule.rhs
         object.__setattr__(self, "_rule_map", rule_map)  # apply_pass's lookup table
+        object.__setattr__(self, "table", ProgramTable(self))
         if self.mode == "egocentric":
             if any(is_allo(r.lhs) for r in self.rules):
                 raise ConfigError("egocentric programs may only rewrite egocentric symbols")
@@ -94,14 +97,19 @@ def apply_pass(program: AdverbProgram, sequence) -> tuple[str, ...]:
     return tuple(out)
 
 
-def apply_program(program: AdverbProgram, sequence, max_depth: int = 10) -> tuple[str, ...]:
-    """Apply the program's passes, refusing to recurse past max_depth."""
+def require_depth(program: AdverbProgram, max_depth: int) -> None:
+    """Refuse a max_depth below 1, or a program needing more passes than max_depth."""
     if max_depth < 1:
         raise ConfigError("max_depth must be at least 1")
     if program.passes > max_depth:
         raise DepthExceeded(
             f"program {program.surface!r} needs {program.passes} passes, depth limit {max_depth}"
         )
+
+
+def apply_program(program: AdverbProgram, sequence, max_depth: int = 10) -> tuple[str, ...]:
+    """Apply the program's passes, refusing to recurse past max_depth."""
+    require_depth(program, max_depth)
     seq = tuple(sequence)
     for _ in range(program.passes):
         seq = apply_pass(program, seq)
@@ -113,24 +121,52 @@ GROUND = {(h, s): (after, (*turns_between(h, after), "walk") if s in ALLO_SYMBOL
           for (h, s), (after, _, _) in STEP.items()}
 
 
-def ground(sequence, start: str) -> tuple[tuple[str, ...], str]:
+_GROUND_KEYS = {key: key for key in GROUND}
+
+
+class ProgramTable(dict):
+    """GROUND for one program: (heading, symbol) -> (heading_after, actions), where
+    the actions and heading are those of ground(apply_program(program, (symbol,)), heading).
+    Entries are filled on first use; a symbol with no rule shares GROUND's entry.
+
+    A program rewrites each symbol on its own and grounding is a fold, so grounding
+    through this table gives ground(apply_program(program, sequence), heading)."""
+
+    def __init__(self, program: AdverbProgram):
+        super().__init__()
+        self.program = program
+
+    def __missing__(self, key):
+        key = _GROUND_KEYS[key]  # GROUND's own key, kept instead of the caller's; a KeyError
+        heading, symbol = key    # for an unknown symbol, which ground reports
+        if symbol in self.program._rule_map:
+            actions, after = ground(apply_program(self.program, (symbol,), self.program.passes), heading)
+            entry = (after, actions)
+        else:
+            entry = GROUND[key]
+        self[key] = entry
+        return entry
+
+
+def ground(sequence, start: str, table: dict = GROUND) -> tuple[tuple[str, ...], str]:
     """Convert a mixed sequence to egocentric primitives, and return them with
     the heading they end on.
 
     Egocentric symbols pass through; each allocentric symbol becomes the
     minimal turn sequence toward its direction followed by walk, with 180
     degree turns fixed as two turn_left actions.  The heading is tracked
-    through `GROUND`.
+    through `table`: `GROUND`, or a program's `ProgramTable`, which rewrites
+    each symbol as it is grounded.
     """
     require_heading(start)
     h = start
     out: list[str] = []
-    for s in sequence:
-        step = GROUND.get((h, s))
-        if step is None:
-            raise ConfigError(f"unknown action symbol: {s!r}")
-        h, emitted = step
-        out += emitted
+    try:
+        for s in sequence:
+            h, emitted = table[h, s]
+            out += emitted
+    except KeyError:
+        raise ConfigError(f"unknown action symbol: {s!r}") from None
     return tuple(out), h
 
 
@@ -218,6 +254,7 @@ def serialize_program(program: AdverbProgram) -> str:
 
 def parse_program(text: str) -> AdverbProgram:
     headers: dict[str, str] = {}
+    header_line: dict[str, int] = {}  # the line each header is on, where its errors are placed
     rules: list[RewriteRule] = []
     seen_lhs: set[str] = set()
 
@@ -252,16 +289,24 @@ def parse_program(text: str) -> AdverbProgram:
             if key in headers:
                 raise ParseError(f"repeated header {key!r}", lineno)
             headers[key] = value.strip()
+            header_line[key] = lineno
         else:
             raise ParseError("expected 'key: value' header or 'LHS -> SYM ...' rule", lineno)
 
-    if "name" not in headers or not headers["name"]:
-        raise ParseError("missing name header", 1)
-    mode = headers.get("mode", "egocentric")
-    plan_shape = headers.get("plan_shape", "canonical")
+    if not headers.get("name"):
+        raise ParseError("missing name header", header_line.get("name", 1))
     passes = headers.get("passes", "1")
     if not re.fullmatch("[0-9]+", passes):  # int() would read 1_0, +2 and non-ASCII digits too
-        raise ParseError(f"passes must be decimal digits, not {passes!r}", 1)
+        raise ParseError(f"passes must be decimal digits, not {passes!r}", header_line["passes"])
+    mode = headers.get("mode", "egocentric")
+    plan_shape = headers.get("plan_shape", "canonical")
+    # A header's own fault is placed at its line; the defaults have none.
+    if mode not in MODES:
+        raise ParseError(f"unknown mode: {mode!r}", header_line["mode"])
+    if plan_shape not in PLAN_SHAPES:
+        raise ParseError(f"unknown plan shape: {plan_shape!r}", header_line["plan_shape"])
+    if int(passes) < 1:
+        raise ParseError("passes must be at least 1", header_line["passes"])
     try:
         return AdverbProgram(
             name=tuple(headers["name"].split()),
@@ -270,8 +315,8 @@ def parse_program(text: str) -> AdverbProgram:
             passes=int(passes),
             plan_shape=plan_shape,
         )
-    except ValueError as exc:
-        raise ParseError(str(exc), 1)
+    except ValueError as exc:  # rules that do not suit the mode
+        raise ParseError(str(exc), header_line.get("mode", 1)) from None
 
 
 def serialize_registry(programs) -> str:

@@ -18,7 +18,7 @@ from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
-from .dsl import decode_text, parse_program, parse_registry, serialize_registry
+from .dsl import MODES, decode_text, parse_program, parse_registry, serialize_registry
 from .errors import (
     ConfigError,
     DepthExceeded,
@@ -306,7 +306,8 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> t
 
     for _ in range(cfg.retry_limit):
         world, phrase = sample_situation(rng, cfg.grid_size, cfg.distractors)
-        command = parse_command(lead + phrase + adverb)
+        tokens = lead + phrase + adverb
+        command = parse_command(tokens)
         try:
             trace = solve_trace(command, world, lexicon, cfg.max_depth)
             final = execute(world, trace.target)
@@ -318,7 +319,7 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> t
             continue
         example = Example(
             index=index,
-            command=command.tokens(),
+            command=tokens,  # what command.tokens() rebuilds from the parse
             world=world,
             target=trace.target,
             verb=verb,
@@ -541,9 +542,15 @@ def _strings(tokens) -> str:
     return _dumps(list(tokens))
 
 
-# The JSON text of each string a situation or percept template may hold.  A string
-# outside the vocabulary is a KeyError, so no unescaped string reaches a file.
-_VOCAB_JSON = {value: _dumps(value) for value in (*SHAPES, *COLORS, *HEADINGS)}
+def _symbols(symbols) -> str:
+    """_strings(symbols) for action symbols (symbols.ALL_SYMBOLS), none of which JSON
+    escapes: an oracle target, plan or interaction list holds no other string."""
+    return '["' + '","'.join(symbols) + '"]' if symbols else "[]"
+
+
+# The JSON text of each string a record template may hold but for adverb surfaces.  A
+# string outside the vocabulary is a KeyError, so no unescaped string reaches a file.
+_VOCAB_JSON = {value: _dumps(value) for value in (*SHAPES, *COLORS, *HEADINGS, *VERBS, *ADVERB_TYPES, *MODES)}
 
 
 def _situation_json(world: WorldState) -> str:
@@ -575,16 +582,16 @@ def _serialize(pairs, test) -> tuple[list[bytes], list[Row]]:
     examples_out, perception, navigation, interaction, transformation = lines  # RECORD_FILES order
     rows = []
     for ex, trace in pairs:
-        index, verb = ex.index, _dumps(ex.verb)
+        index, verb = ex.index, _VOCAB_JSON[ex.verb]
         split = "test" if index in test else "train"
-        command, target = _strings(ex.command), _strings(ex.target)
+        command, target = _strings(ex.command), _symbols(ex.target)
         situation = _situation_json(ex.world)
         surface = "null" if ex.adverb_surface is None else _dumps(ex.adverb_surface)
-        adverb = f'{{"surface":{surface},"type":{_dumps(ex.adverb_type)}}}' if ex.adverb_surface else "null"
+        adverb = f'{{"surface":{surface},"type":{_VOCAB_JSON[ex.adverb_type]}}}' if ex.adverb_surface else "null"
         percept = _percept_json(trace.percept)
-        plan = f'{{"mode":{_dumps(trace.plan.mode)},"symbols":{_strings(trace.plan.symbols)}}}'
-        interactions = _strings(trace.interactions)
-        arrival, start = _dumps(trace.arrival_heading), _dumps(ex.world.agent_heading)
+        plan = f'{{"mode":{_VOCAB_JSON[trace.plan.mode]},"symbols":{_symbols(trace.plan.symbols)}}}'
+        interactions = _symbols(trace.interactions)
+        arrival, start = _VOCAB_JSON[trace.arrival_heading], _VOCAB_JSON[ex.world.agent_heading]
         examples_out.append(f'{{"adverb":{adverb},"command":{command},"index":{index},"situation":{situation},'
                             f'"split":"{split}","target":{target},"verb":{verb}}}\n')
         perception.append(f'{{"command":{command},"index":{index},"situation":{situation},"target":{percept}}}\n')

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dsl import AdverbProgram, apply_program, builtin_adverbs, ground
+from .dsl import AdverbProgram, builtin_adverbs, ground, require_depth
 from .errors import ConfigError, NoReferent, UnknownAdverb
 from .metagrammar import classify_program
 from .symbols import ALLO_SYMBOLS, EGO_SYMBOLS, STEP
@@ -139,11 +139,14 @@ def transform(
     egocentric symbols pass through unchanged.
 
     A program rewrites each symbol on its own and grounding is a left-to-right
-    fold, so transforming a plan and then its interactions from the plan's end
-    heading gives the actions of transforming the two joined."""
-    if adverb is not None:
-        symbols = apply_program(adverb, symbols, max_depth)
-    return ground(symbols, start)
+    fold, so one fold over the program's table (`ProgramTable`) gives
+    ground(apply_program(adverb, symbols, max_depth), start), and transforming
+    a plan and then its interactions from the plan's end heading gives the
+    actions of transforming the two joined."""
+    if adverb is None:
+        return ground(symbols, start)
+    require_depth(adverb, max_depth)
+    return ground(symbols, start, adverb.table)
 
 
 BUILTIN_SURFACES = tuple(p.surface for p in builtin_adverbs())

@@ -150,6 +150,10 @@ def parse_command(tokens) -> Command:
     return Command(verb=verb, shape=shape, color=color, size_adj=size_adj, adverb=adverb)
 
 
+# STEP of the egocentric actions, keyed by action, then heading: execute's lookup.
+_STEP_BY_ACTION = {a: {h: STEP[h, a] for h in HEADINGS} for a in EGO_SYMBOLS}
+
+
 def execute(world: WorldState, actions) -> WorldState:
     """Simulate an egocentric action sequence and return the world it leaves.
 
@@ -176,7 +180,7 @@ def execute(world: WorldState, actions) -> WorldState:
     pending: str | None = None
 
     for action in actions:
-        heading, dr, dc = STEP[heading, action]
+        heading, dr, dc = _STEP_BY_ACTION[action][heading]
         if not (dr or dc):
             continue  # turns and stay do not move
         if action == "walk":
@@ -203,13 +207,15 @@ def execute(world: WorldState, actions) -> WorldState:
                 raise Blocked(f"cell {Position(row, col)} is occupied")
             trow, tcol = row, col
 
-    objects = list(world.objects)
-    objects[world.target_index] = GridObject(target.shape, target.color, target.size, Position(trow, tcol))
+    objects = world.objects
+    if (trow, tcol) != (target.position.row, target.position.col):
+        moved = GridObject(target.shape, target.color, target.size, Position(trow, tcol))
+        objects = (*objects[: world.target_index], moved, *objects[world.target_index + 1 :])
     return WorldState(
         grid_size=n,
         agent_position=Position(row, col),
         agent_heading=heading,
-        objects=tuple(objects),
+        objects=objects,
         target_index=world.target_index,
     )
 
@@ -293,27 +299,28 @@ def sample_situation(
     """
     if grid_size < 2:
         raise ConfigError("grid_size must be at least 2")
+    if not 0 <= distractors[0] <= distractors[1]:
+        raise ConfigError(f"distractors must be [min, max] with 0 <= min <= max, not {distractors!r}")
     all_cells = _grid_cells(grid_size)
+    counts = range(distractors[0], distractors[1] + 1)
+    # seq[randbelow(len(seq))] is what rng.choice and rng.randint draw, without their calls.
+    randbelow = rng._randbelow
+    n_shapes, n_colors, n_sizes = len(SHAPES), len(COLORS), len(SIZES)
 
     for _ in range(SITUATION_ATTEMPTS):
         agent_pos, target_pos = rng.sample(all_cells, 2)
-        heading = rng.choice(("north", "east", "south", "west"))
+        heading = HEADINGS[randbelow(len(HEADINGS))]
         r0, r1 = sorted((agent_pos.row, target_pos.row))
         c0, c1 = sorted((agent_pos.col, target_pos.col))
         free = _cells_outside(grid_size, r0, r1, c0, c1)
 
-        n_distractors = rng.randint(distractors[0], distractors[1])
+        n_distractors = counts[randbelow(len(counts))]
         if len(free) < n_distractors:
             continue
         cells = rng.sample(free, n_distractors)
 
         objects = [
-            GridObject(
-                shape=rng.choice(SHAPES),
-                color=rng.choice(COLORS),
-                size=rng.choice(SIZES),
-                position=cell,
-            )
+            GridObject(SHAPES[randbelow(n_shapes)], COLORS[randbelow(n_colors)], SIZES[randbelow(n_sizes)], cell)
             for cell in (target_pos, *cells)
         ]
         world = WorldState(

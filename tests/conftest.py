@@ -9,7 +9,8 @@ import pytest
 
 from mannerforge import apply_program, builtin_adverbs, ground
 from mannerforge.forge import EXAMPLES_FILE, MANIFEST_FILE, MODULE_FILES, _generate_one, build_lexicon
-from mannerforge.world import world_to_dict
+from mannerforge.errors import ExhaustedRetries
+from mannerforge.world import COLORS, SHAPES, SIZES, GridObject, Position, WorldState, describe_target, world_to_dict
 
 TURN_LEFT_CYCLE = {"east": "north", "north": "west", "west": "south", "south": "east"}
 TURN_RIGHT_CYCLE = {v: k for k, v in TURN_LEFT_CYCLE.items()}
@@ -50,6 +51,32 @@ def trace_cells(ego_sequence, start=(0, 0), heading="east"):
         if cell != collapsed[-1]:
             collapsed.append(cell)
     return collapsed
+
+
+def reference_sample_situation(rng, grid_size, distractors, max_attempts=200):
+    """sample_situation as it was written before its cell tables and its direct
+    draws: the free cells are listed afresh for every attempt, and every draw
+    is an rng.choice or rng.randint call."""
+    all_cells = [Position(r, c) for r in range(grid_size) for c in range(grid_size)]
+    for _ in range(max_attempts):
+        agent_pos, target_pos = rng.sample(all_cells, 2)
+        heading = rng.choice(("north", "east", "south", "west"))
+        r0, r1 = sorted((agent_pos.row, target_pos.row))
+        c0, c1 = sorted((agent_pos.col, target_pos.col))
+        free = [p for p in all_cells if not (r0 <= p.row <= r1 and c0 <= p.col <= c1)]
+        n_distractors = rng.randint(distractors[0], distractors[1])
+        if len(free) < n_distractors:
+            continue
+        cells = rng.sample(free, n_distractors)
+        objects = [
+            GridObject(rng.choice(SHAPES), rng.choice(COLORS), rng.choice(SIZES), cell)
+            for cell in (target_pos, *cells)
+        ]
+        world = WorldState(grid_size, agent_pos, heading, tuple(objects), 0)
+        phrase = describe_target(world)
+        if phrase is not None:
+            return world, phrase
+    raise ExhaustedRetries("reference sampler gave up")
 
 
 def generate_pairs(cfg, lexicon=None):

@@ -236,10 +236,25 @@ class TestProgramText:
     def test_passes_header_takes_decimal_digits_only(self, value):
         # int() reads the first three and the full-width digit; a registry file
         # or pinned adverb must not be reinterpreted.
-        with pytest.raises(ParseError, match="^line 1, column 1: passes must be decimal digits, not ") as err:
+        with pytest.raises(ParseError, match="^line 2, column 1: passes must be decimal digits, not ") as err:
             parse_program(f"name: x\npasses: {value}\nwalk -> stay walk\n")
         assert repr(value) in str(err.value)
         assert parse_program("name: x\npasses: 2\nwalk -> stay walk\n").passes == 2
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("name: x\npasses: 1_0\n", 2, "passes must be decimal digits, not '1_0'"),
+        ("name: x\nwalk -> stay walk\npasses: 0\n", 3, "passes must be at least 1"),
+        ("# a manner\nname: x\nmode: sideways\nwalk -> stay walk\n", 3, "unknown mode: 'sideways'"),
+        ("name: x\nmode: allocentric\n\nplan_shape: spiral\n", 4, "unknown plan shape: 'spiral'"),
+        ("walk -> stay walk\nname:\n", 2, "missing name header"),
+        ("name: x\nNorth -> turn_left North\nmode: egocentric\n", 3,
+         "egocentric programs may only rewrite egocentric symbols"),
+        ("name: x\nNorth -> turn_left North\n", 1, "egocentric programs may only rewrite egocentric symbols"),
+    ])
+    def test_header_errors_are_placed_at_their_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == f"line {line}, column 1: {message}"
 
     def test_rules_serialized_sorted_by_lhs(self, builtins):
         text = serialize_program(builtins["while spinning"])

@@ -55,6 +55,16 @@ from conftest import (
 # `mannerforge generate --config vocab_x150 --num-examples 2000` at schema 1.
 REFERENCE_MANIFEST_SHA256 = "e6104d903481b5ae8c5c291d94f471aa8ad4328ebc541cc0dc7c7cc3509da55c"
 
+# A 4x4 grid, whose 16 cells rng.sample draws from its pool branch, and a pinned
+# 3-pass adverb; the same config and digest are checked in CI through the console script.
+SMALL_GRID_CONFIG = {
+    "seed": 3, "grid_size": 4, "num_examples": 600, "extra_adverbs": 20,
+    "pinned_adverbs": ["name: in loops\nmode: allocentric\npasses: 3\nNorth -> turn_left North\n"
+                       "West -> turn_right turn_right West\npush -> turn_left turn_right push\n"],
+    "splits": [{"kind": "random", "name": "random", "test_fraction": 0.1}],
+}
+SMALL_GRID_MANIFEST_SHA256 = "f41d51b554691ec63102cc260999e13ae257dd252f93701584967258a3380df6"
+
 BASE_SPLITS = (
     SplitSpec(kind="random", name="random", test_fraction=0.2),
     SplitSpec(kind="k_shot_adverb", name="cautiously_k5", surface="cautiously", k=5),
@@ -614,10 +624,16 @@ class TestPersistence:
         assert digest == REFERENCE_MANIFEST_SHA256
         assert len(inline_pool) == (0 if jobs == 1 else {1: 2000, 7: 286, 100: 20, 500: 16}[chunk])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_small_grid_manifest_digest(self, tmp_path, jobs):
+        forge_dataset(ForgeConfig.from_dict(SMALL_GRID_CONFIG), str(tmp_path), jobs=jobs)
+        digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
+        assert digest == SMALL_GRID_MANIFEST_SHA256
+
     def test_forge_heap_peak_is_bounded(self, tmp_path):
         # The forge holds one chunk's examples at a time, besides the rows, lexicon and
-        # caches.  On Python 3.11 the traced peak of this forge is 2.1 MB with chunks of
-        # at most 100 examples, and 5.7 MB with chunks of 500.
+        # caches.  On Python 3.11 the traced peak of this forge is 2.6 MB with chunks of
+        # at most 100 examples, 0.5 MB of it the program tables that solving fills.
         cfg = reference_config(4000)
         tracemalloc.start()
         try:

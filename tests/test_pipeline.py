@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import pytest
 
-import mannerforge.pipeline as pipeline_module
 from conftest import trace_cells
 from mannerforge.dsl import apply_program, ground, parse_program
 from mannerforge.errors import AmbiguousReferent, NoReferent, UnknownAdverb
@@ -255,27 +254,25 @@ class TestSolve:
         assert goal_satisfied("push", world, final)
         assert final.target.position == Position(world.grid_size - 1, 3)
 
-    def test_plan_and_interactions_are_rewritten_apart(self, monkeypatch):
-        # No rewrite sees the plan joined to its interactions: the plan is rewritten
-        # once, then the interactions once; the target is still the joined transform.
+    def test_plan_and_interactions_are_rewritten_apart(self):
+        # The plan and the interactions are transformed one after the other, symbol
+        # by symbol through the program's table, and the target is still the
+        # transform of the two joined.  Each table entry the solve filled is its
+        # symbol rewritten by the whole program, then grounded from its heading.
         wander = parse_program("name: while wandering\nmode: allocentric\nEast -> North East South\n")
         lexicon = Lexicon.build([wander])
         world = make_world(agent=(2, 1), heading="east",
                            objects=[GridObject("circle", "red", 1, Position(2, 3))])
-        calls = []
-
-        def recording(program, sequence, max_depth=10):
-            calls.append(tuple(sequence))
-            return apply_program(program, sequence, max_depth)
-
-        monkeypatch.setattr(pipeline_module, "apply_program", recording)
         for surface in lexicon.surfaces():
-            calls.clear()
+            program = lexicon.lookup(surface)
+            program.table.clear()
             trace = solve_trace(Command("push", "circle", adverb=tuple(surface.split())), world, lexicon)
             assert trace.interactions
-            assert calls == [trace.plan.symbols, trace.interactions]
             joined = trace.plan.symbols + trace.interactions
-            assert trace.target == transform(joined, lexicon.lookup(surface), world.agent_heading)[0]
+            assert trace.target == transform(joined, program, world.agent_heading)[0]
+            assert {s for _, s in program.table} == set(joined)
+            for (h, s), (after, actions) in program.table.items():
+                assert (actions, after) == ground(apply_program(program, (s,)), h)
 
     def test_solved_commands_execute_and_satisfy_goals(self):
         cfg = MetaGrammarConfig()

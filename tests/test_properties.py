@@ -18,8 +18,16 @@ from conftest import (
     reference_lines,
     trace_cells,
 )
-from mannerforge.dsl import AdverbProgram, RewriteRule, apply_program, parse_program, serialize_program
-from mannerforge.errors import MannerforgeError, OutOfBounds
+from mannerforge.dsl import (
+    AdverbProgram,
+    RewriteRule,
+    apply_program,
+    builtin_adverbs,
+    ground,
+    parse_program,
+    serialize_program,
+)
+from mannerforge.errors import ConfigError, DepthExceeded, MannerforgeError, OutOfBounds
 from mannerforge.forge import (
     RECORD_FILES,
     Example,
@@ -28,6 +36,7 @@ from mannerforge.forge import (
     _percept_json,
     _serialize,
     _situation_json,
+    _symbols,
     forge_dataset,
 )
 from mannerforge.metagrammar import (
@@ -201,6 +210,57 @@ def test_arbitrary_program_text_round_trips(program):
     assert parse_program(serialize_program(program)) == program
 
 
+PINNED_3_PASS = parse_program(
+    "name: in loops\nmode: allocentric\npasses: 3\nNorth -> turn_left North\n"
+    "West -> turn_right turn_right West\npush -> turn_left turn_right push\n"
+)
+# Sampled programs of each samplable type, the built-ins, a pinned 3-pass program,
+# and arbitrary ones.  The built-ins and the pinned program are shared between
+# examples, so their tables are checked both fresh and filled.
+TABLE_PROGRAMS = st.one_of(
+    st.builds(
+        lambda seed, adverb_type: sample_program(random.Random(seed), adverb_type, MetaGrammarConfig()),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([SPINNING_TYPE, CAUTIOUSLY_TYPE, DETOUR_TYPE]),
+    ),
+    st.sampled_from([*builtin_adverbs(), PINNED_3_PASS]),
+    programs(),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    program=TABLE_PROGRAMS,
+    sequence=st.lists(st.sampled_from([*sorted(ALL_SYMBOLS), "hop"]), max_size=12),
+    heading=st.sampled_from(HEADINGS),
+    max_depth=st.integers(0, 5),
+)
+def test_transform_is_ground_of_apply_program(program, sequence, heading, max_depth):
+    # The one fold over the program's table against rewriting the whole sequence,
+    # then grounding it; a refusal ("hop" is no symbol, max_depth 0, or fewer
+    # passes allowed than the program needs) keeps its class and message.
+    try:
+        expected = ground(apply_program(program, sequence, max_depth), heading)
+    except MannerforgeError as exc:
+        with pytest.raises(MannerforgeError) as err:
+            transform(sequence, program, heading, max_depth)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+    else:
+        assert transform(sequence, program, heading, max_depth) == expected
+
+
+@pytest.mark.parametrize("sequence, heading, max_depth, error, message", [
+    (("North", "push"), "east", 2, DepthExceeded, "program 'in loops' needs 3 passes, depth limit 2"),
+    (("North", "push"), "east", 0, ConfigError, "max_depth must be at least 1"),
+    (("North", "hop", "push"), "east", 3, ConfigError, "unknown action symbol: 'hop'"),
+    ((), "up", 3, ConfigError, "unknown heading: 'up'"),
+])
+def test_transform_refusals(sequence, heading, max_depth, error, message):
+    with pytest.raises(error) as err:
+        transform(sequence, PINNED_3_PASS, heading, max_depth)
+    assert str(err.value) == message
+
+
 # The built-ins (spinning, cautiously, zigzag and hesitantly) plus sampled
 # spinning, cautiously and detour programs; None stands for no adverb.
 LEXICON = Lexicon.build(
@@ -321,6 +381,13 @@ def test_templates_cover_every_heading_shape_color_and_size():
         world = WorldState(12, Position(11, 10), heading, (GridObject(shape, color, size, Position(10, 11)),), 0)
         assert _situation_json(world) == _encoded(world_to_dict(world))
         _check_lines(_pair(world))
+
+
+@PROPERTY_SETTINGS
+@given(symbols=st.lists(st.sampled_from(sorted(ALL_SYMBOLS)), max_size=40))
+def test_symbol_lists_match_the_encoder(symbols):
+    # Targets, plans and interactions are written without an escaping check.
+    assert _symbols(tuple(symbols)) == _encoded(symbols)
 
 
 @pytest.mark.parametrize(

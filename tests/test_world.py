@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from conftest import reference_sample_situation
 from mannerforge.errors import (
     AlloSymbolPresent,
     AmbiguousReferent,
@@ -13,14 +14,10 @@ from mannerforge.errors import (
     OutOfBounds,
 )
 from mannerforge.world import (
-    COLORS,
-    SHAPES,
-    SIZES,
     Command,
     GridObject,
     Position,
     WorldState,
-    describe_target,
     execute,
     parse_command,
     render_world,
@@ -40,31 +37,6 @@ def make_world(agent=(3, 2), heading="east", objects=None, target=0, size=6):
         objects=tuple(objects),
         target_index=target,
     )
-
-
-def reference_sample_situation(rng, grid_size, distractors, max_attempts=200):
-    """sample_situation as it was written before its cell tables: the free
-    cells are listed afresh for every attempt."""
-    all_cells = [Position(r, c) for r in range(grid_size) for c in range(grid_size)]
-    for _ in range(max_attempts):
-        agent_pos, target_pos = rng.sample(all_cells, 2)
-        heading = rng.choice(("north", "east", "south", "west"))
-        r0, r1 = sorted((agent_pos.row, target_pos.row))
-        c0, c1 = sorted((agent_pos.col, target_pos.col))
-        free = [p for p in all_cells if not (r0 <= p.row <= r1 and c0 <= p.col <= c1)]
-        n_distractors = rng.randint(distractors[0], distractors[1])
-        if len(free) < n_distractors:
-            continue
-        cells = rng.sample(free, n_distractors)
-        objects = [
-            GridObject(rng.choice(SHAPES), rng.choice(COLORS), rng.choice(SIZES), cell)
-            for cell in (target_pos, *cells)
-        ]
-        world = WorldState(grid_size, agent_pos, heading, tuple(objects), 0)
-        phrase = describe_target(world)
-        if phrase is not None:
-            return world, phrase
-    raise ExhaustedRetries("reference sampler gave up")
 
 
 class TestExecute:
@@ -236,17 +208,31 @@ class TestSampleSituation:
         with pytest.raises(ExhaustedRetries):
             sample_situation(random.Random(0), 2, (5, 5))
 
-    @pytest.mark.parametrize("distractors", [(0, 0), (0, 3), (2, 5)])
+    # (0, 12) and (5, 9) ask for more distractors than a small grid has free
+    # cells, so those attempts are drawn and thrown away.
+    DISTRACTOR_RANGES = [(0, 0), (0, 3), (2, 5), (0, 12), (5, 9)]
+
+    @pytest.mark.parametrize("distractors", DISTRACTOR_RANGES)
     @pytest.mark.parametrize("grid_size", range(2, 9))
     def test_same_worlds_as_the_reference_sampler(self, grid_size, distractors):
-        for seed in range(300):
+        # The same world and phrase, or the same ExhaustedRetries, and the generator
+        # left in the same state: 400 seeds a range, 2000 a grid size.
+        first = 400 * self.DISTRACTOR_RANGES.index(distractors)
+        for seed in range(first, first + 400):
+            expected_rng, rng = random.Random(seed), random.Random(seed)
             try:
-                expected = reference_sample_situation(random.Random(seed), grid_size, distractors)
+                expected = reference_sample_situation(expected_rng, grid_size, distractors)
             except ExhaustedRetries:
                 with pytest.raises(ExhaustedRetries):
-                    sample_situation(random.Random(seed), grid_size, distractors)
-                continue
-            assert sample_situation(random.Random(seed), grid_size, distractors) == expected
+                    sample_situation(rng, grid_size, distractors)
+            else:
+                assert sample_situation(rng, grid_size, distractors) == expected
+            assert rng.getstate() == expected_rng.getstate()
+
+    @pytest.mark.parametrize("distractors", [(3, 2), (-1, 2)])
+    def test_distractor_range_is_checked(self, distractors):
+        with pytest.raises(ValueError, match=re.escape(f"distractors must be [min, max] with 0 <= min <= max, not {distractors!r}")):
+            sample_situation(random.Random(0), 6, distractors)
 
 
 class TestCommandSurface:
