@@ -253,12 +253,18 @@ def serialize_program(program: AdverbProgram) -> str:
 
 
 def parse_program(text: str) -> AdverbProgram:
+    return _parse_program(text, 1)
+
+
+def _parse_program(text: str, first_line: int) -> AdverbProgram:
+    """parse_program of text that begins at line `first_line` of a file; its errors
+    name lines of that file."""
     headers: dict[str, str] = {}
     header_line: dict[str, int] = {}  # the line each header is on, where its errors are placed
     rules: list[RewriteRule] = []
     seen_lhs: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -294,7 +300,7 @@ def parse_program(text: str) -> AdverbProgram:
             raise ParseError("expected 'key: value' header or 'LHS -> SYM ...' rule", lineno)
 
     if not headers.get("name"):
-        raise ParseError("missing name header", header_line.get("name", 1))
+        raise ParseError("missing name header", header_line.get("name", first_line))
     passes = headers.get("passes", "1")
     if not re.fullmatch("[0-9]+", passes):  # int() would read 1_0, +2 and non-ASCII digits too
         raise ParseError(f"passes must be decimal digits, not {passes!r}", header_line["passes"])
@@ -316,7 +322,7 @@ def parse_program(text: str) -> AdverbProgram:
             plan_shape=plan_shape,
         )
     except ValueError as exc:  # rules that do not suit the mode
-        raise ParseError(str(exc), header_line.get("mode", 1)) from None
+        raise ParseError(str(exc), header_line.get("mode", first_line)) from None
 
 
 def serialize_registry(programs) -> str:
@@ -324,7 +330,14 @@ def serialize_registry(programs) -> str:
 
 
 def parse_registry(text: str) -> list[AdverbProgram]:
-    return [parse_program(block) for block in text.split("\n\n") if block.strip()]
+    """The programs of a registry, one a block, blocks parted by an empty line; an
+    error names its line of the whole text."""
+    programs, first_line = [], 1
+    for block in text.split("\n\n"):
+        if block.strip():
+            programs.append(_parse_program(block, first_line))
+        first_line += block.count("\n") + 2
+    return programs
 
 
 def decode_text(data: bytes) -> str:

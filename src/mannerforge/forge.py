@@ -419,6 +419,8 @@ def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str,
 
 # json.dumps(record, sort_keys=True, separators=(",", ":")), with one encoder for all calls.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# json.loads of a str, without its per-call checks; read_predictions decodes with it too.
+decode_json = json.JSONDecoder().decode
 
 
 _RECORD_KEYS = {"index", "split", "command", "target", "situation", "adverb", "verb"}
@@ -506,7 +508,7 @@ class ExampleLines(Sequence):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # a negative i as its line's position
         try:
-            example = example_from_record(json.loads(self._lines[i]))
+            example = example_from_record(decode_json(self._lines[i].decode("utf-8")))
         except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON (or JSON nested too deep), record or world
             raise MalformedRecord(self.path, i + 1, str(exc)) from None
         if example.index != i:

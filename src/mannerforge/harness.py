@@ -23,7 +23,7 @@ from .errors import (
     UnknownIndex,
     UnknownSplit,
 )
-from .forge import Dataset, Example
+from .forge import Dataset, Example, decode_json
 from .pipeline import goal_satisfied
 from .symbols import ALL_SYMBOLS
 from .world import execute
@@ -103,6 +103,29 @@ def semantically_valid(example: Example, prediction) -> bool:
     return goal_satisfied(example.verb, example.world, final)
 
 
+def _prediction_json(index: int, prediction: tuple) -> str:
+    """json.dumps({"index": index, "prediction": list(prediction)}, sort_keys=True), written
+    directly when the index is an int and every token an action symbol, which needs no
+    escaping."""
+    try:
+        plain = type(index) is int and ALL_SYMBOLS.issuperset(prediction)
+    except TypeError:  # an unhashable token
+        plain = False
+    if not plain:
+        tokens = json.dumps(list(prediction))
+    else:
+        tokens = '["' + '", "'.join(prediction) + '"]' if prediction else "[]"
+    return f'{{"index": {index}, "prediction": {tokens}}}'
+
+
+def _strings_only(items: list) -> bool:
+    try:
+        "".join(items)  # TypeError at the first item that is no string
+    except TypeError:
+        return False
+    return True
+
+
 def read_predictions(path: str) -> list[PredictionRecord]:
     """The records of a predictions file, one JSON object a line; blank lines are skipped.
     Any fault in a line, bytes that are not UTF-8 among them, is MalformedRecord(path, lineno, ...)."""
@@ -112,7 +135,7 @@ def read_predictions(path: str) -> list[PredictionRecord]:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line.decode("utf-8"))
+                data = decode_json(line.decode("utf-8"))
             except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or JSON nested too deep
                 raise MalformedRecord(path, lineno, str(exc)) from None
             if type(data) is not dict:
@@ -123,7 +146,7 @@ def read_predictions(path: str) -> list[PredictionRecord]:
             index, prediction = data["index"], data["prediction"]
             if type(index) is not int:  # bool is an int subclass
                 raise MalformedRecord(path, lineno, f"index must be an integer, not {index!r}")
-            if not isinstance(prediction, list) or not all(isinstance(t, str) for t in prediction):
+            if type(prediction) is not list or not _strings_only(prediction):  # "".join takes a str too
                 raise MalformedRecord(path, lineno, "prediction must be a list of strings")
             prediction = tuple(map(_SYMBOLS.get, prediction, prediction))  # unknown tokens as they are
             records.append(PredictionRecord(index=index, prediction=prediction))
@@ -143,13 +166,8 @@ def evaluate(dataset: Dataset, predictions, split_names=None) -> EvalReport:
             raise UnknownIndex(f"prediction for index {record.index} not in dataset")
         if record.index in predicted:
             raise DuplicatePrediction(f"index {record.index} predicted more than once")
-        predicted[record.index] = tuple(record.prediction)
-        digest.update(
-            json.dumps(
-                {"index": record.index, "prediction": list(record.prediction)},
-                sort_keys=True,
-            ).encode("utf-8")
-        )
+        predicted[record.index] = prediction = tuple(record.prediction)
+        digest.update(_prediction_json(record.index, prediction).encode("utf-8"))
 
     if split_names is None:
         selected = dict(dataset.splits)

@@ -49,6 +49,19 @@ class GridObject:
     position: Position
 
 
+# One shared value per cell and per object, as world_from_dict, execute and
+# sample_situation build them: a hit costs a fifth of a construction.  typed=True keys
+# True, 1 and 1.0 apart, so no call is handed a value of another type than its own.
+@lru_cache(maxsize=1 << 12, typed=True)
+def _cell(row: int, col: int) -> Position:
+    return Position(row, col)
+
+
+@lru_cache(maxsize=1 << 14, typed=True)
+def _object(shape: str, color: str, size: int, row: int, col: int) -> GridObject:
+    return GridObject(shape, color, size, _cell(row, col))
+
+
 @dataclass(frozen=True)
 class WorldState:
     grid_size: int
@@ -209,11 +222,11 @@ def execute(world: WorldState, actions) -> WorldState:
 
     objects = world.objects
     if (trow, tcol) != (target.position.row, target.position.col):
-        moved = GridObject(target.shape, target.color, target.size, Position(trow, tcol))
+        moved = _object(target.shape, target.color, target.size, trow, tcol)
         objects = (*objects[: world.target_index], moved, *objects[world.target_index + 1 :])
     return WorldState(
         grid_size=n,
-        agent_position=Position(row, col),
+        agent_position=_cell(row, col),
         agent_heading=heading,
         objects=objects,
         target_index=world.target_index,
@@ -271,7 +284,7 @@ def describe_target(world: WorldState) -> tuple[str, ...] | None:
 @lru_cache(maxsize=None)
 def _grid_cells(grid_size: int) -> tuple[Position, ...]:
     """Every cell of the grid, row by row."""
-    return tuple(Position(r, c) for r in range(grid_size) for c in range(grid_size))
+    return tuple(_cell(r, c) for r in range(grid_size) for c in range(grid_size))
 
 
 @lru_cache(maxsize=4096)
@@ -320,7 +333,8 @@ def sample_situation(
         cells = rng.sample(free, n_distractors)
 
         objects = [
-            GridObject(SHAPES[randbelow(n_shapes)], COLORS[randbelow(n_colors)], SIZES[randbelow(n_sizes)], cell)
+            _object(SHAPES[randbelow(n_shapes)], COLORS[randbelow(n_colors)], SIZES[randbelow(n_sizes)],
+                    cell.row, cell.col)
             for cell in (target_pos, *cells)
         ]
         world = WorldState(
@@ -393,7 +407,8 @@ def _laid_out(data, keys: set, where: str) -> dict:
 def world_from_dict(data: dict, where: str = "") -> WorldState:
     """The world a world_to_dict object describes, its keys checked as _laid_out checks
     them: inline while the objects are built, then, only if that finds a fault, key by
-    key to name the first bad one, its path prefixed with `where` (say "situation.")."""
+    key to name the first bad one, its path prefixed with `where` (say "situation.").
+    Its agent cell and objects are the shared ones of _cell and _object."""
     try:
         agent, objects = data["agent"], data["objects"]
         bad = not (data.keys() == _WORLD_KEYS and agent.keys() == _AGENT_KEYS and type(objects) is list
@@ -404,7 +419,8 @@ def world_from_dict(data: dict, where: str = "") -> WorldState:
             shape, color, size, row, col = o["shape"], o["color"], o["size"], o["row"], o["col"]
             bad = bad or o.keys() != _OBJECT_KEYS or (shape, color, size) not in _KNOWN
             bad = bad or not type(size) is type(row) is type(col) is int
-            built.append(GridObject(shape, color, size, Position(row, col)))
+            if not bad:  # the key-by-key check below raises for a bad world
+                built.append(_object(shape, color, size, row, col))
     except (AttributeError, KeyError, TypeError):
         bad = True
     if bad:
@@ -412,7 +428,7 @@ def world_from_dict(data: dict, where: str = "") -> WorldState:
         _laid_out(data["agent"], _AGENT_KEYS, f"{where}agent.")
         for i, o in enumerate(data["objects"]):
             _laid_out(o, _OBJECT_KEYS, f"{where}objects[{i}].")
-    agent_pos = Position(agent["row"], agent["col"])
+    agent_pos = _cell(agent["row"], agent["col"])
     return WorldState(data["grid_size"], agent_pos, agent["heading"], tuple(built), data["target_index"])
 
 

@@ -274,6 +274,22 @@ class TestRegistryText:
         data = serialize_registry(programs).replace("\n", newline).encode()
         assert parse_registry(decode_text(data)) == programs
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("name: a\nwalk -> stay walk\n\nname: b\nwalk -> fly\n", 5, "column 9: unknown symbol 'fly'"),
+        ("name: a\nwalk -> stay walk\n\nname: b\npasses: 0\nwalk -> stay\n", 5, "column 1: passes must be at least 1"),
+        ("name: a\nwalk -> stay walk\n\n\n\nwalk -> stay\n", 6, "column 1: missing name header"),
+        ("name: a\nwalk -> stay walk\n\nname: b\nNorth -> North\n", 4,
+         "column 1: egocentric programs may only rewrite egocentric symbols"),
+    ])
+    def test_errors_name_their_line_of_the_registry(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_registry(text)
+        assert str(err.value) == f"line {line}, {message}"
+
+    def test_duplicate_lhs_names_its_line_of_the_registry(self):
+        with pytest.raises(DuplicateLhs, match="^line 6: second rule for 'walk'$"):
+            parse_registry("name: a\nwalk -> stay walk\n\nname: b\nwalk -> stay\nwalk -> walk\n")
+
     @pytest.mark.parametrize("data, line, column", [
         (b"\xff", 1, 1),
         (b"name: caf\xe9\n", 1, 10),

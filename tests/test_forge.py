@@ -16,6 +16,7 @@ from mannerforge.errors import (
     DigestMismatch,
     InsufficientExamples,
     MalformedRecord,
+    ParseError,
     RetryExhausted,
     SchemaMismatch,
     UnknownConfigKey,
@@ -810,6 +811,20 @@ class TestReadDataset:
         with pytest.raises(MalformedRecord, match=message) as err:
             read_dataset(str(tmp_path))
         assert err.value.path == str(tmp_path / "splits.json")
+
+    def test_registry_fault_names_its_line_of_the_file(self, small_corpus, tmp_path):
+        write_corpus(small_corpus, tmp_path)
+        path = tmp_path / "registry.txt"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        k = max(i for i, line in enumerate(lines) if "->" in line)  # the last rule, far from line 1
+        lines[k] += " fly"
+        data = "\n".join(lines).encode("utf-8")
+        path.write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        edit_manifest(tmp_path, lambda manifest: manifest["files"].update({"registry.txt": digest}))
+        with pytest.raises(ParseError, match="unknown symbol 'fly'$") as err:
+            read_dataset(str(tmp_path))
+        assert err.value.line == k + 1
 
     def test_num_examples_must_be_a_count(self, small_corpus, tmp_path):
         write_corpus(small_corpus, tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -179,6 +180,22 @@ class TestEvaluate:
         b = evaluate(dataset, gold_predictions(dataset))
         assert a == b
 
+    def test_predictions_digest_follows_its_definition(self, dataset, tmp_path):
+        # sha256 over each record's json.dumps({"index": i, "prediction": p},
+        # sort_keys=True), in file order, whatever the tokens hold.
+        odd = [[], ["jump"], ['say "hi"'], ["back\\slash", "walk"], ["très", "☃"], ["walk", "Walk", "walk"]]
+        records = [{"index": ex.index, "prediction": list(ex.target)} for ex in dataset.examples]
+        for record, prediction in zip(records, odd):
+            record["prediction"] = prediction
+        random.Random(3).shuffle(records)
+        path = tmp_path / "preds.ndrec"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+        report = evaluate(dataset, read_predictions(str(path)))
+        expected = hashlib.sha256()
+        for record in records:
+            expected.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+        assert report.predictions_digest == expected.hexdigest()
+
 
 class TestBadRecords:
     def test_evaluate_decodes_each_tested_record(self, corrupted):
@@ -247,6 +264,14 @@ class TestPredictionIO:
             read_predictions(str(path))
         assert err.value.line == 2
 
+
+    @pytest.mark.parametrize("prediction", ["[null]", '[["walk"]]', '{"walk": 1}', '"walk walk"', '["walk", 2]'])
+    def test_prediction_that_is_no_list_of_strings(self, tmp_path, prediction):
+        path = tmp_path / "preds.ndrec"
+        path.write_text('{"index": 0, "prediction": ["walk"]}\n{"index": 1, "prediction": ' + prediction + "}\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_predictions(str(path))
+        assert str(err.value) == f"{path}:2: prediction must be a list of strings"
 
     @pytest.mark.parametrize("record, shown", [('"x"', "'x'"), ("[1]", "[1]"), ("7", "7"), ("null", "None")])
     def test_prediction_line_that_is_no_object(self, tmp_path, record, shown):

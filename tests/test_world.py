@@ -4,10 +4,12 @@ import re
 import pytest
 
 from conftest import reference_sample_situation
+from mannerforge import world as world_module
 from mannerforge.errors import (
     AlloSymbolPresent,
     AmbiguousReferent,
     Blocked,
+    ConfigError,
     ExhaustedRetries,
     IllegalInteraction,
     NoReferent,
@@ -324,6 +326,53 @@ class TestWorldState:
         edit(data)
         with pytest.raises(ValueError, match=re.escape(message)):
             world_from_dict(data)
+
+    @staticmethod
+    def one_object_world(agent=None, **changes):
+        obj = {"shape": "circle", "color": "red", "size": 1, "row": 1, "col": 1, **changes}
+        agent = agent or {"row": 0, "col": 0, "heading": "east"}
+        return {"grid_size": 6, "agent": agent, "target_index": 0, "objects": [obj]}
+
+    @pytest.mark.parametrize("bad_first", [False, True])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"row": True}, "objects[0].row must be an integer, not True"),
+            ({"size": True}, "objects[0].size must be one of (1, 2, 3, 4), not True"),
+            ({"col": 1.0}, "objects[0].col must be an integer, not 1.0"),
+            ({"agent": {"row": True, "col": 0, "heading": "east"}}, "agent.row must be an integer, not True"),
+        ],
+    )
+    def test_interned_values_keep_their_types(self, changes, message, bad_first):
+        # Worlds share their cells and objects, and True == 1 == 1.0: a bad world
+        # must still be refused, and a good one must never get a bad one's values.
+        world_module._cell.cache_clear()  # so that the first world decoded fills them
+        world_module._object.cache_clear()
+
+        def decode_bad():
+            with pytest.raises(ConfigError) as err:
+                world_from_dict(self.one_object_world(**changes))
+            assert str(err.value) == message
+
+        if bad_first:
+            decode_bad()
+        world = world_from_dict(self.one_object_world())
+        if not bad_first:
+            decode_bad()
+        for decoded in (world, world_from_dict(self.one_object_world())):
+            obj, agent = decoded.objects[0], decoded.agent_position
+            assert list(map(type, (obj.size, obj.position.row, obj.position.col, agent.row, agent.col))) == [int] * 5
+
+    def test_decoded_worlds_share_cells_and_objects(self):
+        a = world_from_dict(self.one_object_world())
+        b = world_from_dict(self.one_object_world(agent={"row": 0, "col": 0, "heading": "west"}))
+        assert a.objects[0] is b.objects[0]
+        assert a.agent_position is b.agent_position
+        pushed = execute(make_world(agent=(1, 1), heading="east", objects=[a.objects[0]]), ["push"])
+        assert pushed.target is world_from_dict(self.one_object_world(col=2)).objects[0]
+        assert pushed.agent_position is pushed.target.position
+        for cache in (world_module._cell, world_module._object):
+            assert type(cache.cache_parameters()["maxsize"]) is int
 
     def test_render_shows_agent_and_target(self):
         world = make_world(agent=(3, 2), heading="east")
