@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConfigError, DepthExceeded, DuplicateLhs, ParseError
-from .symbols import ALLO_SYMBOLS, STEP, is_allo, require_heading, require_symbol, turns_between
+from .symbols import ALL_SYMBOLS, ALLO_SYMBOLS, STEP, is_allo, require_heading, require_symbol, turns_between
 
 MODES = ("allocentric", "egocentric")
 PLAN_SHAPES = ("canonical", "zigzag")
@@ -32,7 +32,9 @@ class RewriteRule:
     rhs: tuple[str, ...]
 
     def __post_init__(self):
-        require_symbol(self.lhs)
+        if self.rhs and self.lhs in ALL_SYMBOLS and ALL_SYMBOLS.issuperset(self.rhs):
+            return
+        require_symbol(self.lhs)  # otherwise name the first fault
         if not self.rhs:
             raise ConfigError(f"rule for {self.lhs!r} has empty rhs")
         for s in self.rhs:
@@ -235,9 +237,17 @@ def builtin_adverbs() -> list[AdverbProgram]:
 #
 # '#' starts a comment; canonical form has the headers in the order above and
 # the rules sorted by lhs.  A registry file holds program blocks separated by
-# blank lines, in slot order.
+# blank lines, in slot order.  Lines end at '\n' alone, after '\r\n' and '\r' are
+# made '\n'; any other character that str.splitlines() breaks at may stand in a
+# comment, and is a ParseError in code.
 
 _HEADER_KEYS = ("name", "mode", "passes", "plan_shape")
+_LINE_BREAK = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _newlines(text: str) -> str:
+    """text with every '\r\n' and '\r' made '\n', as a text-mode open() makes them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def serialize_program(program: AdverbProgram) -> str:
@@ -253,27 +263,29 @@ def serialize_program(program: AdverbProgram) -> str:
 
 
 def parse_program(text: str) -> AdverbProgram:
-    return _parse_program(text, 1)
+    return _parse_program(_newlines(text), 1)
 
 
 def _parse_program(text: str, first_line: int) -> AdverbProgram:
-    """parse_program of text that begins at line `first_line` of a file; its errors
-    name lines of that file."""
+    """parse_program of text, its newlines already '\n', that begins at line
+    `first_line` of a file; its errors name lines of that file."""
     headers: dict[str, str] = {}
     header_line: dict[str, int] = {}  # the line each header is on, where its errors are placed
     rules: list[RewriteRule] = []
     seen_lhs: set[str] = set()
+    breaks = _LINE_BREAK.search(text) is not None
 
-    for lineno, raw in enumerate(text.splitlines(), start=first_line):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+    for lineno, raw in enumerate(text.split("\n"), start=first_line):
+        code = raw.partition("#")[0]
+        if breaks and (match := _LINE_BREAK.search(code)):
+            raise ParseError(f"{match.group()!r} in code; only '\\n' ends a line", lineno, match.start() + 1)
+        line = code.rstrip()
+        if not line:
             continue
         if "->" in line:
             lhs_text, _, rhs_text = line.partition("->")
             lhs = lhs_text.strip()
-            try:
-                require_symbol(lhs)
-            except ValueError:
+            if lhs not in ALL_SYMBOLS:
                 raise ParseError(f"unknown rule lhs {lhs!r}", lineno, raw.index(lhs) + 1)
             if lhs in seen_lhs:
                 raise DuplicateLhs(f"line {lineno}: second rule for {lhs!r}")
@@ -281,11 +293,9 @@ def _parse_program(text: str, first_line: int) -> AdverbProgram:
             rhs_tokens = rhs_text.split()
             if not rhs_tokens:
                 raise ParseError("empty rule rhs", lineno, len(line) + 1)
-            for tok in rhs_tokens:
-                try:
-                    require_symbol(tok)
-                except ValueError:
-                    raise ParseError(f"unknown symbol {tok!r}", lineno, raw.index(tok) + 1)
+            if not ALL_SYMBOLS.issuperset(rhs_tokens):
+                tok = next(tok for tok in rhs_tokens if tok not in ALL_SYMBOLS)
+                raise ParseError(f"unknown symbol {tok!r}", lineno, raw.index(tok) + 1)
             rules.append(RewriteRule(lhs, tuple(rhs_tokens)))
         elif ":" in line:
             key, _, value = line.partition(":")
@@ -333,7 +343,7 @@ def parse_registry(text: str) -> list[AdverbProgram]:
     """The programs of a registry, one a block, blocks parted by an empty line; an
     error names its line of the whole text."""
     programs, first_line = [], 1
-    for block in text.split("\n\n"):
+    for block in _newlines(text).split("\n\n"):
         if block.strip():
             programs.append(_parse_program(block, first_line))
         first_line += block.count("\n") + 2
@@ -350,4 +360,4 @@ def decode_text(data: bytes) -> str:
         line_start = head.rfind(b"\n") + 1
         column = len(head[line_start:].decode("utf-8")) + 1
         raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", head.count(b"\n") + 1, column) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return _newlines(text)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import threading
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from contextlib import ExitStack, suppress
@@ -483,11 +484,13 @@ def example_from_record(record: dict) -> Example:
     )
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str, buffer: bytearray) -> str:
+    """A file's sha256, read block by block into `buffer`.  Both the read and each
+    update of a block of 2 KiB or more release the GIL."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    with open(path, "rb", buffering=0) as fh, memoryview(buffer) as view:
+        while size := fh.readinto(view):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -708,8 +711,11 @@ def read_dataset(path: str) -> Dataset:
     The schema version must be supported, and the manifest must list a digest for
     exactly the files of DATASET_FILES, each of which must match; the registry,
     splits and examples files are read once, and the bytes hashed are the bytes
-    parsed.  The examples file must hold exactly num_examples lines, and every
-    split index must lie in [0, num_examples).  The examples are an ExampleLines:
+    parsed.  The module files are hashed on a helper thread meanwhile, and every
+    digest is checked before anything is parsed: a broken dataset raises its first
+    fault in DATASET_FILES order, a missing file's OSError or a DigestMismatch.
+    The examples file must hold exactly num_examples lines, and every split index
+    must lie in [0, num_examples).  The examples are an ExampleLines:
     a record is decoded, with every check of example_from_record and its index
     against its line, each time it is used and is not kept, so a record that
     nothing reads is hashed but never decoded."""
@@ -734,13 +740,35 @@ def read_dataset(path: str) -> Dataset:
         missing, unknown = set(DATASET_FILES) - listed, listed - set(DATASET_FILES)
         raise DigestMismatch(f"the manifest must list the digests of exactly the dataset's files: "
                              f"missing {sorted(missing)}, unknown {sorted(unknown)}")
+    # Each file's outcome: its digest, or whatever exception its read raised, kept to
+    # be raised in file order.  A helper thread hashes the module files, which are
+    # never parsed, while this thread reads the others; the buffer is made here, so
+    # that its blocks come from this thread's malloc arena, not a second one.
+    outcomes: dict[str, str | Exception] = {}
+    buffer = bytearray(1 << 20)
+
+    def hash_module_files():
+        for filename in MODULE_FILES.values():
+            try:
+                outcomes[filename] = _sha256(os.path.join(path, filename), buffer)
+            except Exception as exc:
+                outcomes[filename] = exc
+
     parsed = {}  # the lines of the files parsed below, hashed as they were read
-    for filename in DATASET_FILES:
-        file_path, expected = os.path.join(path, filename), digests[filename]
-        if filename in MODULE_FILES.values():
-            actual = _sha256(file_path)
-        else:
-            parsed[filename], actual = _hashed_lines(file_path)
+    helper = threading.Thread(target=hash_module_files, name="read_dataset-hash")
+    helper.start()
+    try:
+        for filename in (EXAMPLES_FILE, REGISTRY_FILE, SPLITS_FILE):
+            try:
+                parsed[filename], outcomes[filename] = _hashed_lines(os.path.join(path, filename))
+            except Exception as exc:
+                outcomes[filename] = exc
+    finally:
+        helper.join()
+    for filename in DATASET_FILES:  # the first fault in file order, before any parse
+        actual, expected = outcomes[filename], digests[filename]
+        if isinstance(actual, Exception):
+            raise actual
         if actual != expected:
             raise DigestMismatch(f"{filename}: digest {actual} != manifest {expected}")
 

@@ -17,7 +17,7 @@ from mannerforge.dsl import (
     serialize_program,
     serialize_registry,
 )
-from mannerforge.errors import DepthExceeded, DuplicateLhs, ParseError
+from mannerforge.errors import ConfigError, DepthExceeded, DuplicateLhs, ParseError
 from mannerforge.metagrammar import sample_registry
 from mannerforge.symbols import parse_symbols
 
@@ -25,6 +25,9 @@ from conftest import trace_cells
 
 CAUTIOUS = "turn_left turn_right turn_right turn_left"
 SPIN = "turn_left turn_left turn_left turn_left"
+
+# The characters other than '\n' and '\r' at which str.splitlines() breaks a line.
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestApplyPass:
@@ -256,6 +259,51 @@ class TestProgramText:
             parse_program(text)
         assert str(err.value) == f"line {line}, column 1: {message}"
 
+    @pytest.mark.parametrize("text, column, message", [
+        ("name: x\nwalk -> fly\n", 9, "unknown symbol 'fly'"),
+        ("name: x\nwalk -> stay fly hop\n", 14, "unknown symbol 'fly'"),
+        ("name: x\nwalk -> stay walk hop fly\n", 19, "unknown symbol 'hop'"),
+        ("name: x\n  fly -> walk\n", 3, "unknown rule lhs 'fly'"),
+        ("name: x\nwalk fly -> walk\n", 1, "unknown rule lhs 'walk fly'"),
+        ("name: x\n -> walk\n", 1, "unknown rule lhs ''"),
+        ("name: x\nwalk ->  # all comment\n", 8, "empty rule rhs"),
+    ])
+    def test_rule_faults_name_their_token_and_column(self, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == f"line 2, column {column}: {message}"
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
+    def test_other_line_breaks_stay_inside_a_comment(self, char):
+        # str.splitlines() would read the text after them as a line of code.
+        assert parse_program(f"name: a # note{char}walk -> stay walk\n").rules == frozenset()
+        program = parse_program(f"name: a # note{char} more\nwalk -> stay walk\n")
+        assert program.rules == frozenset({RewriteRule("walk", ("stay", "walk"))})
+        with pytest.raises(ParseError) as err:
+            parse_program(f"name: a # note{char} more\nwalk -> stay walk\npush -> fly\n")
+        assert str(err.value) == "line 3, column 9: unknown symbol 'fly'"
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
+    @pytest.mark.parametrize("text, line, column", [
+        ("name: a{}mode: egocentric\n", 1, 8),
+        ("name: a\nwalk -> stay{}walk\n", 2, 13),
+        ("name: a\nwalk -> stay walk{} # a note\n", 2, 18),
+        ("name: a\nwalk -> stay walk\n{}\n", 3, 1),
+    ])
+    def test_other_line_breaks_are_a_parse_error_in_code(self, char, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_program(text.format(char))
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).endswith(f"{char!r} in code; only '\\n' ends a line")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_program_text_newlines_are_normalised(self, newline):
+        text = "name: a\nwalk -> stay walk\npush -> fly\n".replace("\n", newline)
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == "line 3, column 9: unknown symbol 'fly'"
+        assert parse_program(text.replace("fly", "push")) == parse_program("name: a\nwalk -> stay walk\npush -> push\n")
+
     def test_rules_serialized_sorted_by_lhs(self, builtins):
         text = serialize_program(builtins["while spinning"])
         rule_lines = [l for l in text.splitlines() if "->" in l]
@@ -285,6 +333,18 @@ class TestRegistryText:
         with pytest.raises(ParseError) as err:
             parse_registry(text)
         assert str(err.value) == f"line {line}, {message}"
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
+    def test_a_line_break_in_a_comment_moves_no_later_line(self, char):
+        text = f"name: a # note{char} more\nwalk -> stay walk\n\nname: b\nwalk -> fly\n"
+        with pytest.raises(ParseError) as err:
+            parse_registry(text)
+        assert str(err.value) == "line 5, column 9: unknown symbol 'fly'"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_registry_text_newlines_are_normalised(self, newline):
+        programs = sample_registry(random.Random(13), 5)
+        assert parse_registry(serialize_registry(programs).replace("\n", newline)) == programs
 
     def test_duplicate_lhs_names_its_line_of_the_registry(self):
         with pytest.raises(DuplicateLhs, match="^line 6: second rule for 'walk'$"):
@@ -332,6 +392,18 @@ class TestProgramInvariants:
     def test_empty_rhs_rejected(self):
         with pytest.raises(ValueError):
             RewriteRule("walk", ())
+
+    @pytest.mark.parametrize("lhs, rhs, message", [
+        ("fly", ("walk",), "unknown action symbol: 'fly'"),
+        ("fly", (), "unknown action symbol: 'fly'"),  # the lhs before the rhs
+        ("walk", (), "rule for 'walk' has empty rhs"),
+        ("walk", ("stay", "fly", "hop"), "unknown action symbol: 'fly'"),
+        ("North", ["turn_left", "hop"], "unknown action symbol: 'hop'"),
+    ])
+    def test_rule_faults_name_the_first_bad_part(self, lhs, rhs, message):
+        with pytest.raises(ConfigError) as err:
+            RewriteRule(lhs, rhs)
+        assert str(err.value) == message
 
     def test_passes_must_be_positive(self, builtins):
         with pytest.raises(ValueError):

@@ -3,6 +3,9 @@ import hashlib
 import json
 import os
 import random
+import shutil
+import sys
+import threading
 import tracemalloc
 import weakref
 from importlib import resources
@@ -903,6 +906,122 @@ class TestReadDataset:
         with pytest.raises(MalformedRecord, match=message) as err:
             read_dataset(str(tmp_path))
         assert err.value.line == line
+
+
+def flip_byte(path, at=None):
+    """Flip the low bit of one byte of a file, its middle byte by default."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2 if at is None else at] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def break_registry(out_dir):
+    """A registry that fails to parse, with its digest in the manifest, so that only
+    parsing it can find the fault."""
+    path = out_dir / "registry.txt"
+    data = path.read_bytes().replace(b" -> ", b" -> fly ", 1)
+    path.write_bytes(data)
+    digest = hashlib.sha256(data).hexdigest()
+    edit_manifest(out_dir, lambda manifest: manifest["files"].update({"registry.txt": digest}))
+
+
+FAULTS = {
+    "mismatch": lambda out_dir, name: flip_byte(out_dir / name),
+    "missing": lambda out_dir, name: (out_dir / name).unlink(),
+    "unparsable": lambda out_dir, name: break_registry(out_dir),
+}
+
+
+class TestThreadedRead:
+    """read_dataset hashes the module files on a helper thread; every file's fault is
+    still reported as reading the files one by one in DATASET_FILES order reports it."""
+
+    @pytest.fixture(scope="class")
+    def forged(self, tmp_path_factory, small_corpus):
+        out_dir = tmp_path_factory.mktemp("threaded") / "dataset"
+        write_corpus(small_corpus, out_dir)
+        return out_dir
+
+    @pytest.fixture
+    def dataset(self, forged, tmp_path):
+        """A fresh copy of the forged dataset."""
+        return shutil.copytree(forged, tmp_path / "dataset")
+
+    def test_reads_what_it_hashes(self, dataset, small_corpus):
+        threads = threading.active_count()
+        read = read_dataset(str(dataset))
+        assert threading.active_count() == threads
+        assert list(read.examples) == small_corpus[2]
+
+    @pytest.mark.parametrize("faults, raised, name", [
+        ([("mismatch", "perception.ndrec"), ("missing", "registry.txt")], DigestMismatch, "perception.ndrec"),
+        ([("missing", "examples.ndrec"), ("mismatch", "transformation.ndrec")], FileNotFoundError, "examples.ndrec"),
+        ([("unparsable", "registry.txt"), ("mismatch", "navigation.ndrec")], DigestMismatch, "navigation.ndrec"),
+        ([("mismatch", "splits.json"), ("missing", "interaction.ndrec")], FileNotFoundError, "interaction.ndrec"),
+        ([("mismatch", "registry.txt"), ("missing", "transformation.ndrec")], FileNotFoundError, "transformation.ndrec"),
+        ([("missing", "perception.ndrec"), ("mismatch", "examples.ndrec")], DigestMismatch, "examples.ndrec"),
+        ([("missing", "navigation.ndrec"), ("missing", "perception.ndrec")], FileNotFoundError, "perception.ndrec"),
+        ([("missing", "splits.json"), ("unparsable", "registry.txt")], FileNotFoundError, "splits.json"),
+        ([("unparsable", "registry.txt")], ParseError, "registry.txt"),
+    ])
+    def test_first_fault_in_file_order_is_raised(self, dataset, faults, raised, name):
+        for fault, filename in faults:
+            FAULTS[fault](dataset, filename)
+        threads = threading.active_count()
+        with pytest.raises(raised) as err:
+            read_dataset(str(dataset))
+        assert threading.active_count() == threads
+        if raised is DigestMismatch:
+            assert str(err.value).startswith(f"{name}: digest ")
+        elif raised is FileNotFoundError:
+            assert err.value.filename == str(dataset / name)
+        else:
+            assert "unknown symbol 'fly'" in str(err.value)
+
+    def test_outcomes_hold_under_fast_thread_switches(self, dataset, small_corpus):
+        # Both threads record into one dict, each under its own files' keys.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert len(read_dataset(str(dataset)).examples) == len(small_corpus[2])
+            flip_byte(dataset / "transformation.ndrec")
+            (dataset / "splits.json").unlink()
+            for _ in range(10):
+                with pytest.raises(DigestMismatch, match="^transformation.ndrec: digest "):
+                    read_dataset(str(dataset))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("name", list(forge_module.MODULE_FILES.values()))
+    @pytest.mark.parametrize("at", [0, None, -1])
+    def test_a_flipped_module_byte_is_a_digest_mismatch(self, dataset, name, at):
+        flip_byte(dataset / name, at)
+        with pytest.raises(DigestMismatch, match=f"^{name}: digest "):
+            read_dataset(str(dataset))
+
+    def test_an_interrupt_of_the_caller_joins_the_helper(self, dataset, monkeypatch):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(forge_module, "_hashed_lines", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            read_dataset(str(dataset))
+        assert threading.active_count() == threads
+
+    def test_sha256_reads_every_block_into_the_buffer(self, tmp_path):
+        sizes = [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 7]
+        rng = random.Random(22)
+        files = []
+        for size in sizes:
+            data = rng.randbytes(size)
+            path = tmp_path / f"{size}.bin"
+            path.write_bytes(data)
+            files.append((str(path), hashlib.sha256(data).hexdigest()))
+        buffer = bytearray(1 << 20)  # shared, so a short read must not hash a longer one's tail
+        for path, digest in files + files[::-1]:
+            assert forge_module._sha256(path, buffer) == digest, path
 
 
 class TestForgeConfig:
