@@ -294,8 +294,12 @@ def _parse_program(text: str, first_line: int) -> AdverbProgram:
             if not rhs_tokens:
                 raise ParseError("empty rule rhs", lineno, len(line) + 1)
             if not ALL_SYMBOLS.issuperset(rhs_tokens):
-                tok = next(tok for tok in rhs_tokens if tok not in ALL_SYMBOLS)
-                raise ParseError(f"unknown symbol {tok!r}", lineno, raw.index(tok) + 1)
+                at = len(lhs_text) + 2  # past the "->": each token is found after the last
+                for tok in rhs_tokens:
+                    at = raw.index(tok, at)
+                    if tok not in ALL_SYMBOLS:
+                        raise ParseError(f"unknown symbol {tok!r}", lineno, at + 1)
+                    at += len(tok)
             rules.append(RewriteRule(lhs, tuple(rhs_tokens)))
         elif ":" in line:
             key, _, value = line.partition(":")

@@ -12,11 +12,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
+import tempfile
 import threading
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, closing, suppress
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from types import MappingProxyType
 
 from .dsl import MODES, decode_text, parse_program, parse_registry, serialize_registry
@@ -616,27 +619,50 @@ def _forge_chunk(cfg: ForgeConfig, lexicon: Lexicon, lo: int, hi: int, test) -> 
     return _serialize([_generate_one(cfg, lexicon, surfaces, i) for i in range(lo, hi)], test)
 
 
-# A pool worker's config and lexicon, set once per worker by _init_worker.
+# A pool worker's config, lexicon and spill directory, set once per worker by _init_worker.
 _worker_state: tuple = ()
 
 
-def _init_worker(cfg: ForgeConfig, lexicon: Lexicon) -> None:
+def _init_worker(cfg: ForgeConfig, lexicon: Lexicon, spill: str) -> None:
     global _worker_state
-    _worker_state = (cfg, lexicon)
+    _worker_state = (cfg, lexicon, spill)
 
 
 def _worker_chunk(span) -> tuple:
-    return _forge_chunk(*_worker_state, *span)
+    """Forge one span's chunk and write its five blocks back to back to the spill file
+    `<spill>/<lo>`; the blocks' sizes and the chunk's rows, and no bytes."""
+    cfg, lexicon, spill = _worker_state
+    blocks, rows = _forge_chunk(cfg, lexicon, *span)
+    with open(os.path.join(spill, str(span[0])), "wb") as fh:
+        fh.writelines(blocks)
+    return tuple(map(len, blocks)), rows
 
 
-def _pool_chunks(jobs: int, cfg: ForgeConfig, lexicon: Lexicon, spans):
+def _pool_chunks(jobs: int, cfg: ForgeConfig, lexicon: Lexicon, spans, out_dir: str):
     """The spans' chunks, forged by `jobs` workers, in order; the pool ends after the last.
-    Each worker gets the config and lexicon once, when it starts, and each span
-    `(lo, hi, test)` carries only indices."""
-    with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(cfg, lexicon)) as pool:
-        # _worker_chunk is the pool's entry point only: perfbench's tracer treats
-        # each call of it as one made in a worker.
-        yield from pool.imap(_worker_chunk, spans)
+    Each worker gets the config, lexicon and spill directory once, when it starts, and
+    each span `(lo, hi, test)` carries only indices.  A chunk's bytes come back through
+    its spill file, not the pool's result pipe, whose reader the pool's worker-handler
+    thread polls without reading, spinning while a large result drains.  Each file is
+    read once, checked against the sizes the worker sent, and removed; the `.chunks-*`
+    directory in `out_dir` is removed after the workers end, however the forge ends."""
+    spill = tempfile.mkdtemp(prefix=".chunks-", dir=out_dir)
+    try:
+        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(cfg, lexicon, spill)) as pool:
+            # _worker_chunk is the pool's entry point only: perfbench's tracer treats
+            # each call of it as one made in a worker, and hands its result back as a
+            # list, so the result is unpacked by position.
+            for span, result in zip(spans, pool.imap(_worker_chunk, spans)):
+                sizes, rows = result
+                path = os.path.join(spill, str(span[0]))
+                with open(path, "rb") as fh:
+                    data = memoryview(fh.read())
+                os.remove(path)
+                if len(data) != sum(sizes):
+                    raise OSError(f"{path}: {len(data)} bytes, but the worker wrote {sum(sizes)}")
+                yield [data[end - size:end] for size, end in zip(sizes, accumulate(sizes))], rows
+    finally:
+        shutil.rmtree(spill, ignore_errors=True)
 
 
 def _write_records(paths, chunks) -> tuple[list[Row], list[str]]:
@@ -799,12 +825,13 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     spans = [(lo, min(lo + size, n), test.intersection(range(lo, lo + size))) for lo in range(0, n, size)]
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
-        chunks = _pool_chunks(jobs, cfg, lexicon, spans)
+        chunks = _pool_chunks(jobs, cfg, lexicon, spans, out_dir)
     else:
         chunks = (_forge_chunk(cfg, lexicon, *span) for span in spans)
     paths = [os.path.join(out_dir, filename) for filename in RECORD_FILES.values()]
     try:
-        rows, digests = _write_records(paths, chunks)
+        with closing(chunks):  # a pool's spill directory goes before the .part twins
+            rows, digests = _write_records(paths, chunks)
         splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
         for path in paths:
             os.replace(path + ".part", path)

@@ -198,6 +198,19 @@ class TestProgramsEqual:
                         assert programs_equal(a, c)
 
 
+# (rule line, column, token) of an rhs token that is no symbol.
+UNKNOWN_RHS_TOKENS = [
+    ("walk -> stay wal", 14, "wal"),
+    ("push -> stay pus", 14, "pus"),
+    ("walk -> walk wa", 14, "wa"),
+    ("walk -> stay alk", 14, "alk"),
+    ("walk -> walk stay wal wal", 19, "wal"),
+    ("walk -> fly walk fly", 9, "fly"),
+    ("walk\t->\tstay\twal", 14, "wal"),
+    ("walk ->\t\tstay \t walk\twa # wa", 22, "wa"),
+]
+
+
 class TestProgramText:
     def test_rule_line_parses_to_cautious_walk_rule(self):
         text = "name: x\nmode: egocentric\nwalk -> turn_left turn_right turn_right turn_left walk\n"
@@ -273,6 +286,13 @@ class TestProgramText:
             parse_program(text)
         assert str(err.value) == f"line 2, column {column}: {message}"
 
+    @pytest.mark.parametrize("rule, column, token", UNKNOWN_RHS_TOKENS)
+    def test_unknown_rhs_symbol_is_placed_at_its_own_column(self, rule, column, token):
+        # Its text may also occur earlier in the line, inside another word.
+        with pytest.raises(ParseError) as err:
+            parse_program(f"name: x\n{rule}\n")
+        assert str(err.value) == f"line 2, column {column}: unknown symbol {token!r}"
+
     @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
     def test_other_line_breaks_stay_inside_a_comment(self, char):
         # str.splitlines() would read the text after them as a line of code.
@@ -333,6 +353,12 @@ class TestRegistryText:
         with pytest.raises(ParseError) as err:
             parse_registry(text)
         assert str(err.value) == f"line {line}, {message}"
+
+    @pytest.mark.parametrize("rule, column, token", UNKNOWN_RHS_TOKENS)
+    def test_unknown_rhs_symbol_is_placed_at_its_own_column(self, rule, column, token):
+        with pytest.raises(ParseError) as err:
+            parse_registry(f"name: a\nwalk -> stay walk\n\nname: b\n{rule}\n")
+        assert str(err.value) == f"line 5, column {column}: unknown symbol {token!r}"
 
     @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
     def test_a_line_break_in_a_comment_moves_no_later_line(self, char):

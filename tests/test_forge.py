@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import sys
 import threading
@@ -253,19 +254,33 @@ class TestGenerateExamples:
         assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
         assert calls == [cfg]
 
-    def test_pool_chunks_carry_only_bytes_and_rows(self, small_corpus, tmp_path, inline_pool):
+    def test_pool_chunks_carry_only_bytes_and_rows(self, small_corpus, tmp_path, inline_pool, monkeypatch):
+        # A chunk's bytes come back through its spill file: the pool carries five block
+        # sizes and the chunk's rows, and the file is gone once the chunk is consumed.
         cfg, _, _ = small_corpus
+        real_write, left = forge_module._write_records, []
 
-        def plain(value):
-            if isinstance(value, (list, tuple)):  # a Row is a tuple
-                return all(map(plain, value))
-            return value is None or isinstance(value, (bytes, int, str))
+        def watching(paths, chunks):
+            out_dir = os.path.dirname(paths[0])
 
-        assert forged_files(cfg, tmp_path / "two", jobs=2) == forged_files(cfg, tmp_path / "one", jobs=1)
-        assert len(inline_pool) > 1
-        for _, (blocks, rows) in inline_pool:
-            assert len(blocks) == 5 and all(isinstance(b, bytes) for b in blocks)
-            assert rows and all(type(row) is Row and plain(row) for row in rows)
+            def watched():
+                for chunk in chunks:
+                    [spill] = [name for name in os.listdir(out_dir) if name.startswith(".chunks-")]
+                    left.append(os.listdir(os.path.join(out_dir, spill)))
+                    yield chunk
+            return real_write(paths, watched())
+
+        serial = forged_files(cfg, tmp_path / "one", jobs=1)
+        monkeypatch.setattr(forge_module, "_write_records", watching)
+        files = forged_files(cfg, tmp_path / "two", jobs=2)
+        assert files == serial
+        assert len(inline_pool) > 1 and left == [[]] * len(inline_pool)
+        lines = {name: files[name].splitlines(keepends=True) for name in forge_module.RECORD_FILES.values()}
+        for (lo, hi, _), (sizes, rows) in inline_pool:
+            assert type(sizes) is tuple and len(sizes) == 5 and all(type(size) is int for size in sizes)
+            assert sizes == tuple(sum(map(len, lines[name][lo:hi])) for name in forge_module.RECORD_FILES.values())
+            assert [row.index for row in rows] == list(range(lo, hi))
+            assert all(type(row) is Row and all(v is None or type(v) in (int, str) for v in row) for row in rows)
 
     def test_pool_spans_carry_only_indices(self, small_corpus, tmp_path, inline_pool):
         # The config and lexicon reach each worker once, through the pool's initializer;
@@ -553,6 +568,84 @@ class TestModuleDatasets:
         with pytest.raises(OSError, match="No space"):
             forge_dataset(cfg, str(tmp_path), jobs)
         assert list(tmp_path.iterdir()) == []
+
+
+def listing(path) -> list[str]:
+    return sorted(os.listdir(path))
+
+
+class TestSpillFiles:
+    """With jobs > 1 each worker writes its chunk's bytes to a spill file in a
+    `.chunks-*` directory of the output directory; no spill file or directory, and no
+    `.part` twin, outlives the forge, however it ends."""
+
+    def test_pool_forge_leaves_only_the_dataset_files(self, small_corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        forge_dataset(small_corpus[0], str(tmp_path), jobs=2)
+        assert listing(tmp_path) == sorted((*forge_module.DATASET_FILES, forge_module.MANIFEST_FILE))
+
+    def test_worker_failure_is_raised_in_the_parent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        cfg = ForgeConfig(seed=1, grid_size=2, num_examples=40, no_adverb_prob=0.0,
+                          pinned_adverbs=(PLUNGING,), retry_limit=10)
+        with pytest.raises(RetryExhausted) as err:  # 20 chunks of 2
+            forge_dataset(cfg, str(tmp_path), jobs=2)
+        assert type(err.value) is RetryExhausted
+        assert re.fullmatch(r"example \d+: could not realize verb '\w+' with adverb 'while plunging' "
+                            r"on a 2x2 grid after 10 attempts", str(err.value))
+        assert listing(tmp_path) == []
+
+    def test_refused_splits_leave_the_old_dataset_whole(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        forge_dataset(ForgeConfig(seed=1, num_examples=60), str(tmp_path), jobs=2)
+        before = dataset_files(tmp_path)
+        greedy = SplitSpec(kind="k_shot_adverb", name="k", surface="cautiously", k=1000)
+        with pytest.raises(InsufficientExamples, match="need 1000$"):
+            forge_dataset(ForgeConfig(seed=2, num_examples=60, splits=(greedy,)), str(tmp_path), jobs=2)
+        assert dataset_files(tmp_path) == before
+        assert listing(tmp_path) == sorted(before)
+
+    def test_writer_failure_removes_the_spill_directory(self, small_corpus, tmp_path, inline_pool, monkeypatch):
+        # The writer fails with the pool's generator suspended at a chunk; the traceback
+        # that pytest keeps holds the forge's frame, so only closing the generator
+        # removes the spill directory.
+        real_write = forge_module._write_records
+
+        def full_disk(paths, chunks):
+            def failing():
+                yield next(chunks)
+                raise OSError(28, "No space left on device")
+            return real_write(paths, failing())
+
+        monkeypatch.setattr(forge_module, "_write_records", full_disk)
+        with pytest.raises(OSError, match="No space") as err:
+            forge_dataset(small_corpus[0], str(tmp_path), jobs=2)
+        assert err.value.errno == 28 and len(inline_pool) == 1
+        assert listing(tmp_path) == []
+
+    def test_short_spill_file_is_refused(self, small_corpus, tmp_path, inline_pool, monkeypatch):
+        # The second chunk's file loses its last byte: the forge raises before that
+        # chunk reaches the writer, and removes the .part twins and the spill directory.
+        real_chunk, real_write, written = forge_module._worker_chunk, forge_module._write_records, []
+
+        def short(span):
+            sizes, rows = real_chunk(span)
+            if span[0] > 0:
+                with open(os.path.join(forge_module._worker_state[2], str(span[0])), "r+b") as fh:
+                    fh.truncate(sum(sizes) - 1)
+            return sizes, rows
+
+        def recording(paths, chunks):
+            return real_write(paths, (written.append(chunk) or chunk for chunk in chunks))
+
+        monkeypatch.setattr(forge_module, "_worker_chunk", short)
+        monkeypatch.setattr(forge_module, "_write_records", recording)
+        with pytest.raises(OSError, match=r"bytes, but the worker wrote \d+$") as err:
+            forge_dataset(small_corpus[0], str(tmp_path), jobs=2)
+        size = sum(inline_pool[1][1][0])
+        assert str(err.value).endswith(f"{size - 1} bytes, but the worker wrote {size}")
+        assert len(inline_pool) == 2 and len(written) == 1
+        assert listing(tmp_path) == []
 
 
 class TestPersistence:
