@@ -652,9 +652,8 @@ def _pool_chunks(jobs: int, cfg: ForgeConfig, lexicon: Lexicon, spans, out_dir: 
             # _worker_chunk is the pool's entry point only: perfbench's tracer treats
             # each call of it as one made in a worker, and hands its result back as a
             # list, so the result is unpacked by position.
-            for span, result in zip(spans, pool.imap(_worker_chunk, spans)):
-                sizes, rows = result
-                path = os.path.join(spill, str(span[0]))
+            for (lo, _, _), (sizes, rows) in zip(spans, pool.imap(_worker_chunk, spans)):
+                path = os.path.join(spill, str(lo))
                 with open(path, "rb") as fh:
                     data = memoryview(fh.read())
                 os.remove(path)
