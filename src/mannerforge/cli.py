@@ -18,7 +18,7 @@ from importlib import resources
 
 from .dsl import builtin_adverbs, decode_text, ground, parse_program, serialize_registry
 from .errors import ConfigError, MannerforgeError
-from .forge import ForgeConfig, forge_dataset, read_dataset, read_registry
+from .forge import ForgeConfig, forge_dataset, load_json, read_dataset, read_registry
 from .harness import dataset_stats, evaluate, read_predictions
 from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
 from .pipeline import solve, transform
@@ -51,11 +51,8 @@ def _fallback_seed() -> int | None:
 
 def _read_json(path: str, what: str):
     """The JSON value of the file at `path`; ConfigError naming the file if it is not UTF-8 JSON."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or JSON nested too deep
-            raise ConfigError(f"{what} {path!r} is not UTF-8 JSON: {exc}") from None
+    with open(path, "rb") as fh:
+        return load_json(fh.read(), lambda reason: ConfigError(f"{what} {path!r} is not UTF-8 JSON: {reason}"))
 
 
 def _load_config(value: str) -> dict:

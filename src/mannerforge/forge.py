@@ -18,8 +18,8 @@ import threading
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from contextlib import ExitStack, closing, suppress
-from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import accumulate, chain
 from types import MappingProxyType
 
 from .dsl import MODES, decode_text, parse_program, parse_registry, serialize_registry
@@ -128,6 +128,16 @@ _SPLIT_KEYS = {
 }
 
 
+def _to_json(value):
+    """The config JSON of a config value: a dataclass as an object of its fields that are
+    not None, a tuple as a list, a dict as a copy; what from_dict reads back."""
+    if is_dataclass(value):
+        return {f.name: _to_json(v) for f in fields(value) if (v := getattr(value, f.name)) is not None}
+    if type(value) is tuple:
+        return [_to_json(v) for v in value]
+    return dict(value) if type(value) is dict else value
+
+
 def _with_tuples(data: dict, *keys: str) -> dict:
     """A copy of config JSON with the lists under `keys` made tuples."""
     return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in data.items()}
@@ -191,14 +201,6 @@ class SplitSpec:
         elif self.predicate not in PREDICATES:  # predicate
             raise ConfigError(f"predicate must be one of {tuple(PREDICATES)}, not {self.predicate!r}")
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "name": self.name}
-        for key in _SPLIT_KEYS[self.kind]:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = list(value) if type(value) is tuple else value
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "SplitSpec":
         _check_keys(data, cls, "split spec")
@@ -253,24 +255,7 @@ class ForgeConfig:
                 raise ConfigError(f"split name {name!r} is used more than once")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "grid_size": self.grid_size,
-            "num_examples": self.num_examples,
-            "extra_adverbs": self.extra_adverbs,
-            "meta": {
-                "type_weights": dict(self.meta.type_weights),
-                "prefix_len_range": list(self.meta.prefix_len_range),
-                "detour_rhs_max": self.meta.detour_rhs_max,
-                "max_rejects": self.meta.max_rejects,
-            },
-            "splits": [s.to_dict() for s in self.splits],
-            "max_depth": self.max_depth,
-            "no_adverb_prob": self.no_adverb_prob,
-            "distractors": list(self.distractors),
-            "retry_limit": self.retry_limit,
-            "pinned_adverbs": list(self.pinned_adverbs),
-        }
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ForgeConfig":
@@ -423,8 +408,26 @@ def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str,
 
 # json.dumps(record, sort_keys=True, separators=(",", ":")), with one encoder for all calls.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# json.loads of a str, without its per-call checks; read_predictions decodes with it too.
-decode_json = json.JSONDecoder().decode
+# json.loads of a str, without its per-call checks.
+_decode = json.JSONDecoder().decode
+
+
+def load_json(data: bytes, error, *args):
+    """The JSON value of `data`, read as strict UTF-8: no BOM, no UTF-16 or UTF-32.  Bytes
+    that are not UTF-8 JSON, or JSON nested too deep, raise error(*args, reason), built
+    only then, so that a caller per line passes its path and line number as they are."""
+    try:
+        return _decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(*args, str(exc)) from None
+
+
+def _strings_only(items: list) -> bool:
+    try:
+        "".join(items)  # TypeError at the first item that is no string
+    except TypeError:
+        return False
+    return True
 
 
 _RECORD_KEYS = {"index", "split", "command", "target", "situation", "adverb", "verb"}
@@ -432,52 +435,36 @@ _ADVERB_KEYS = {"surface", "type"}
 _RECORD_SPLITS = ("train", "test")  # an example record's "split"
 
 
-def _record_fault(record) -> str:
-    """What is wrong with an example record, naming the first bad key; '' if nothing."""
+def example_from_record(record) -> Example:
+    """The example an examples.ndrec record describes.  Its checks run in one pass, in
+    this order: keys, index, command, target, verb, split, adverb, then the situation
+    (world_from_dict); the first fault raises ConfigError naming its key."""
     if type(record) is not dict:
-        return f"record must be an object, not {record!r}"
+        raise ConfigError(f"record must be an object, not {record!r}")
     if record.keys() != _RECORD_KEYS:
         key = min(record.keys() ^ _RECORD_KEYS)
-        return f"{'unknown' if key in record else 'missing'} record key {key}"
-    adverb = record["adverb"]
-    if type(record["index"]) is not int:
-        return f"index must be an integer, not {record['index']!r}"
-    for key in ("command", "target"):
-        if type(record[key]) is not list or not all(type(token) is str for token in record[key]):
-            return f"{key} must be a list of strings, not {record[key]!r}"
+        raise ConfigError(f"{'unknown' if key in record else 'missing'} record key {key}")
+    index, command, target, verb, adverb = (record["index"], record["command"], record["target"],
+                                            record["verb"], record["adverb"])
+    if type(index) is not int:
+        raise ConfigError(f"index must be an integer, not {index!r}")
+    for key, tokens in (("command", command), ("target", target)):
+        if type(tokens) is not list or not _strings_only(tokens):  # "".join takes a str too
+            raise ConfigError(f"{key} must be a list of strings, not {tokens!r}")
     for key, allowed in (("verb", VERBS), ("split", _RECORD_SPLITS)):
         if record[key] not in allowed:
-            return f"{key} must be one of {allowed}, not {record[key]!r}"
-    if adverb is None:
-        return ""
-    if type(adverb) is not dict or adverb.keys() != _ADVERB_KEYS:
-        return f"adverb must be null or an object with the keys surface and type, not {adverb!r}"
-    if type(adverb["surface"]) is not str or not adverb["surface"]:
-        return f"adverb.surface must be a non-empty string, not {adverb['surface']!r}"
-    if adverb["type"] not in ADVERB_TYPES:
-        return f"adverb.type must be one of {ADVERB_TYPES}, not {adverb['type']!r}"
-    return ""
-
-
-def example_from_record(record: dict) -> Example:
-    """The example an examples.ndrec record describes.  Its keys are checked as
-    world_from_dict checks a world's: inline, then, only if that finds a fault, key by
-    key to name the first bad one (ConfigError)."""
-    try:
-        command, target, verb, adverb = record["command"], record["target"], record["verb"], record["adverb"]
-        surface, adverb_type = (None, None) if adverb is None else (adverb["surface"], adverb["type"])
-        "".join(command + target)  # TypeError unless both hold only strings
-        bad = not (record.keys() == _RECORD_KEYS and type(record["index"]) is int
-                   and type(command) is type(target) is list
-                   and verb in VERBS and record["split"] in _RECORD_SPLITS
-                   and (adverb is None or adverb.keys() == _ADVERB_KEYS and type(surface) is str
-                        and surface != "" and adverb_type in ADVERB_TYPES))
-    except (AttributeError, KeyError, TypeError):
-        bad = True
-    if bad:
-        raise ConfigError(_record_fault(record))
+            raise ConfigError(f"{key} must be one of {allowed}, not {record[key]!r}")
+    surface = adverb_type = None
+    if adverb is not None:
+        if type(adverb) is not dict or adverb.keys() != _ADVERB_KEYS:
+            raise ConfigError(f"adverb must be null or an object with the keys surface and type, not {adverb!r}")
+        surface, adverb_type = adverb["surface"], adverb["type"]
+        if type(surface) is not str or not surface:
+            raise ConfigError(f"adverb.surface must be a non-empty string, not {surface!r}")
+        if adverb_type not in ADVERB_TYPES:
+            raise ConfigError(f"adverb.type must be one of {ADVERB_TYPES}, not {adverb_type!r}")
     return Example(
-        index=record["index"],
+        index=index,
         command=tuple(command),
         world=world_from_dict(record["situation"], "situation."),
         target=tuple(target),
@@ -513,9 +500,10 @@ class ExampleLines(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # a negative i as its line's position
+        record = load_json(self._lines[i], MalformedRecord, self.path, i + 1)
         try:
-            example = example_from_record(decode_json(self._lines[i].decode("utf-8")))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON (or JSON nested too deep), record or world
+            example = example_from_record(record)
+        except ValueError as exc:  # a bad record or world
             raise MalformedRecord(self.path, i + 1, str(exc)) from None
         if example.index != i:
             raise MalformedRecord(self.path, i + 1, f"index {example.index} on the line of index {i}")
@@ -709,11 +697,9 @@ def _example_lines(path: str, lines: list[bytes], n: int) -> list[bytes]:
 
 
 def _read_splits(path: str, data: bytes, n: int) -> dict[str, SplitAssignment]:
-    """The splits of a splits file, each side a list of indices in [0, n)."""
-    try:
-        raw = json.loads(data)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or JSON nested too deep
-        raise MalformedRecord(path, 1, str(exc)) from None
+    """The splits of a splits file, each side a list of distinct indices in [0, n), and
+    no index on two sides of a split: evaluate would score such an index twice."""
+    raw = load_json(data, MalformedRecord, path, 1)
     if type(raw) is not dict:
         raise MalformedRecord(path, 1, f"splits must be an object, not {raw!r}")
     splits = {}
@@ -726,6 +712,10 @@ def _read_splits(path: str, data: bytes, n: int) -> dict[str, SplitAssignment]:
             bad = [i for i in ids if type(i) is not int or not 0 <= i < n]
             if bad:
                 raise MalformedRecord(path, 1, f"split {name!r} {side}: {bad[0]!r} is no index in [0, {n})")
+        if len(set().union(*sides.values())) != sum(map(len, sides.values())):
+            i = next(i for i, count in Counter(chain(*sides.values())).items() if count > 1)
+            listed = " and in ".join(side for side, ids in sides.items() for _ in range(ids.count(i)))
+            raise MalformedRecord(path, 1, f"split {name!r}: index {i} is listed in {listed}")
         splits[name] = SplitAssignment(tuple(sides["train"]), tuple(sides["test"]), tuple(sides["dropped"]))
     return splits
 
@@ -733,29 +723,25 @@ def _read_splits(path: str, data: bytes, n: int) -> dict[str, SplitAssignment]:
 def read_dataset(path: str) -> Dataset:
     """Load a persisted dataset.
 
-    The schema version must be supported, and the manifest must list a digest for
-    exactly the files of DATASET_FILES, each of which must match; the registry,
-    splits and examples files are read once, and the bytes hashed are the bytes
-    parsed.  The module files are hashed on a helper thread meanwhile, and every
-    digest is checked before anything is parsed: a broken dataset raises its first
-    fault in DATASET_FILES order, a missing file's OSError or a DigestMismatch.
+    The schema version must be the integer SCHEMA_VERSION, and the manifest must
+    list a digest for exactly the files of DATASET_FILES, each of which must match;
+    the registry, splits and examples files are read once, and the bytes hashed are
+    the bytes parsed.  The module files are hashed on a helper thread meanwhile, and
+    every digest is checked before anything is parsed: a broken dataset raises its
+    first fault in DATASET_FILES order, a missing file's OSError or a DigestMismatch.
     The examples file must hold exactly num_examples lines, and every split index
-    must lie in [0, num_examples).  The examples are an ExampleLines:
-    a record is decoded, with every check of example_from_record and its index
-    against its line, each time it is used and is not kept, so a record that
-    nothing reads is hashed but never decoded."""
+    must lie in [0, num_examples) and appear once in its split.  The examples are
+    an ExampleLines: a record is decoded, with every check of example_from_record
+    and its index against its line, each time it is used and is not kept, so a
+    record that nothing reads is hashed but never decoded."""
     manifest_path = os.path.join(path, MANIFEST_FILE)
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or JSON nested too deep
-            raise SchemaMismatch(f"manifest is not UTF-8 JSON: {exc}") from None
+    with open(manifest_path, "rb") as fh:
+        manifest = load_json(fh.read(), lambda reason: SchemaMismatch(f"manifest is not UTF-8 JSON: {reason}"))
     if type(manifest) is not dict:
         raise SchemaMismatch(f"manifest must be an object, not {manifest!r}")
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"dataset schema {manifest.get('schema_version')!r}, reader supports {SCHEMA_VERSION}"
-        )
+    version = manifest.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1 and 1.0 == 1
+        raise SchemaMismatch(f"dataset schema {version!r}, reader supports {SCHEMA_VERSION}")
     n = manifest.get("num_examples")
     if type(n) is not int or n < 0:
         raise SchemaMismatch(f"manifest num_examples must be a count, not {n!r}")

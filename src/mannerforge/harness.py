@@ -23,7 +23,7 @@ from .errors import (
     UnknownIndex,
     UnknownSplit,
 )
-from .forge import Dataset, Example, decode_json
+from .forge import Dataset, Example, _strings_only, load_json
 from .pipeline import goal_satisfied
 from .symbols import ALL_SYMBOLS
 from .world import execute
@@ -118,14 +118,6 @@ def _prediction_json(index: int, prediction: tuple) -> str:
     return f'{{"index": {index}, "prediction": {tokens}}}'
 
 
-def _strings_only(items: list) -> bool:
-    try:
-        "".join(items)  # TypeError at the first item that is no string
-    except TypeError:
-        return False
-    return True
-
-
 def read_predictions(path: str) -> list[PredictionRecord]:
     """The records of a predictions file, one JSON object a line; blank lines are skipped.
     Any fault in a line, bytes that are not UTF-8 among them, is MalformedRecord(path, lineno, ...)."""
@@ -134,10 +126,7 @@ def read_predictions(path: str) -> list[PredictionRecord]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                data = decode_json(line.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or JSON nested too deep
-                raise MalformedRecord(path, lineno, str(exc)) from None
+            data = load_json(line, MalformedRecord, path, lineno)
             if type(data) is not dict:
                 raise MalformedRecord(path, lineno, f"prediction record must be an object, not {data!r}")
             if data.keys() != _PREDICTION_KEYS:

@@ -806,6 +806,19 @@ def rewrite_splits(out_dir, edit):
     edit_manifest(out_dir, lambda manifest: manifest["files"].update({"splits.json": digest}))
 
 
+# One fault of each of an example record's checks, in the order they run.
+RECORD_FAULTS = (
+    ("colour", "red", "unknown record key colour"),
+    ("index", "1", "index must be an integer"),
+    ("command", "walk", "command must be a list of strings"),
+    ("target", ["walk", 1], "target must be a list of strings"),
+    ("verb", "hop", "verb must be one of"),
+    ("split", "dev", "split must be one of"),
+    ("adverb", "cautiously", "adverb must be null or an object"),
+    ("situation", [], "situation must be an object"),
+)
+
+
 class TestReadDataset:
     @pytest.mark.parametrize(
         "key, value, message",
@@ -841,6 +854,17 @@ class TestReadDataset:
         else:
             record[key] = value
         with pytest.raises(ValueError, match=f"^{message}"):
+            example_from_record(record)
+
+    @pytest.mark.parametrize("first, later", [
+        (i, j) for i in range(len(RECORD_FAULTS)) for j in range(i + 1, len(RECORD_FAULTS))
+    ])
+    def test_first_record_fault_is_named(self, small_corpus, first, later):
+        _, _, examples = small_corpus
+        record = json.loads(json.dumps(example_to_record(examples[0], "train")))
+        for key, value, _ in (RECORD_FAULTS[later], RECORD_FAULTS[first]):
+            record[key] = value
+        with pytest.raises(ValueError, match=f"^{RECORD_FAULTS[first][2]}"):
             example_from_record(record)
 
     @pytest.mark.parametrize("record", [[], "record", None, 3])
@@ -899,6 +923,16 @@ class TestReadDataset:
             (lambda s, n: s["random"].pop("dropped"), "split 'random' must have exactly the keys"),
             (lambda s, n: s["random"].update(held=[]), "split 'random' must have exactly the keys"),
             (lambda s, n: s.update(random=[]), "split 'random' must have exactly the keys"),
+            # An index twice in a split, which evaluate would score twice.  The file
+            # lists the sides as dropped, test, train.
+            (lambda s, n: s["random"]["test"].append(s["random"]["test"][0]),
+             r"split 'random': index \d+ is listed in test and in test$"),
+            (lambda s, n: s["random"]["train"].append(s["random"]["test"][0]),
+             r"split 'random': index \d+ is listed in test and in train$"),
+            (lambda s, n: s["random"]["dropped"].append(s["random"]["train"][0]),
+             r"split 'random': index \d+ is listed in dropped and in train$"),
+            (lambda s, n: s["random"]["dropped"].append(s["random"]["test"][0]),
+             r"split 'random': index \d+ is listed in dropped and in test$"),
         ],
     )
     def test_split_indices_are_checked(self, small_corpus, tmp_path, edit, message):
@@ -907,6 +941,35 @@ class TestReadDataset:
         with pytest.raises(MalformedRecord, match=message) as err:
             read_dataset(str(tmp_path))
         assert err.value.path == str(tmp_path / "splits.json")
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+    def test_splits_file_must_be_utf8_without_bom(self, small_corpus, tmp_path, encoding):
+        write_corpus(small_corpus, tmp_path)
+        path = tmp_path / "splits.json"
+        data = path.read_text(encoding="utf-8").encode(encoding)
+        path.write_bytes(data)
+        edit_manifest(tmp_path, lambda manifest: manifest["files"].update(
+            {"splits.json": hashlib.sha256(data).hexdigest()}))
+        with pytest.raises(MalformedRecord) as err:
+            read_dataset(str(tmp_path))
+        assert (err.value.path, err.value.line) == (str(path), 1)
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+    def test_manifest_must_be_utf8_without_bom(self, small_corpus, tmp_path, encoding):
+        write_corpus(small_corpus, tmp_path)
+        path = tmp_path / "manifest"
+        path.write_bytes(path.read_text(encoding="utf-8").encode(encoding))
+        with pytest.raises(SchemaMismatch, match="^manifest is not UTF-8 JSON: "):
+            read_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_the_integer(self, small_corpus, tmp_path, version):
+        # True == 1 and 1.0 == 1, yet neither is the integer 1.
+        write_corpus(small_corpus, tmp_path)
+        edit_manifest(tmp_path, lambda manifest: manifest.update(schema_version=version))
+        with pytest.raises(SchemaMismatch) as err:
+            read_dataset(str(tmp_path))
+        assert str(err.value) == f"dataset schema {version!r}, reader supports 1"
 
     def test_registry_fault_names_its_line_of_the_file(self, small_corpus, tmp_path):
         write_corpus(small_corpus, tmp_path)
@@ -1121,6 +1184,33 @@ class TestForgeConfig:
     def test_dict_round_trip(self):
         cfg = ForgeConfig(seed=9, num_examples=10, extra_adverbs=3, splits=BASE_SPLITS)
         assert ForgeConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_config_json_holds_the_fields_that_are_set(self):
+        specs = (
+            *BASE_SPLITS,
+            SplitSpec(kind="type_subset", name="t", allowed_types=("spinning_type",)),
+            SplitSpec(kind="type_subset", name="s", surfaces=("cautiously",)),
+            SplitSpec(kind="predicate", name="p", predicate="no_adverb"),
+        )
+        cfg = ForgeConfig(splits=specs, pinned_adverbs=(PLUNGING,))
+        data = cfg.to_dict()
+        assert data == {
+            "seed": 0, "grid_size": 6, "num_examples": 1000, "extra_adverbs": 0,
+            "meta": {"type_weights": {"spinning_type": 0.4, "cautiously_type": 0.3, "detour_type": 0.3},
+                     "prefix_len_range": [2, 8], "detour_rhs_max": 5, "max_rejects": 1000},
+            "splits": [
+                {"kind": "random", "name": "random", "test_fraction": 0.2},
+                {"kind": "k_shot_adverb", "name": "cautiously_k5", "surface": "cautiously", "k": 5},
+                {"kind": "verb_adverb_holdout", "name": "pull_spin", "verb": "pull", "surface": "while spinning"},
+                {"kind": "type_subset", "name": "t", "allowed_types": ["spinning_type"]},
+                {"kind": "type_subset", "name": "s", "surfaces": ["cautiously"]},
+                {"kind": "predicate", "name": "p", "predicate": "no_adverb"},
+            ],
+            "max_depth": 10, "no_adverb_prob": 0.2, "distractors": [0, 3], "retry_limit": 50,
+            "pinned_adverbs": [PLUNGING],
+        }
+        assert data["meta"]["type_weights"] is not cfg.meta.type_weights  # a copy
+        assert ForgeConfig.from_dict(data) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
