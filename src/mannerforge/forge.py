@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-import shutil
-import tempfile
 import threading
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from contextlib import ExitStack, closing, suppress
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from types import MappingProxyType
 
 from .dsl import MODES, decode_text, parse_program, parse_registry, serialize_registry
@@ -47,7 +44,6 @@ from .pipeline import (
     BUILTIN_SURFACES,
     Lexicon,
     Percept,
-    Plan,
     SolveTrace,
     goal_satisfied,
     solve_trace,
@@ -345,20 +341,13 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
     result: dict[str, SplitAssignment] = {}
     for spec in specs:
         if spec.kind == "type_subset":
-            dropped = []
-            train = []
+            train, dropped = [], []
             for ex in examples:
-                if ex.adverb_surface is None or ex.adverb_surface in BUILTIN_SURFACES:
-                    train.append(ex.index)
-                elif spec.surfaces is not None:
-                    (train if ex.adverb_surface in spec.surfaces else dropped).append(ex.index)
-                elif ex.adverb_type in spec.allowed_types:
-                    train.append(ex.index)
-                else:
-                    dropped.append(ex.index)
-            result[spec.name] = SplitAssignment(
-                tuple(sorted(train)), (), tuple(sorted(dropped))
-            )
+                kept = (ex.adverb_surface is None or ex.adverb_surface in BUILTIN_SURFACES
+                        or (ex.adverb_surface in spec.surfaces if spec.surfaces is not None
+                            else ex.adverb_type in spec.allowed_types))
+                (train if kept else dropped).append(ex.index)
+            result[spec.name] = SplitAssignment(tuple(sorted(train)), (), tuple(sorted(dropped)))
             continue
 
         if spec.kind == "random":
@@ -394,12 +383,9 @@ def recompose(record_tuple, lexicon: Lexicon, max_depth: int = 10) -> tuple[str,
     and transformation records; the result must equal the example target.  The
     interactions are transformed from the heading the transformed plan ends on."""
     transformation = record_tuple["transformation"]
-    plan = Plan(
-        mode=transformation["plan"]["mode"],
-        symbols=tuple(transformation["plan"]["symbols"]),
-    )
     adverb = lexicon.lookup(transformation["adverb"]) if transformation["adverb"] else None
-    moves, arrival = transform(plan.symbols, adverb, transformation["start_heading"], max_depth)
+    symbols = tuple(transformation["plan"]["symbols"])
+    moves, arrival = transform(symbols, adverb, transformation["start_heading"], max_depth)
     actions, _ = transform(tuple(transformation["interactions"]), adverb, arrival, max_depth)
     return moves + actions
 
@@ -437,8 +423,10 @@ _RECORD_SPLITS = ("train", "test")  # an example record's "split"
 
 def example_from_record(record) -> Example:
     """The example an examples.ndrec record describes.  Its checks run in one pass, in
-    this order: keys, index, command, target, verb, split, adverb, then the situation
-    (world_from_dict); the first fault raises ConfigError naming its key."""
+    this order: keys, index, command, target, verb, split, adverb, the verb as the
+    command's first token, the adverb as its tokens after its first shape noun (none for
+    null; parse_command's split), then the situation (world_from_dict); the first fault
+    raises ConfigError naming its key."""
     if type(record) is not dict:
         raise ConfigError(f"record must be an object, not {record!r}")
     if record.keys() != _RECORD_KEYS:
@@ -463,6 +451,15 @@ def example_from_record(record) -> Example:
             raise ConfigError(f"adverb.surface must be a non-empty string, not {surface!r}")
         if adverb_type not in ADVERB_TYPES:
             raise ConfigError(f"adverb.type must be one of {ADVERB_TYPES}, not {adverb_type!r}")
+    if command[:1] != [verb]:
+        raise ConfigError(f"verb {verb!r} does not begin the command {command!r}")
+    for at, token in enumerate(command):
+        if token in SHAPES:
+            break
+    else:
+        raise ConfigError(f"command has no shape noun: {command!r}")
+    if " ".join(command[at + 1:]) != (surface or ""):
+        raise ConfigError(f"adverb {surface!r} is not the command's tokens after its shape noun, {command[at + 1:]}")
     return Example(
         index=index,
         command=tuple(command),
@@ -486,12 +483,14 @@ def _sha256(path: str, buffer: bytearray) -> str:
 
 class ExampleLines(Sequence):
     """The examples of an examples file, read-only, one per line.  Example i is decoded
-    from line i + 1 on each use and not kept; any fault in that line, an index other
-    than i among them, raises MalformedRecord(path, i + 1, message)."""
+    from line i + 1 on each use and not kept; any fault in that line, an index other than
+    i or an adverb of another type in `types` (Lexicon.types) among them, raises
+    MalformedRecord(path, i + 1, message)."""
 
-    def __init__(self, path: str, lines: list[bytes]):
+    def __init__(self, path: str, lines: list[bytes], types: dict[str, str]):
         self.path = path
         self._lines = lines
+        self._types = types
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -507,6 +506,10 @@ class ExampleLines(Sequence):
             raise MalformedRecord(self.path, i + 1, str(exc)) from None
         if example.index != i:
             raise MalformedRecord(self.path, i + 1, f"index {example.index} on the line of index {i}")
+        surface, adverb_type = example.adverb_surface, example.adverb_type
+        if surface is not None and self._types.get(surface) != adverb_type:
+            raise MalformedRecord(self.path, i + 1, f"adverb {surface!r} has type {adverb_type!r}, "
+                                                    f"but {self._types.get(surface)!r} in the registry")
         return example
 
 
@@ -607,49 +610,32 @@ def _forge_chunk(cfg: ForgeConfig, lexicon: Lexicon, lo: int, hi: int, test) -> 
     return _serialize([_generate_one(cfg, lexicon, surfaces, i) for i in range(lo, hi)], test)
 
 
-# A pool worker's config, lexicon and spill directory, set once per worker by _init_worker.
+# A pool worker's config and lexicon, set once per worker by _init_worker.
 _worker_state: tuple = ()
 
 
-def _init_worker(cfg: ForgeConfig, lexicon: Lexicon, spill: str) -> None:
+def _init_worker(cfg: ForgeConfig, lexicon: Lexicon) -> None:
     global _worker_state
-    _worker_state = (cfg, lexicon, spill)
+    _worker_state = (cfg, lexicon)
 
 
 def _worker_chunk(span) -> tuple:
-    """Forge one span's chunk and write its five blocks back to back to the spill file
-    `<spill>/<lo>`; the blocks' sizes and the chunk's rows, and no bytes."""
-    cfg, lexicon, spill = _worker_state
-    blocks, rows = _forge_chunk(cfg, lexicon, *span)
-    with open(os.path.join(spill, str(span[0])), "wb") as fh:
-        fh.writelines(blocks)
-    return tuple(map(len, blocks)), rows
+    """Forge one span's chunk in a pool worker: its five byte blocks and its rows."""
+    return _forge_chunk(*_worker_state, *span)
 
 
-def _pool_chunks(jobs: int, cfg: ForgeConfig, lexicon: Lexicon, spans, out_dir: str):
-    """The spans' chunks, forged by `jobs` workers, in order; the pool ends after the last.
-    Each worker gets the config, lexicon and spill directory once, when it starts, and
-    each span `(lo, hi, test)` carries only indices.  A chunk's bytes come back through
-    its spill file, not the pool's result pipe, whose reader the pool's worker-handler
-    thread polls without reading, spinning while a large result drains.  Each file is
-    read once, checked against the sizes the worker sent, and removed; the `.chunks-*`
-    directory in `out_dir` is removed after the workers end, however the forge ends."""
-    spill = tempfile.mkdtemp(prefix=".chunks-", dir=out_dir)
-    try:
-        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(cfg, lexicon, spill)) as pool:
-            # _worker_chunk is the pool's entry point only: perfbench's tracer treats
-            # each call of it as one made in a worker, and hands its result back as a
-            # list, so the result is unpacked by position.
-            for (lo, _, _), (sizes, rows) in zip(spans, pool.imap(_worker_chunk, spans)):
-                path = os.path.join(spill, str(lo))
-                with open(path, "rb") as fh:
-                    data = memoryview(fh.read())
-                os.remove(path)
-                if len(data) != sum(sizes):
-                    raise OSError(f"{path}: {len(data)} bytes, but the worker wrote {sum(sizes)}")
-                yield [data[end - size:end] for size, end in zip(sizes, accumulate(sizes))], rows
-    finally:
-        shutil.rmtree(spill, ignore_errors=True)
+def _pool_chunks(jobs: int, cfg: ForgeConfig, lexicon: Lexicon, spans):
+    """The spans' chunks, forged by `jobs` worker processes, in order.  Each worker gets the
+    config and lexicon once, when it starts; each span `(lo, hi, test)` carries only indices.
+    A worker's exception is raised here, and a dead worker's BrokenProcessPool.  Closing this
+    generator cancels the spans that have not started and waits for the running ones."""
+    from concurrent.futures import ProcessPoolExecutor  # here: it imports logging
+
+    with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(cfg, lexicon)) as pool:
+        # _worker_chunk is the pool's entry point only: perfbench's tracer treats each
+        # call of it as one made in a worker, and hands its result back as a list, which
+        # _write_records unpacks by position.
+        yield from pool.map(_worker_chunk, spans)
 
 
 def _write_records(paths, chunks) -> tuple[list[Row], list[str]]:
@@ -696,9 +682,10 @@ def _example_lines(path: str, lines: list[bytes], n: int) -> list[bytes]:
     return lines
 
 
-def _read_splits(path: str, data: bytes, n: int) -> dict[str, SplitAssignment]:
+def _read_splits(path: str, data: bytes, n: int, counts) -> dict[str, SplitAssignment]:
     """The splits of a splits file, each side a list of distinct indices in [0, n), and
-    no index on two sides of a split: evaluate would score such an index twice."""
+    no index on two sides of a split: evaluate would score such an index twice.  Each
+    split holds all n indices, and the splits and their sizes are the manifest's `counts`."""
     raw = load_json(data, MalformedRecord, path, 1)
     if type(raw) is not dict:
         raise MalformedRecord(path, 1, f"splits must be an object, not {raw!r}")
@@ -712,11 +699,20 @@ def _read_splits(path: str, data: bytes, n: int) -> dict[str, SplitAssignment]:
             bad = [i for i in ids if type(i) is not int or not 0 <= i < n]
             if bad:
                 raise MalformedRecord(path, 1, f"split {name!r} {side}: {bad[0]!r} is no index in [0, {n})")
-        if len(set().union(*sides.values())) != sum(map(len, sides.values())):
+        total = sum(map(len, sides.values()))
+        if len(set().union(*sides.values())) != total:
             i = next(i for i, count in Counter(chain(*sides.values())).items() if count > 1)
             listed = " and in ".join(side for side, ids in sides.items() for _ in range(ids.count(i)))
             raise MalformedRecord(path, 1, f"split {name!r}: index {i} is listed in {listed}")
+        if total != n:
+            raise MalformedRecord(path, 1, f"split {name!r} lists {total} indices, but the manifest has {n} examples")
         splits[name] = SplitAssignment(tuple(sides["train"]), tuple(sides["test"]), tuple(sides["dropped"]))
+    sizes = {name: {side: len(ids) for side, ids in sides.items()} for name, sides in raw.items()}
+    counts = counts if type(counts) is dict else {}
+    if sizes != counts:
+        name = next(name for name in (*raw, *counts) if sizes.get(name) != counts.get(name))
+        raise MalformedRecord(path, 1, f"split {name!r} has sides of sizes {sizes.get(name)}, "
+                                       f"but the manifest counts {counts.get(name)}")
     return splits
 
 
@@ -729,11 +725,10 @@ def read_dataset(path: str) -> Dataset:
     the bytes parsed.  The module files are hashed on a helper thread meanwhile, and
     every digest is checked before anything is parsed: a broken dataset raises its
     first fault in DATASET_FILES order, a missing file's OSError or a DigestMismatch.
-    The examples file must hold exactly num_examples lines, and every split index
-    must lie in [0, num_examples) and appear once in its split.  The examples are
-    an ExampleLines: a record is decoded, with every check of example_from_record
-    and its index against its line, each time it is used and is not kept, so a
-    record that nothing reads is hashed but never decoded."""
+    The examples file must hold exactly num_examples lines, and each split must list
+    every index in [0, num_examples) once, as the manifest's counts.  The examples are
+    an ExampleLines: a record is decoded, with every check of ExampleLines, each time
+    it is used and is not kept, so a record that nothing reads is hashed but never decoded."""
     manifest_path = os.path.join(path, MANIFEST_FILE)
     with open(manifest_path, "rb") as fh:
         manifest = load_json(fh.read(), lambda reason: SchemaMismatch(f"manifest is not UTF-8 JSON: {reason}"))
@@ -784,9 +779,10 @@ def read_dataset(path: str) -> Dataset:
             raise DigestMismatch(f"{filename}: digest {actual} != manifest {expected}")
 
     examples_path = os.path.join(path, EXAMPLES_FILE)
-    examples = ExampleLines(examples_path, _example_lines(examples_path, parsed[EXAMPLES_FILE], n))
-    splits = _read_splits(os.path.join(path, SPLITS_FILE), b"".join(parsed[SPLITS_FILE]), n)
+    lines = _example_lines(examples_path, parsed[EXAMPLES_FILE], n)
+    splits = _read_splits(os.path.join(path, SPLITS_FILE), b"".join(parsed[SPLITS_FILE]), n, manifest.get("counts"))
     lexicon = Lexicon.build(parse_registry(decode_text(b"".join(parsed[REGISTRY_FILE]))))
+    examples = ExampleLines(examples_path, lines, lexicon.types)
     return Dataset(examples=examples, splits=splits, manifest=manifest, lexicon=lexicon)
 
 
@@ -810,12 +806,12 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     spans = [(lo, min(lo + size, n), test.intersection(range(lo, lo + size))) for lo in range(0, n, size)]
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
-        chunks = _pool_chunks(jobs, cfg, lexicon, spans, out_dir)
+        chunks = _pool_chunks(jobs, cfg, lexicon, spans)
     else:
         chunks = (_forge_chunk(cfg, lexicon, *span) for span in spans)
     paths = [os.path.join(out_dir, filename) for filename in RECORD_FILES.values()]
     try:
-        with closing(chunks):  # a pool's spill directory goes before the .part twins
+        with closing(chunks):  # a pool's workers end before the .part twins go
             rows, digests = _write_records(paths, chunks)
         splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
         for path in paths:

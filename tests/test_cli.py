@@ -202,6 +202,13 @@ def test_forge_seed_env_fallback(capsys, tmp_path, monkeypatch):
     run(capsys, "sample-adverbs", "--n", "3", "--out", str(tmp_path / "env.txt"))
     run(capsys, "sample-adverbs", "--n", "3", "--seed", "-12", "--out", str(tmp_path / "flag.txt"))
     assert (tmp_path / "env.txt").read_text() == (tmp_path / "flag.txt").read_text()
+    # generate takes the seed from $FORGE_SEED when the config has none.
+    config = tmp_path / "seedless.json"
+    config.write_text(json.dumps({"num_examples": 30}))
+    code, _, _ = run(capsys, "generate", "--config", str(config), "--extra-adverbs", "3", "--out", str(tmp_path / "ds"))
+    assert code == 0
+    manifest = forge_dataset(ForgeConfig(seed=-12, num_examples=30, extra_adverbs=3), str(tmp_path / "expected"))
+    assert read_dataset(str(tmp_path / "ds")).manifest == manifest
 
 
 @pytest.mark.parametrize("raw", ["abc", "1_0", " 7", "7.0", "+7", "--7", "٣"])
@@ -274,6 +281,10 @@ def test_generate_stats_inspect_evaluate_flow(capsys, tmp_path):
     code, out, _ = run(capsys, "inspect", "--dataset", str(out_dir), "--index", "0")
     assert code == 0
     assert "command:" in out and "target:" in out
+    ex = next(ex for ex in read_dataset(str(out_dir)).examples if ex.adverb_surface)
+    code, out, _ = run(capsys, "inspect", "--dataset", str(out_dir), "--index", str(ex.index))
+    assert code == 0
+    assert f"\nadverb:  {ex.adverb_surface} ({ex.adverb_type})\n" in out
 
     # gold predictions from the persisted records
     preds_path = tmp_path / "preds.ndrec"
@@ -566,6 +577,9 @@ OUTSIDE_INPUT = {
         lambda t, ds: ["generate", "--config", _file(t, "c.json", b'{"splits": [{"name": "r", "test_fraction": 0.5}]}'),
                        "--out", str(t / "out")],
         "error[ConfigError]: split spec needs a kind and a name"),
+    "config that names no file or preset": (
+        lambda t, ds: ["generate", "--config", "nosuch", "--out", str(t / "out")],
+        "error[MannerforgeError]: no config file or preset named 'nosuch'"),
     "config nested too deep": (
         lambda t, ds: ["generate", "--config", _file(t, "c.json", DEEP_JSON), "--out", str(t / "out")],
         "error[ConfigError]: config file "),
@@ -618,6 +632,15 @@ def test_every_boundary_refuses_bad_input_as_a_domain_error(capsys, tmp_path, sm
     assert err.startswith(start)
     assert "\n" not in err  # one error line, no traceback
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_pool_or_logging_module():
+    # The worker pool's module imports logging; only a forge with jobs > 1 imports it.
+    src = os.path.dirname(os.path.dirname(mannerforge.__file__))
+    script = "import sys, mannerforge.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                            check=True, capture_output=True, text=True)
+    assert result.stdout == "[]\n"
 
 
 def test_an_internal_key_error_is_not_reported_as_bad_input(capsys, tmp_path, monkeypatch):

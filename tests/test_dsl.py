@@ -266,6 +266,8 @@ class TestProgramText:
         ("name: x\nNorth -> turn_left North\nmode: egocentric\n", 3,
          "egocentric programs may only rewrite egocentric symbols"),
         ("name: x\nNorth -> turn_left North\n", 1, "egocentric programs may only rewrite egocentric symbols"),
+        ("name: x\ncolour: red\nwalk -> stay walk\n", 2, "unknown header 'colour'"),
+        ("name: x\nmode: egocentric\nname: y\n", 3, "repeated header 'name'"),
     ])
     def test_header_errors_are_placed_at_their_line(self, text, line, message):
         with pytest.raises(ParseError) as err:

@@ -1,14 +1,18 @@
+import concurrent.futures
 import gc
 import hashlib
+import multiprocessing
 import json
 import os
 import random
 import re
 import shutil
+import signal
 import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 
 import pytest
@@ -122,13 +126,13 @@ def small_corpus(small_pairs):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """multiprocessing.Pool replaced by a pool that runs in this process, on a
-    two-CPU machine: its initializer once, then each span in order.  The list of
-    the (span, chunk) pairs it ran."""
+    """concurrent.futures.ProcessPoolExecutor replaced by a pool that runs in this
+    process, on a two-CPU machine: its initializer once, then each span in order.  The
+    list of the (span, chunk) pairs it ran."""
     ran = []
 
     class InlinePool:
-        def __init__(self, processes, initializer=None, initargs=()):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             if initializer is not None:
                 initializer(*initargs)
 
@@ -138,14 +142,14 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, spans):
+        def map(self, fn, spans):
             for span in spans:
                 chunk = fn(span)
                 ran.append((span, chunk))
                 yield chunk
 
     monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(forge_module.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(forge_module, "_worker_state", ())  # what the initializer sets, restored after
     return ran
 
@@ -254,31 +258,17 @@ class TestGenerateExamples:
         assert forged_files(cfg, tmp_path / "two", jobs=2) == serial
         assert calls == [cfg]
 
-    def test_pool_chunks_carry_only_bytes_and_rows(self, small_corpus, tmp_path, inline_pool, monkeypatch):
-        # A chunk's bytes come back through its spill file: the pool carries five block
-        # sizes and the chunk's rows, and the file is gone once the chunk is consumed.
+    def test_pool_chunks_carry_only_bytes_and_rows(self, small_corpus, tmp_path, inline_pool):
+        # A chunk comes back from the pool as five byte blocks, the span's lines of each
+        # record file, and the chunk's rows.
         cfg, _, _ = small_corpus
-        real_write, left = forge_module._write_records, []
-
-        def watching(paths, chunks):
-            out_dir = os.path.dirname(paths[0])
-
-            def watched():
-                for chunk in chunks:
-                    [spill] = [name for name in os.listdir(out_dir) if name.startswith(".chunks-")]
-                    left.append(os.listdir(os.path.join(out_dir, spill)))
-                    yield chunk
-            return real_write(paths, watched())
-
         serial = forged_files(cfg, tmp_path / "one", jobs=1)
-        monkeypatch.setattr(forge_module, "_write_records", watching)
         files = forged_files(cfg, tmp_path / "two", jobs=2)
         assert files == serial
-        assert len(inline_pool) > 1 and left == [[]] * len(inline_pool)
+        assert len(inline_pool) > 1
         lines = {name: files[name].splitlines(keepends=True) for name in forge_module.RECORD_FILES.values()}
-        for (lo, hi, _), (sizes, rows) in inline_pool:
-            assert type(sizes) is tuple and len(sizes) == 5 and all(type(size) is int for size in sizes)
-            assert sizes == tuple(sum(map(len, lines[name][lo:hi])) for name in forge_module.RECORD_FILES.values())
+        for (lo, hi, _), (blocks, rows) in inline_pool:
+            assert blocks == [b"".join(lines[name][lo:hi]) for name in forge_module.RECORD_FILES.values()]
             assert [row.index for row in rows] == list(range(lo, hi))
             assert all(type(row) is Row and all(v is None or type(v) in (int, str) for v in row) for row in rows)
 
@@ -310,7 +300,7 @@ class TestGenerateExamples:
             raise AssertionError("a worker pool was started on a one-CPU machine")
 
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(forge_module.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert forged_files(cfg, tmp_path / "four", jobs=4) == serial
 
     def test_jobs_capped_at_cpu_count(self, small_corpus, tmp_path, monkeypatch):
@@ -320,12 +310,12 @@ class TestGenerateExamples:
         class Refused(Exception):
             pass
 
-        def recording_pool(processes, initializer=None, initargs=()):
-            asked.append(processes)
+        def recording_pool(max_workers, initializer=None, initargs=()):
+            asked.append(max_workers)
             raise Refused
 
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(forge_module.multiprocessing, "Pool", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         with pytest.raises(Refused):
             forge_dataset(cfg, str(tmp_path), jobs=64)
         assert asked == [2]
@@ -574,10 +564,9 @@ def listing(path) -> list[str]:
     return sorted(os.listdir(path))
 
 
-class TestSpillFiles:
-    """With jobs > 1 each worker writes its chunk's bytes to a spill file in a
-    `.chunks-*` directory of the output directory; no spill file or directory, and no
-    `.part` twin, outlives the forge, however it ends."""
+class TestPoolForge:
+    """With jobs > 1 worker processes forge the chunks; no `.part` twin and no worker
+    outlives the forge, however it ends."""
 
     def test_pool_forge_leaves_only_the_dataset_files(self, small_corpus, tmp_path, monkeypatch):
         monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
@@ -605,10 +594,10 @@ class TestSpillFiles:
         assert dataset_files(tmp_path) == before
         assert listing(tmp_path) == sorted(before)
 
-    def test_writer_failure_removes_the_spill_directory(self, small_corpus, tmp_path, inline_pool, monkeypatch):
+    def test_writer_failure_ends_the_workers(self, small_corpus, tmp_path, monkeypatch):
         # The writer fails with the pool's generator suspended at a chunk; the traceback
         # that pytest keeps holds the forge's frame, so only closing the generator
-        # removes the spill directory.
+        # cancels the spans that have not started and waits for the running ones.
         real_write = forge_module._write_records
 
         def full_disk(paths, chunks):
@@ -617,35 +606,40 @@ class TestSpillFiles:
                 raise OSError(28, "No space left on device")
             return real_write(paths, failing())
 
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(forge_module, "_write_records", full_disk)
         with pytest.raises(OSError, match="No space") as err:
             forge_dataset(small_corpus[0], str(tmp_path), jobs=2)
-        assert err.value.errno == 28 and len(inline_pool) == 1
+        assert err.value.errno == 28
         assert listing(tmp_path) == []
+        assert multiprocessing.active_children() == []
 
-    def test_short_spill_file_is_refused(self, small_corpus, tmp_path, inline_pool, monkeypatch):
-        # The second chunk's file loses its last byte: the forge raises before that
-        # chunk reaches the writer, and removes the .part twins and the spill directory.
-        real_chunk, real_write, written = forge_module._worker_chunk, forge_module._write_records, []
+    def test_a_killed_worker_ends_the_forge(self, small_corpus, tmp_path, monkeypatch):
+        # A worker that exits in the middle of a chunk, as the OOM killer would end it,
+        # breaks the pool: the forge raises BrokenProcessPool instead of waiting for that
+        # chunk forever, and removes its .part twins.
+        parent, real = os.getpid(), forge_module._forge_chunk
 
-        def short(span):
-            sizes, rows = real_chunk(span)
-            if span[0] > 0:
-                with open(os.path.join(forge_module._worker_state[2], str(span[0])), "r+b") as fh:
-                    fh.truncate(sum(sizes) - 1)
-            return sizes, rows
+        def dying(cfg, lexicon, lo, hi, test):
+            if os.getpid() != parent and lo > 0:
+                os._exit(1)
+            return real(cfg, lexicon, lo, hi, test)
 
-        def recording(paths, chunks):
-            return real_write(paths, (written.append(chunk) or chunk for chunk in chunks))
+        def timed_out(signum, frame):
+            raise TimeoutError("the forge still waits for the chunk of a dead worker")
 
-        monkeypatch.setattr(forge_module, "_worker_chunk", short)
-        monkeypatch.setattr(forge_module, "_write_records", recording)
-        with pytest.raises(OSError, match=r"bytes, but the worker wrote \d+$") as err:
-            forge_dataset(small_corpus[0], str(tmp_path), jobs=2)
-        size = sum(inline_pool[1][1][0])
-        assert str(err.value).endswith(f"{size - 1} bytes, but the worker wrote {size}")
-        assert len(inline_pool) == 2 and len(written) == 1
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forge_module, "_forge_chunk", dying)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(30)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                forge_dataset(small_corpus[0], str(tmp_path), jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert listing(tmp_path) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestPersistence:
@@ -815,6 +809,9 @@ RECORD_FAULTS = (
     ("verb", "hop", "verb must be one of"),
     ("split", "dev", "split must be one of"),
     ("adverb", "cautiously", "adverb must be null or an object"),
+    ("verb", "walk", "verb 'walk' does not begin the command"),  # the record's command is "pull a cylinder ..."
+    ("adverb", {"surface": "cautiously", "type": "cautiously_type"},
+     "adverb 'cautiously' is not the command's tokens after its shape noun"),
     ("situation", [], "situation must be an object"),
 )
 
@@ -854,6 +851,28 @@ class TestReadDataset:
         else:
             record[key] = value
         with pytest.raises(ValueError, match=f"^{message}"):
+            example_from_record(record)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(verb="walk" if r["verb"] != "walk" else "push"),
+         r"^verb '\w+' does not begin the command \["),
+        (lambda r: r.update(command=[]), r"^verb '\w+' does not begin the command \[\]$"),
+        (lambda r: r["command"].pop(r["command"].index("while") - 1), "^command has no shape noun: "),
+        (lambda r: r["adverb"].update(surface="zzz"), r"^adverb 'zzz' is not .* noun, \['while', 'spinning'\]$"),
+        (lambda r: r["command"].append("again"),
+         r"^adverb 'while spinning' is not .* noun, \['while', 'spinning', 'again'\]$"),
+        (lambda r: r.update(adverb=None), r"^adverb None is not .* noun, \['while', "),
+        (lambda r: r["command"].insert(r["command"].index("while"), "square"),
+         r"^adverb 'while spinning' is not .* noun, \['square', 'while', "),
+    ])
+    def test_record_fields_must_agree_with_the_command(self, small_corpus, edit, message):
+        # The verb is the command's first token, and the adverb the command's tokens after
+        # its first shape noun, as parse_command splits them.
+        _, _, examples = small_corpus
+        ex = next(ex for ex in examples if ex.adverb_surface == "while spinning")
+        record = json.loads(json.dumps(example_to_record(ex, "train")))
+        edit(record)
+        with pytest.raises(ValueError, match=message):
             example_from_record(record)
 
     @pytest.mark.parametrize("first, later", [
@@ -933,6 +952,15 @@ class TestReadDataset:
              r"split 'random': index \d+ is listed in dropped and in train$"),
             (lambda s, n: s["random"]["dropped"].append(s["random"]["test"][0]),
              r"split 'random': index \d+ is listed in dropped and in test$"),
+            # Every index on one side, and the sides of the manifest's counts.
+            (lambda s, n: s["cautiously_k5"]["test"].pop(),
+             ": split 'cautiously_k5' lists 399 indices, but the manifest has 400 examples$"),
+            (lambda s, n: s["random"]["train"].append(s["random"]["test"].pop()),
+             r": split 'random' has sides of sizes \{'dropped': 0, 'test': 79, 'train': 321\}, "
+             r"but the manifest counts \{'dropped': 0, 'test': 80, 'train': 320\}$"),
+            (lambda s, n: s.pop("pull_spin"), r": split 'pull_spin' has sides of sizes None, but the manifest counts "),
+            (lambda s, n: s.update(extra=s["random"]),
+             r": split 'extra' has sides of sizes \{.*\}, but the manifest counts None$"),
         ],
     )
     def test_split_indices_are_checked(self, small_corpus, tmp_path, edit, message):
@@ -941,6 +969,30 @@ class TestReadDataset:
         with pytest.raises(MalformedRecord, match=message) as err:
             read_dataset(str(tmp_path))
         assert err.value.path == str(tmp_path / "splits.json")
+
+    @pytest.mark.parametrize("counts, message", [
+        (lambda c: c.pop("random"), r": split 'random' has sides of sizes \{.*\}, but the manifest counts None$"),
+        (lambda c: c["pull_spin"].update(test=0),
+         r": split 'pull_spin' has sides of sizes \{.*'test': \d+.*\}, but the manifest counts \{.*'test': 0"),
+        (lambda c: c.update(extra={"dropped": 0, "test": 0, "train": 400}),
+         r": split 'extra' has sides of sizes None, "),
+    ])
+    def test_splits_must_agree_with_the_manifest_counts(self, small_corpus, tmp_path, counts, message):
+        write_corpus(small_corpus, tmp_path)
+        edit_manifest(tmp_path, lambda manifest: counts(manifest["counts"]))
+        with pytest.raises(MalformedRecord, match=message) as err:
+            read_dataset(str(tmp_path))
+        assert (err.value.path, err.value.line) == (str(tmp_path / "splits.json"), 1)
+
+    @pytest.mark.parametrize("text, shown", [("[]", "[]"), ('[{"random": {}}]', "[{'random': {}}]")])
+    def test_splits_file_must_be_an_object(self, small_corpus, tmp_path, text, shown):
+        write_corpus(small_corpus, tmp_path)
+        (tmp_path / "splits.json").write_text(text)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        edit_manifest(tmp_path, lambda manifest: manifest["files"].update({"splits.json": digest}))
+        with pytest.raises(MalformedRecord) as err:
+            read_dataset(str(tmp_path))
+        assert str(err.value).endswith(f"splits.json:1: splits must be an object, not {shown}")
 
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
     def test_splits_file_must_be_utf8_without_bom(self, small_corpus, tmp_path, encoding):
@@ -1036,6 +1088,43 @@ class TestReadDataset:
         gc.collect()
         assert ref() is None
         assert dataset.examples[3].index == 3
+
+    @pytest.mark.parametrize("surface, adverb_type, held", [
+        ("zzz", "spinning_type", None),
+        ("while spinning", "cautiously_type", "spinning_type"),
+    ])
+    def test_adverb_must_be_the_registry_s(self, small_corpus, tmp_path, surface, adverb_type, held):
+        # The record agrees with itself; only the registry can refuse it.
+        _, _, examples = small_corpus
+        write_corpus(small_corpus, tmp_path)
+        k = next(i for i, ex in enumerate(examples) if ex.adverb_surface is None)
+        record = json.loads((tmp_path / "examples.ndrec").read_text().splitlines()[k])
+        record.update(command=record["command"] + surface.split(), adverb={"surface": surface, "type": adverb_type})
+        corrupt_line(tmp_path, k + 1, json.dumps(record))
+        dataset = read_dataset(str(tmp_path))
+        assert example_from_record(record).adverb_surface == surface
+        with pytest.raises(MalformedRecord) as err:
+            dataset.example_by_index(k)
+        assert err.value.line == k + 1
+        assert str(err.value).endswith(f"adverb {surface!r} has type {adverb_type!r}, but {held!r} in the registry")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_record_agrees_with_parse_command(self, tmp_path, jobs, monkeypatch):
+        # Each forged record's verb and adverb are the ones parse_command reads from its
+        # command, and its adverb is the registry's, type included.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        pinned = 'name: said "so" around the square\nmode: egocentric\nwalk -> stay walk\n'
+        cfg = ForgeConfig(seed=6, num_examples=600, extra_adverbs=30, no_adverb_prob=0.1, pinned_adverbs=(pinned,))
+        forge_dataset(cfg, str(tmp_path), jobs=jobs)
+        dataset = read_dataset(str(tmp_path))
+        surfaces = set()
+        for ex in dataset.examples:
+            command = parse_command(ex.command)
+            adverb = tuple(ex.adverb_surface.split()) if ex.adverb_surface else None
+            assert (command.verb, command.adverb) == (ex.verb, adverb)
+            assert dataset.lexicon.types.get(ex.adverb_surface) == ex.adverb_type
+            surfaces.add(ex.adverb_surface)
+        assert {None, *BUILTIN_SURFACES, 'said "so" around the square'} < surfaces
 
     def test_index_must_equal_line_position(self, small_corpus, tmp_path):
         write_corpus(small_corpus, tmp_path)
@@ -1297,6 +1386,8 @@ class TestForgeConfig:
              "type_subset split takes exactly one of allowed_types and surfaces"),
             ({"kind": "type_subset", "name": "t"},
              "type_subset split takes exactly one of allowed_types and surfaces"),
+            ({"kind": "type_subset", "name": "t", "allowed_types": ["spinning_type", "sneaky_type"]},
+             "unknown adverb type 'sneaky_type'"),
         ],
     )
     def test_split_spec_takes_only_the_keys_its_kind_reads(self, spec, message):

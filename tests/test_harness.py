@@ -107,6 +107,17 @@ class TestEvaluate:
                 assert metrics.exact_match_percent == "100.00"
                 assert metrics.semantic_valid_percent == "100.00"
 
+    def test_split_without_a_test_side_scores_nothing(self, tmp_path):
+        # A type_subset split drops registry adverbs from train and tests no example.
+        spec = SplitSpec(kind="type_subset", name="no_detour",
+                         allowed_types=("spinning_type", "cautiously_type", "zigzag_type"))
+        forge_dataset(ForgeConfig(seed=29, num_examples=80, extra_adverbs=6, splits=(spec,)), str(tmp_path))
+        written = read_dataset(str(tmp_path))
+        assert written.splits["no_detour"].test == ()
+        metrics = evaluate(written, gold_predictions(written)).splits["no_detour"]
+        assert (metrics.n, metrics.matched, metrics.semantically_valid) == (0, 0, 0)
+        assert metrics.exact_match_percent == metrics.semantic_valid_percent == "0.00"
+
     def test_one_corrupted_record_in_1000(self, dataset):
         assert len(dataset.splits["random"].test) == 1000
         predictions = gold_predictions(dataset)
