@@ -17,7 +17,7 @@ import sys
 from importlib import resources
 
 from .dsl import builtin_adverbs, decode_text, ground, parse_program, serialize_registry
-from .errors import ConfigError, MannerforgeError
+from .errors import ConfigError, MannerforgeError, require
 from .forge import ForgeConfig, forge_dataset, load_json, read_dataset, read_registry
 from .harness import dataset_stats, evaluate, read_predictions
 from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
@@ -61,12 +61,11 @@ def _load_config(value: str) -> dict:
     if os.path.exists(value):
         data = _read_json(value, "config file")
     elif preset.is_file():
-        data = json.loads(preset.read_text(encoding="utf-8"))
+        data = load_json(preset.read_bytes(),
+                         lambda reason: ConfigError(f"preset {value!r} is not UTF-8 JSON: {reason}"))
     else:
         raise MannerforgeError(f"no config file or preset named {value!r}")
-    if type(data) is not dict:  # checked before the options are set in it
-        raise ConfigError(f"config must be an object, not {data!r}")
-    return data
+    return require("config", data, dict)  # checked before the options are set in it
 
 
 def _preset_names() -> list[str]:

@@ -7,6 +7,9 @@ an `error[Type]: message` line; any other exception is a bug and shows its trace
 """
 from __future__ import annotations
 
+from math import isfinite
+from sys import float_info
+
 
 class MannerforgeError(Exception):
     """Base class for all domain errors."""
@@ -16,6 +19,41 @@ class ConfigError(MannerforgeError, ValueError):
     """A value breaks a documented constraint: a config field, a split spec, a world,
     a command, a symbol or a heading.  It is a ValueError too, so argparse's type
     check and callers that catch ValueError read it as before."""
+
+
+# require's kinds that are no type, each as its refusal names it.
+NUMBER = "a number"
+STRINGS = "a list of strings"
+INT_PAIR = "two integers"
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+
+
+def require(key: str, value, kind):
+    """`value` if it is of `kind`, else ConfigError("<key> must be <kind's name>, not <value!r>").
+    A kind is one of int, str, dict and list, of exactly that type (so True is no integer);
+    a tuple of the allowed values, all of one type (so True is no size); NUMBER, an int a
+    float can hold or a finite float (NaN passes no comparison, and a sum with a float
+    overflows at a larger int); or STRINGS or INT_PAIR, a list or tuple of strings or of two
+    integers, handed back as a tuple."""
+    if type(kind) is tuple:
+        if type(value) is type(kind[0]) and value in kind:
+            return value
+        raise ConfigError(f"{key} must be one of {kind}, not {value!r}")
+    if kind == NUMBER:
+        if type(value) is float and not isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, not {value!r}")
+        if type(value) is int and abs(value) > float_info.max:
+            raise ConfigError(f"{key} must be a number a float can hold, not an integer this large")
+        if type(value) in (int, float):
+            return value
+    elif kind in (STRINGS, INT_PAIR):
+        item = str if kind == STRINGS else int
+        if (type(value) in (list, tuple) and all(type(v) is item for v in value)
+                and (kind == STRINGS or len(value) == 2)):
+            return tuple(value)
+    elif type(value) is kind:
+        return value
+    raise ConfigError(f"{key} must be {_TYPE_NAMES.get(kind, kind)}, not {value!r}")
 
 
 # --- gridworld ---------------------------------------------------------------
@@ -103,7 +141,8 @@ class SchemaMismatch(MannerforgeError):
 
 class DigestMismatch(MannerforgeError):
     """A persisted file does not match its manifest digest, or the manifest does not
-    list a digest for exactly the dataset's files."""
+    list a digest for exactly the dataset's files, or its registry_digest is not the
+    registry file's."""
 
 
 class MalformedRecord(MannerforgeError):

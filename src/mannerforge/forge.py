@@ -21,6 +21,9 @@ from types import MappingProxyType
 
 from .dsl import MODES, decode_text, parse_program, parse_registry, serialize_registry
 from .errors import (
+    INT_PAIR,
+    NUMBER,
+    STRINGS,
     ConfigError,
     DepthExceeded,
     DigestMismatch,
@@ -31,15 +34,9 @@ from .errors import (
     SchemaMismatch,
     UnknownConfigKey,
     UnknownIndex,
+    require,
 )
-from .metagrammar import (
-    ADVERB_TYPES,
-    MetaGrammarConfig,
-    require_int,
-    require_int_pair,
-    require_number,
-    sample_registry,
-)
+from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
 from .pipeline import (
     BUILTIN_SURFACES,
     Lexicon,
@@ -99,9 +96,7 @@ class Example:
 
 
 def _check_keys(data: dict, cls, where: str) -> None:
-    if type(data) is not dict:
-        raise ConfigError(f"{where} must be an object, not {data!r}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    unknown = sorted(set(require(where, data, dict)) - {f.name for f in fields(cls)})
     if unknown:
         raise UnknownConfigKey(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
@@ -122,6 +117,9 @@ _SPLIT_KEYS = {
     "type_subset": ("allowed_types", "surfaces"),
     "predicate": ("predicate",),
 }
+# The kind of each split spec key but kind, in the order they are checked.
+_SPEC_KINDS = {"name": str, "surface": str, "verb": str, "predicate": str, "allowed_types": STRINGS,
+               "surfaces": STRINGS, "test_fraction": NUMBER, "k": int}
 
 
 def _to_json(value):
@@ -132,11 +130,6 @@ def _to_json(value):
     if type(value) is tuple:
         return [_to_json(v) for v in value]
     return dict(value) if type(value) is dict else value
-
-
-def _with_tuples(data: dict, *keys: str) -> dict:
-    """A copy of config JSON with the lists under `keys` made tuples."""
-    return {k: tuple(v) if k in keys and isinstance(v, list) else v for k, v in data.items()}
 
 
 @dataclass(frozen=True)
@@ -161,19 +154,10 @@ class SplitSpec:
     predicate: str | None = None
 
     def __post_init__(self):
-        for key in ("name", "surface", "verb", "predicate"):
+        for key, kind in _SPEC_KINDS.items():
             value = getattr(self, key)
-            if not isinstance(value, str) and (key == "name" or value is not None):
-                raise ConfigError(f"{key} must be a string, not {value!r}")
-        for key in ("allowed_types", "surfaces"):
-            value = getattr(self, key)
-            strings = isinstance(value, tuple) and all(isinstance(v, str) for v in value)
-            if value is not None and not strings:
-                raise ConfigError(f"{key} must be a list of strings, not {value!r}")
-        if self.test_fraction is not None:
-            require_number("test_fraction", self.test_fraction)
-        if self.k is not None:
-            require_int("k", self.k)
+            if value is not None or key == "name":
+                object.__setattr__(self, key, require(key, value, kind))
         if type(self.kind) is not str or self.kind not in _SPLIT_KEYS:
             raise ConfigError(f"unknown split kind {self.kind!r}")
         for f in fields(self)[2:]:  # after kind and name
@@ -194,15 +178,15 @@ class SplitSpec:
             for t in self.allowed_types or ():
                 if t not in ADVERB_TYPES:
                     raise ConfigError(f"unknown adverb type {t!r}")
-        elif self.predicate not in PREDICATES:  # predicate
-            raise ConfigError(f"predicate must be one of {tuple(PREDICATES)}, not {self.predicate!r}")
+        else:  # predicate
+            require("predicate", self.predicate, tuple(PREDICATES))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SplitSpec":
         _check_keys(data, cls, "split spec")
         if not {"kind", "name"} <= data.keys():
             raise ConfigError("split spec needs a kind and a name")
-        return cls(**_with_tuples(data, "allowed_types", "surfaces"))
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -230,21 +214,18 @@ class ForgeConfig:
     pinned_adverbs: tuple[str, ...] = ()
 
     def __post_init__(self):
-        require_int("seed", self.seed)
+        require("seed", self.seed, int)
         for key, least in (("grid_size", 2), ("num_examples", 1), ("extra_adverbs", 0),
                            ("max_depth", 1), ("retry_limit", 1)):
-            require_int(key, getattr(self, key))
-            if getattr(self, key) < least:
+            if require(key, getattr(self, key), int) < least:
                 raise ConfigError(f"{key} must be at least {least}, not {getattr(self, key)!r}")
-        require_int_pair("distractors", self.distractors)
+        object.__setattr__(self, "distractors", require("distractors", self.distractors, INT_PAIR))
         if not 0 <= self.distractors[0] <= self.distractors[1]:
             raise ConfigError(f"distractors must be [min, max] with 0 <= min <= max, not {self.distractors!r}")
-        require_number("no_adverb_prob", self.no_adverb_prob)
-        if not 0 <= self.no_adverb_prob <= 1:
+        if not 0 <= require("no_adverb_prob", self.no_adverb_prob, NUMBER) <= 1:
             raise ConfigError("no_adverb_prob must lie in [0, 1]")
-        pinned = self.pinned_adverbs
-        if not (isinstance(pinned, tuple) and all(isinstance(text, str) for text in pinned)):
-            raise ConfigError(f"pinned_adverbs must be a list of strings, not {pinned!r}")
+        object.__setattr__(self, "pinned_adverbs", require("pinned_adverbs", self.pinned_adverbs, STRINGS))
+        object.__setattr__(self, "splits", tuple(self.splits))  # to_dict writes a tuple's specs as JSON
         names = [spec.name for spec in self.splits]
         for name in names:
             if names.count(name) > 1:
@@ -258,14 +239,12 @@ class ForgeConfig:
         """Inverse of to_dict.  A missing key takes the field's default; an
         unknown key, here or in `meta` or a split spec, raises UnknownConfigKey."""
         _check_keys(data, cls, "config")
-        kwargs = _with_tuples(data, "distractors", "pinned_adverbs")
+        kwargs = dict(data)
         if "meta" in kwargs:
             _check_keys(kwargs["meta"], MetaGrammarConfig, "meta")
-            kwargs["meta"] = MetaGrammarConfig(**_with_tuples(kwargs["meta"], "prefix_len_range"))
+            kwargs["meta"] = MetaGrammarConfig(**kwargs["meta"])
         if "splits" in kwargs:
-            if type(kwargs["splits"]) is not list:
-                raise ConfigError(f"splits must be a list, not {kwargs['splits']!r}")
-            kwargs["splits"] = tuple(SplitSpec.from_dict(s) for s in kwargs["splits"])
+            kwargs["splits"] = tuple(map(SplitSpec.from_dict, require("splits", kwargs["splits"], list)))
         return cls(**kwargs)
 
 
@@ -720,7 +699,8 @@ def read_dataset(path: str) -> Dataset:
     """Load a persisted dataset.
 
     The schema version must be the integer SCHEMA_VERSION, and the manifest must
-    list a digest for exactly the files of DATASET_FILES, each of which must match;
+    list a digest for exactly the files of DATASET_FILES, each of which must match,
+    and give the registry file's as its registry_digest;
     the registry, splits and examples files are read once, and the bytes hashed are
     the bytes parsed.  The module files are hashed on a helper thread meanwhile, and
     every digest is checked before anything is parsed: a broken dataset raises its
@@ -746,6 +726,10 @@ def read_dataset(path: str) -> Dataset:
         missing, unknown = set(DATASET_FILES) - listed, listed - set(DATASET_FILES)
         raise DigestMismatch(f"the manifest must list the digests of exactly the dataset's files: "
                              f"missing {sorted(missing)}, unknown {sorted(unknown)}")
+    registry_digest = manifest.get("registry_digest")
+    if registry_digest != digests[REGISTRY_FILE]:
+        raise DigestMismatch(f"manifest registry_digest {registry_digest!r} != files[{REGISTRY_FILE!r}] "
+                             f"{digests[REGISTRY_FILE]!r}")
     # Each file's outcome: its digest, or whatever exception its read raised, kept to
     # be raised in file order.  A helper thread hashes the module files, which are
     # never parsed, while this thread reads the others; the buffer is made here, so

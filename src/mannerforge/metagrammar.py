@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import comb, isfinite
-from sys import float_info
+from math import comb
 
 from .dsl import AdverbProgram, RewriteRule, builtin_adverbs, programs_equal
-from .errors import ConfigError, RejectBudgetExceeded, Unclassifiable
+from .errors import INT_PAIR, NUMBER, ConfigError, RejectBudgetExceeded, Unclassifiable, require
 from .seeding import derive_rng
 from .symbols import displacement, is_allo, net_rotation
 
@@ -39,34 +38,6 @@ DEFAULT_TYPE_WEIGHTS = {
 }
 
 
-# Checks on config JSON values: each raises ConfigError naming `key` unless
-# `value` has the type.  bool is an int subclass, but no integer or number here.
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def require_int(key: str, value) -> None:
-    if not _is_int(value):
-        raise ConfigError(f"{key} must be an integer, not {value!r}")
-
-
-def require_number(key: str, value) -> None:
-    """An int a float can hold, or a finite float.  NaN is refused, since every comparison with
-    it is false (a NaN type weight would pass the weights' sum check), and so are the infinities
-    and an int whose sum with a float would overflow."""
-    if not (_is_int(value) or isinstance(value, float)):
-        raise ConfigError(f"{key} must be a number, not {value!r}")
-    if isinstance(value, float) and not isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, not {value!r}")
-    if _is_int(value) and abs(value) > float_info.max:
-        raise ConfigError(f"{key} must be a number a float can hold, not an integer this large")
-
-
-def require_int_pair(key: str, value) -> None:
-    if not (isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))):
-        raise ConfigError(f"{key} must be two integers, not {value!r}")
-
-
 @dataclass(frozen=True)
 class MetaGrammarConfig:
     type_weights: dict = field(default_factory=lambda: dict(DEFAULT_TYPE_WEIGHTS))
@@ -75,18 +46,17 @@ class MetaGrammarConfig:
     max_rejects: int = 1000
 
     def __post_init__(self):
-        if not isinstance(self.type_weights, dict):
-            raise ConfigError(f"type_weights must map adverb types to numbers, not {self.type_weights!r}")
-        require_int_pair("prefix_len_range", self.prefix_len_range)
-        require_int("detour_rhs_max", self.detour_rhs_max)
-        require_int("max_rejects", self.max_rejects)
+        require("type_weights", self.type_weights, dict)
+        object.__setattr__(self, "prefix_len_range", require("prefix_len_range", self.prefix_len_range, INT_PAIR))
+        require("detour_rhs_max", self.detour_rhs_max, int)
+        require("max_rejects", self.max_rejects, int)
         if self.max_rejects < 0:
             raise ConfigError(f"max_rejects must be at least 0, not {self.max_rejects!r}")
         total = 0.0
         for t, w in self.type_weights.items():
             if t not in ADVERB_TYPES:
                 raise ConfigError(f"unknown adverb type: {t!r}")
-            require_number(f"type_weights[{t!r}]", w)
+            require(f"type_weights[{t!r}]", w, NUMBER)
             if w < 0:
                 raise ConfigError(f"negative weight for {t}")
             total += w

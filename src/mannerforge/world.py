@@ -23,6 +23,7 @@ from .errors import (
     IllegalInteraction,
     NoReferent,
     OutOfBounds,
+    require,
 )
 from .symbols import EGO_SYMBOLS, HEADINGS, STEP, require_heading
 
@@ -377,30 +378,22 @@ def world_to_dict(world: WorldState) -> dict:
     }
 
 
-# The keys of world_to_dict's objects, and what each key's value must be: of a
-# type, or one of some values of one type (so True is no size).
+# The keys of world_to_dict's objects, and the kind (errors.require's) of each key's value.
 _WORLD_KEYS = {"grid_size", "agent", "target_index", "objects"}
 _AGENT_KEYS = {"row", "col", "heading"}
 _OBJECT_KEYS = {"shape", "color", "size", "row", "col"}
 _KINDS = {"grid_size": int, "target_index": int, "row": int, "col": int, "agent": dict,
           "objects": list, "heading": HEADINGS, "shape": SHAPES, "color": COLORS, "size": SIZES}
-_KIND_NAMES = {int: "an integer", dict: "an object", list: "a list"}
 _KNOWN = frozenset(product(SHAPES, COLORS, SIZES))  # (shape, color, size)
 
 
 def _laid_out(data, keys: set, where: str) -> dict:
     """`data` if it has exactly `keys`, each value as _KINDS says; else ConfigError naming the key."""
-    if type(data) is not dict:
-        raise ConfigError(f"{where[:-1] or 'world'} must be an object, not {data!r}")
-    if data.keys() != keys:
+    if require(where[:-1] or "world", data, dict).keys() != keys:
         key = min(data.keys() ^ keys)
         raise ConfigError(f"{'unknown' if key in data else 'missing'} world key {where}{key}")
     for key, value in data.items():
-        kind = _KINDS[key]
-        if type(kind) is tuple and (type(value) is not type(kind[0]) or value not in kind):
-            raise ConfigError(f"{where}{key} must be one of {kind}, not {value!r}")
-        if type(kind) is type and type(value) is not kind:
-            raise ConfigError(f"{where}{key} must be {_KIND_NAMES[kind]}, not {value!r}")
+        require(where + key, value, _KINDS[key])
     return data
 
 

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from mannerforge import apply_program, builtin_adverbs, ground
-from mannerforge.forge import EXAMPLES_FILE, MANIFEST_FILE, MODULE_FILES, _generate_one, build_lexicon
+from mannerforge.forge import EXAMPLES_FILE, MANIFEST_FILE, MODULE_FILES, REGISTRY_FILE, _generate_one, build_lexicon
 from mannerforge.errors import ExhaustedRetries
 from mannerforge.world import COLORS, SHAPES, SIZES, GridObject, Position, WorldState, describe_target, world_to_dict
 
@@ -176,17 +176,28 @@ def edit_manifest(out_dir, edit):
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
-def edit_examples(out_dir, edit):
-    """Replace a dataset's examples file by edit(its lines, newlines kept) joined, and
-    write the new digest into the manifest: the bytes then verify, and only decoding
-    a record or counting the lines can find the fault."""
-    path = os.path.join(out_dir, EXAMPLES_FILE)
-    with open(path, encoding="utf-8") as fh:
-        data = "".join(edit(fh.read().splitlines(keepends=True))).encode("utf-8")
-    with open(path, "wb") as fh:
+def write_listed(out_dir, filename, data: bytes):
+    """Replace a dataset's file by `data`, and write its digest into the manifest (as the
+    registry_digest too, for the registry): the bytes then verify, and only parsing the
+    file can find a fault."""
+    with open(os.path.join(out_dir, filename), "wb") as fh:
         fh.write(data)
     digest = hashlib.sha256(data).hexdigest()
-    edit_manifest(out_dir, lambda manifest: manifest["files"].update({EXAMPLES_FILE: digest}))
+
+    def list_digest(manifest):
+        manifest["files"][filename] = digest
+        if filename == REGISTRY_FILE:
+            manifest["registry_digest"] = digest
+
+    edit_manifest(out_dir, list_digest)
+
+
+def edit_examples(out_dir, edit):
+    """Replace a dataset's examples file by edit(its lines, newlines kept) joined; see
+    write_listed.  Only decoding a record or counting the lines can find the fault."""
+    with open(os.path.join(out_dir, EXAMPLES_FILE), encoding="utf-8") as fh:
+        data = "".join(edit(fh.read().splitlines(keepends=True))).encode("utf-8")
+    write_listed(out_dir, EXAMPLES_FILE, data)
 
 
 def corrupt_line(out_dir, k, text="not json"):

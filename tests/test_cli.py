@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import shutil
@@ -15,7 +14,7 @@ from mannerforge.forge import ForgeConfig, SplitSpec, forge_dataset, read_datase
 from mannerforge.pipeline import BUILTIN_SURFACES
 from mannerforge.world import world_to_dict, GridObject, Position, WorldState
 
-from conftest import edit_manifest
+from conftest import write_listed
 
 SPIN = "turn_left turn_left turn_left turn_left"
 CAUTIOUS_OUT = (
@@ -404,7 +403,7 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
         ({"grid_size": 1}, "grid_size must be at least 2, not 1"),
         ({"meta": {"type_weights": {"spinning_type": "1"}}},
          "type_weights['spinning_type'] must be a number, not '1'"),
-        ({"meta": {"prefix_len_range": [2.0, 8]}}, "prefix_len_range must be two integers, not (2.0, 8)"),
+        ({"meta": {"prefix_len_range": [2.0, 8]}}, "prefix_len_range must be two integers, not [2.0, 8]"),
         ({"splits": [{"kind": "k_shot_adverb", "name": "k", "surface": "cautiously", "k": "5"}]},
          "k must be an integer, not '5'"),
         ({"splits": [{"kind": "random", "name": "r", "test_fraction": "0.1"}]},
@@ -412,7 +411,7 @@ def test_generate_rejects_mistyped_config_value(capsys, tmp_path):
         ({"meta": 3}, "meta must be an object, not 3"),
         ({"splits": [3]}, "split spec must be an object, not 3"),
         ({"splits": {"kind": "random", "name": "r"}}, "splits must be a list, not {'kind': 'random', 'name': 'r'}"),
-        ({"pinned_adverbs": [3]}, "pinned_adverbs must be a list of strings, not (3,)"),
+        ({"pinned_adverbs": [3]}, "pinned_adverbs must be a list of strings, not [3]"),
         ({"splits": [{"kind": "predicate", "name": "p", "predicate": "walks"}]},
          "predicate must be one of ('has_adverb', 'no_adverb'), not 'walks'"),
         ({"splits": [{"kind": "random", "name": "r", "test_fraction": 0.5},
@@ -542,9 +541,10 @@ def _dataset_with(tmp_path, dataset, filename, data: bytes) -> str:
     """A copy of `dataset` whose `filename` holds `data`; a listed file's digest is updated."""
     out_dir = tmp_path / "copy"
     shutil.copytree(dataset, out_dir)
-    (out_dir / filename).write_bytes(data)
-    if filename != "manifest":
-        edit_manifest(str(out_dir), lambda m: m["files"].update({filename: hashlib.sha256(data).hexdigest()}))
+    if filename == "manifest":
+        (out_dir / filename).write_bytes(data)
+    else:
+        write_listed(str(out_dir), filename, data)
     return str(out_dir)
 
 

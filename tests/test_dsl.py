@@ -433,6 +433,15 @@ class TestProgramInvariants:
             RewriteRule(lhs, rhs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "sideways"}, "unknown mode: 'sideways'"),
+        ({"plan_shape": "spiral"}, "unknown plan shape: 'spiral'"),
+    ])
+    def test_unknown_mode_or_plan_shape_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError) as err:
+            AdverbProgram(name=("x",), **kwargs)
+        assert str(err.value) == message
+
     def test_passes_must_be_positive(self, builtins):
         with pytest.raises(ValueError):
             replace(builtins["cautiously"], passes=0)

@@ -43,7 +43,7 @@ from mannerforge.forge import (
     read_dataset,
     recompose,
 )
-from mannerforge.metagrammar import ADVERB_TYPES, CAUTIOUSLY_TYPE
+from mannerforge.metagrammar import ADVERB_TYPES, CAUTIOUSLY_TYPE, MetaGrammarConfig
 from mannerforge.pipeline import BUILTIN_SURFACES
 from mannerforge.seeding import derive_rng
 from mannerforge.world import execute, parse_command
@@ -59,6 +59,7 @@ from conftest import (
     module_records,
     persisted_module_records,
     reference_lines,
+    write_listed,
 )
 
 # `mannerforge generate --config vocab_x150 --num-examples 2000` at schema 1.
@@ -931,6 +932,20 @@ class TestReadDataset:
         with pytest.raises(DigestMismatch, match=r"missing \[\], unknown \['../outside.txt'\]"):
             read_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda manifest: manifest.update(registry_digest="0" * 64), repr("0" * 64)),
+        (lambda manifest: manifest.pop("registry_digest"), "None"),
+    ], ids=["zeros", "missing"])
+    def test_registry_digest_must_be_the_registry_files(self, small_corpus, tmp_path, edit, shown):
+        # Checked with the manifest, before any file is read: a missing examples file is not reached.
+        write_corpus(small_corpus, tmp_path)
+        listed = json.loads((tmp_path / "manifest").read_text())["files"]["registry.txt"]
+        edit_manifest(tmp_path, edit)
+        (tmp_path / "examples.ndrec").unlink()
+        with pytest.raises(DigestMismatch) as err:
+            read_dataset(str(tmp_path))
+        assert str(err.value) == f"manifest registry_digest {shown} != files['registry.txt'] {listed!r}"
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -1029,10 +1044,7 @@ class TestReadDataset:
         lines = path.read_text(encoding="utf-8").split("\n")
         k = max(i for i, line in enumerate(lines) if "->" in line)  # the last rule, far from line 1
         lines[k] += " fly"
-        data = "\n".join(lines).encode("utf-8")
-        path.write_bytes(data)
-        digest = hashlib.sha256(data).hexdigest()
-        edit_manifest(tmp_path, lambda manifest: manifest["files"].update({"registry.txt": digest}))
+        write_listed(tmp_path, "registry.txt", "\n".join(lines).encode("utf-8"))
         with pytest.raises(ParseError, match="unknown symbol 'fly'$") as err:
             read_dataset(str(tmp_path))
         assert err.value.line == k + 1
@@ -1163,11 +1175,8 @@ def flip_byte(path, at=None):
 def break_registry(out_dir):
     """A registry that fails to parse, with its digest in the manifest, so that only
     parsing it can find the fault."""
-    path = out_dir / "registry.txt"
-    data = path.read_bytes().replace(b" -> ", b" -> fly ", 1)
-    path.write_bytes(data)
-    digest = hashlib.sha256(data).hexdigest()
-    edit_manifest(out_dir, lambda manifest: manifest["files"].update({"registry.txt": digest}))
+    data = (out_dir / "registry.txt").read_bytes().replace(b" -> ", b" -> fly ", 1)
+    write_listed(out_dir, "registry.txt", data)
 
 
 FAULTS = {
@@ -1300,6 +1309,21 @@ class TestForgeConfig:
         }
         assert data["meta"]["type_weights"] is not cfg.meta.type_weights  # a copy
         assert ForgeConfig.from_dict(data) == cfg
+
+    @pytest.mark.parametrize("build", [
+        lambda seq: SplitSpec(kind="type_subset", name="t", allowed_types=seq(["spinning_type"])),
+        lambda seq: ForgeConfig(distractors=seq([0, 3])),
+        lambda seq: ForgeConfig(pinned_adverbs=seq([PLUNGING])),
+        lambda seq: ForgeConfig(meta=MetaGrammarConfig(prefix_len_range=seq([2, 8]))),
+        lambda seq: ForgeConfig(splits=seq(BASE_SPLITS)),
+    ], ids=["allowed_types", "distractors", "pinned_adverbs", "prefix_len_range", "splits"])
+    def test_python_callers_may_pass_lists(self, build):
+        # Each sequence field holds the tuple of the list it was given, and the config JSON
+        # (to_dict's) is the tuples'.
+        from_lists, from_tuples = build(list), build(tuple)
+        assert repr(from_lists) == repr(from_tuples)
+        assert from_lists == from_tuples
+        assert forge_module._to_json(from_lists) == forge_module._to_json(from_tuples)
 
     def test_validation(self):
         with pytest.raises(ValueError):

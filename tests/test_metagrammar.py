@@ -4,7 +4,7 @@ from sys import float_info
 import pytest
 
 from mannerforge.dsl import AdverbProgram, RewriteRule, builtin_adverbs, programs_equal
-from mannerforge.errors import RejectBudgetExceeded, Unclassifiable
+from mannerforge.errors import NUMBER, ConfigError, RejectBudgetExceeded, Unclassifiable, require
 from mannerforge.metagrammar import (
     CAUTIOUSLY_TYPE,
     DETOUR_TYPE,
@@ -14,7 +14,6 @@ from mannerforge.metagrammar import (
     classify_program,
     generate_name,
     is_valid_detour_rule,
-    require_number,
     sample_program,
     sample_registry,
 )
@@ -46,6 +45,16 @@ class TestClassify:
         )
         with pytest.raises(Unclassifiable):
             classify_program(weird)
+
+    @pytest.mark.parametrize("program, message", [
+        (AdverbProgram(name=("idly",)), "program 'idly' has no rules and no plan variant"),
+        (AdverbProgram(name=("twice",), rules=frozenset({RewriteRule("walk", ("walk", "walk"))})),
+         "program 'twice' fits no type"),
+    ])
+    def test_unclassifiable_says_why(self, program, message):
+        with pytest.raises(Unclassifiable) as err:
+            classify_program(program)
+        assert str(err.value) == message
 
 
 class TestDetourValidity:
@@ -213,6 +222,15 @@ class TestMetaGrammarConfig:
         with pytest.raises(ValueError, match=f"^{key}"):
             MetaGrammarConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"type_weights": {"sneaky_type": 1.0}}, "unknown adverb type: 'sneaky_type'"),
+        ({"detour_rhs_max": 2}, "detour_rhs_max must allow at least one inserted pair"),
+    ])
+    def test_out_of_range_values_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError) as err:
+            MetaGrammarConfig(**kwargs)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weight_rejected(self, weight):
         weights = {SPINNING_TYPE: weight, CAUTIOUSLY_TYPE: 0.5, DETOUR_TYPE: 0.5}
@@ -227,8 +245,8 @@ class TestMetaGrammarConfig:
             MetaGrammarConfig(type_weights=weights)
 
     def test_largest_float_as_integer_accepted(self):
-        require_number("w", int(float_info.max))
-        require_number("w", -int(float_info.max))
+        require("w", int(float_info.max), NUMBER)
+        require("w", -int(float_info.max), NUMBER)
 
     def test_integer_weight_accepted(self):
         assert MetaGrammarConfig(type_weights={SPINNING_TYPE: 1}).type_weights == {SPINNING_TYPE: 1}

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import trace_cells
 from mannerforge.dsl import apply_program, ground, parse_program
-from mannerforge.errors import AmbiguousReferent, NoReferent, UnknownAdverb
+from mannerforge.errors import AmbiguousReferent, ConfigError, NoReferent, UnknownAdverb
 from mannerforge.metagrammar import (
     CAUTIOUSLY_TYPE,
     DETOUR_TYPE,
@@ -135,6 +135,13 @@ class TestPlanNavigation:
             plan = plan_navigation(percept, None)
             grounded_walks = sum(1 for s in plan.symbols if s == "walk")
             assert grounded_walks == abs(a.row - t.row) + abs(a.col - t.col)
+
+
+@pytest.mark.parametrize("mode, symbol", [("egocentric", "North"), ("allocentric", "walk")])
+def test_plan_refuses_a_symbol_outside_its_mode(mode, symbol):
+    with pytest.raises(ConfigError) as err:
+        Plan(mode, (symbol,))
+    assert str(err.value) == f"{mode} plan cannot contain {symbol!r}"
 
 
 class TestPlanInteraction:

@@ -265,6 +265,20 @@ class TestCommandSurface:
             parse_command(("push", "a", "somethingelse"))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_world(size=1), "grid_size must be at least 2"),
+    (lambda: make_world(target=1), "target_index 1 out of range"),
+    (lambda: Command("jump", "circle"), "unknown verb: 'jump'"),
+    (lambda: Command("walk", "circle", size_adj="huge"), "unknown size adjective: 'huge'"),
+    (lambda: parse_command(("push", "circle")), "expected article 'a' before the noun phrase"),
+    (lambda: sample_situation(random.Random(0), 1), "grid_size must be at least 2"),
+], ids=["world grid_size", "target_index", "verb", "size_adj", "article", "sampled grid_size"])
+def test_constructors_name_the_fault(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
 class TestWorldState:
     def test_rejects_shared_cells(self):
         objects = [
