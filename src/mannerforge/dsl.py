@@ -318,6 +318,8 @@ def _parse_program(text: str, first_line: int) -> AdverbProgram:
     passes = headers.get("passes", "1")
     if not re.fullmatch("[0-9]+", passes):  # int() would read 1_0, +2 and non-ASCII digits too
         raise ParseError(f"passes must be decimal digits, not {passes!r}", header_line["passes"])
+    if len(passes) > 9:  # int() refuses more than 4300 digits; the text is not echoed
+        raise ParseError(f"passes must have at most 9 digits, not {len(passes)}", header_line["passes"])
     mode = headers.get("mode", "egocentric")
     plan_shape = headers.get("plan_shape", "canonical")
     # A header's own fault is placed at its line; the defaults have none.

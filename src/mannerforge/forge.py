@@ -774,8 +774,8 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     """End-to-end: registry, examples, splits, files.  Returns the manifest.
     Chunks of indices are generated and serialized here or by `jobs` workers
     (capped at the CPU count) and written in order, whatever `jobs` is.  A dataset
-    already in `out_dir` stays whole until the splits are built; a failure before
-    the record files are in place removes their `.part` twins."""
+    already in `out_dir` stays whole until every new file is written to its `.part` twin;
+    the twins then move into place, the manifest last, or all go on a failure."""
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -793,11 +793,29 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
         chunks = _pool_chunks(jobs, cfg, lexicon, spans)
     else:
         chunks = (_forge_chunk(cfg, lexicon, *span) for span in spans)
-    paths = [os.path.join(out_dir, filename) for filename in RECORD_FILES.values()]
+    paths = [os.path.join(out_dir, filename) for filename in (*DATASET_FILES, MANIFEST_FILE)]
     try:
         with closing(chunks):  # a pool's workers end before the .part twins go
-            rows, digests = _write_records(paths, chunks)
+            rows, digests = _write_records(paths[:len(RECORD_FILES)], chunks)
         splits = build_splits(rows, cfg.splits, derive_rng(cfg.seed, "splits"))
+        sides = {name: vars(a) for name, a in splits.items()}  # train, test, dropped
+        blobs = {REGISTRY_FILE: serialize_registry(lexicon.registry).encode("utf-8"),
+                 SPLITS_FILE: _dumps(sides).encode("utf-8")}
+        files = dict(zip(RECORD_FILES.values(), digests))  # hashed as written, not read back
+        files.update((filename, hashlib.sha256(data).hexdigest()) for filename, data in blobs.items())
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "config": cfg.to_dict(),
+            "registry_digest": files[REGISTRY_FILE],
+            "counts": {name: {side: len(ids) for side, ids in a.items()} for name, a in sides.items()},
+            "num_examples": len(rows),
+            "adverb_counts": Counter(row.adverb_surface for row in rows if row.adverb_surface),
+            "files": files,
+        }
+        blobs[MANIFEST_FILE] = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        for path, data in zip(paths[len(RECORD_FILES):], blobs.values()):
+            with open(path + ".part", "wb") as fh:
+                fh.write(data)
         for path in paths:
             os.replace(path + ".part", path)
     except BaseException:
@@ -805,25 +823,4 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
             with suppress(FileNotFoundError):
                 os.remove(path + ".part")
         raise
-    sides = {name: vars(a) for name, a in splits.items()}  # train, test, dropped
-    files = dict(zip(RECORD_FILES.values(), digests))  # hashed as written, not read back
-    for filename, text in ((REGISTRY_FILE, serialize_registry(lexicon.registry)),
-                           (SPLITS_FILE, _dumps(sides))):
-        data = text.encode("utf-8")
-        with open(os.path.join(out_dir, filename), "wb") as fh:
-            fh.write(data)
-        files[filename] = hashlib.sha256(data).hexdigest()
-    adverb_counts = Counter(row.adverb_surface for row in rows if row.adverb_surface)
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "registry_digest": files[REGISTRY_FILE],
-        "counts": {name: {side: len(ids) for side, ids in a.items()} for name, a in sides.items()},
-        "num_examples": len(rows),
-        "adverb_counts": dict(sorted(adverb_counts.items())),
-        "files": files,
-    }
-    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

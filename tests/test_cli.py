@@ -339,6 +339,15 @@ def test_unknown_program_is_domain_error(capsys):
     assert "error[MannerforgeError]" in err
 
 
+def test_transform_refuses_a_passes_header_with_more_digits_than_int_reads(capsys, tmp_path):
+    path = tmp_path / "long.adv"
+    path.write_text(f"name: at length\npasses: {'1' * 5000}\nwalk -> stay walk\n")
+    code, _, err = run(capsys, "transform", "--program", str(path), "--input", "walk", "--heading", "east")
+    assert code == 1
+    assert err.startswith("error[ParseError]")
+    assert "1" * 10 not in err  # the digits are not echoed
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["ground", "--heading", "east"])  # missing --input

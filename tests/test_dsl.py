@@ -268,6 +268,8 @@ class TestProgramText:
         ("name: x\nNorth -> turn_left North\n", 1, "egocentric programs may only rewrite egocentric symbols"),
         ("name: x\ncolour: red\nwalk -> stay walk\n", 2, "unknown header 'colour'"),
         ("name: x\nmode: egocentric\nname: y\n", 3, "repeated header 'name'"),
+        pytest.param("name: x\nwalk -> stay walk\npasses: " + "1" * 5000 + "\n", 3,
+                     "passes must have at most 9 digits, not 5000", id="passes-of-5000-digits"),
     ])
     def test_header_errors_are_placed_at_their_line(self, text, line, message):
         with pytest.raises(ParseError) as err:

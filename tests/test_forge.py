@@ -560,6 +560,54 @@ class TestModuleDatasets:
             forge_dataset(cfg, str(tmp_path), jobs)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("owner, name", [(forge_module, "serialize_registry"), (json, "dumps")])
+    def test_reforge_failing_after_its_record_files_leaves_the_old_dataset(self, tmp_path, jobs, owner, name,
+                                                                          monkeypatch):
+        # The new record files are written, and then the registry's text, or the manifest's
+        # (json.dumps writes only the manifest), fails.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        manifest = forge_dataset(ForgeConfig(seed=1, num_examples=30), str(tmp_path))
+        before = dataset_files(tmp_path)
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, full_disk)
+            with pytest.raises(OSError, match="No space"):
+                forge_dataset(ForgeConfig(seed=2, num_examples=30), str(tmp_path), jobs)
+        assert read_dataset(str(tmp_path)).manifest == manifest
+        assert dataset_files(tmp_path) == before  # byte for byte, and no .part twin
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forge_failing_to_move_its_manifest_leaves_a_refused_dataset(self, tmp_path, jobs, monkeypatch):
+        # The manifest moves last: the seven new files beside the old manifest fail its digests.
+        monkeypatch.setattr(forge_module.os, "cpu_count", lambda: 2)
+        forge_dataset(ForgeConfig(seed=1, num_examples=30), str(tmp_path))
+        replace = os.replace
+
+        def manifest_fails(src, dst):
+            if os.path.basename(dst) == forge_module.MANIFEST_FILE:
+                raise OSError(28, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(forge_module.os, "replace", manifest_fails)
+        with pytest.raises(OSError, match="No space"):
+            forge_dataset(ForgeConfig(seed=2, num_examples=30), str(tmp_path), jobs)
+        assert listing(tmp_path) == sorted((*forge_module.DATASET_FILES, forge_module.MANIFEST_FILE))
+        with pytest.raises(DigestMismatch):
+            read_dataset(str(tmp_path))
+
+    def test_forge_overwrites_the_part_twins_a_killed_forge_left(self, tmp_path):
+        names = (*forge_module.DATASET_FILES, forge_module.MANIFEST_FILE)
+        (tmp_path / "old").mkdir()
+        for filename in names:
+            (tmp_path / "old" / (filename + ".part")).write_bytes(b"junk\n" * 1000)
+        cfg = ForgeConfig(seed=1, num_examples=30)
+        assert forged_files(cfg, tmp_path / "old", 1) == forged_files(cfg, tmp_path / "new", 1)
+        assert listing(tmp_path / "old") == sorted(names)
+
 
 def listing(path) -> list[str]:
     return sorted(os.listdir(path))
