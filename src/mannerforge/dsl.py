@@ -172,14 +172,15 @@ def ground(sequence, start: str, table: dict = GROUND) -> tuple[tuple[str, ...],
     return tuple(out), h
 
 
+def program_key(program: AdverbProgram) -> tuple:
+    """What programs_equal compares: a hashable key, equal for programs that differ
+    only in their name."""
+    return program.rules, program.mode, program.passes, program.plan_shape
+
+
 def programs_equal(a: AdverbProgram, b: AdverbProgram) -> bool:
     """Name-insensitive equality: same rule set, mode, passes, and plan shape."""
-    return (
-        a.rules == b.rules
-        and a.mode == b.mode
-        and a.passes == b.passes
-        and a.plan_shape == b.plan_shape
-    )
+    return program_key(a) == program_key(b)
 
 
 CAUTIOUS_PREFIX = ("turn_left", "turn_right", "turn_right", "turn_left")

@@ -46,11 +46,12 @@ from .pipeline import (
     solve_trace,
     transform,
 )
-from .seeding import derive_rng
+from .seeding import derive_rng, pick, sample, shuffle
 from .symbols import HEADINGS
 from .world import (
     COLORS,
     SHAPES,
+    SIZE_ADJECTIVES,
     VERBS,
     WorldState,
     execute,
@@ -263,8 +264,8 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> t
     """Example `index`, validated by the executor, and the oracle trace its module
     records are written from.  Every index derives its own RNG stream."""
     rng = derive_rng(cfg.seed, "example", index)
-    verb = rng.choice(VERBS)
-    surface = None if rng.random() < cfg.no_adverb_prob else rng.choice(surfaces)
+    verb = pick(rng.getrandbits, VERBS)
+    surface = None if rng.random() < cfg.no_adverb_prob else pick(rng.getrandbits, surfaces)
     lead = (verb, "to") if verb == "walk" else (verb,)
     adverb = tuple(surface.split()) if surface else ()
 
@@ -306,7 +307,7 @@ Row = namedtuple("Row", "index verb adverb_surface adverb_type")
 
 def _random_test(spec: SplitSpec, indices, base: int) -> list[int]:
     shuffled = list(indices)
-    derive_rng(base, "split", spec.name).shuffle(shuffled)
+    shuffle(derive_rng(base, "split", spec.name).getrandbits, shuffled)
     return shuffled[: int(len(shuffled) * spec.test_fraction)]
 
 
@@ -337,7 +338,7 @@ def build_splits(examples, specs, rng) -> dict[str, SplitAssignment]:
                 raise InsufficientExamples(
                     f"split {spec.name!r}: {len(matching)} examples of {spec.surface!r}, need {spec.k}"
                 )
-            shots = set(derive_rng(base, "split", spec.name).sample(matching, spec.k))
+            shots = set(sample(derive_rng(base, "split", spec.name).getrandbits, matching, spec.k))
             test = [i for i in matching if i not in shots]
         elif spec.kind == "verb_adverb_holdout":
             test = [
@@ -398,14 +399,16 @@ def _strings_only(items: list) -> bool:
 _RECORD_KEYS = {"index", "split", "command", "target", "situation", "adverb", "verb"}
 _ADVERB_KEYS = {"surface", "type"}
 _RECORD_SPLITS = ("train", "test")  # an example record's "split"
+# The tokens before a command's noun phrase, by verb, as Command.tokens writes them.
+_LEADS = {verb: [verb, "to", "a"] if verb == "walk" else [verb, "a"] for verb in VERBS}
 
 
 def example_from_record(record) -> Example:
     """The example an examples.ndrec record describes.  Its checks run in one pass, in
     this order: keys, index, command, target, verb, split, adverb, the verb as the
-    command's first token, the adverb as its tokens after its first shape noun (none for
-    null; parse_command's split), then the situation (world_from_dict); the first fault
-    raises ConfigError naming its key."""
+    command's first token, the command's lead and noun phrase as parse_command reads
+    them, the adverb as its tokens after the shape noun (none for null), then the
+    situation (world_from_dict); the first fault raises ConfigError naming its key."""
     if type(record) is not dict:
         raise ConfigError(f"record must be an object, not {record!r}")
     if record.keys() != _RECORD_KEYS:
@@ -432,11 +435,16 @@ def example_from_record(record) -> Example:
             raise ConfigError(f"adverb.type must be one of {ADVERB_TYPES}, not {adverb_type!r}")
     if command[:1] != [verb]:
         raise ConfigError(f"verb {verb!r} does not begin the command {command!r}")
-    for at, token in enumerate(command):
-        if token in SHAPES:
-            break
-    else:
-        raise ConfigError(f"command has no shape noun: {command!r}")
+    lead = _LEADS[verb]
+    at = len(lead)
+    if command[:at] != lead:
+        raise ConfigError(f"command {command!r} does not begin {' '.join(lead)!r}")
+    for words in (SIZE_ADJECTIVES, COLORS):  # at most one of each, in this order
+        if at < len(command) and command[at] in words:
+            at += 1
+    if at == len(command) or command[at] not in SHAPES:
+        raise ConfigError(f"command has no shape noun: {command!r} has {command[at:at + 1]} "
+                          f"after {' '.join(command[:at])!r}")
     if " ".join(command[at + 1:]) != (surface or ""):
         raise ConfigError(f"adverb {surface!r} is not the command's tokens after its shape noun, {command[at + 1:]}")
     return Example(

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .dsl import AdverbProgram, RewriteRule, builtin_adverbs, programs_equal
+from .dsl import AdverbProgram, RewriteRule, builtin_adverbs, program_key
 from .errors import INT_PAIR, NUMBER, ConfigError, RejectBudgetExceeded, Unclassifiable, require
-from .seeding import derive_rng
+from .seeding import derive_rng, pick, randint, sample, weighted_pick
 from .symbols import displacement, is_allo, net_rotation
 
 SPINNING_TYPE = "spinning_type"
@@ -84,9 +84,10 @@ def _sample_net_zero_prefix(rng: random.Random, len_range: tuple[int, int]) -> t
     lo, hi = len_range
     lengths = [n for n in range(max(lo, 2), hi + 1) if n % 2 == 0]
     weights = [_net_zero_count(n) for n in lengths]
-    n = rng.choices(lengths, weights=weights)[0]
+    n = weighted_pick(rng.random, lengths, weights)
+    getrandbits = rng.getrandbits
     while True:
-        prefix = tuple(rng.choice(("turn_left", "turn_right")) for _ in range(n))
+        prefix = tuple(pick(getrandbits, ("turn_left", "turn_right")) for _ in range(n))
         if net_rotation(prefix) == 0:
             return prefix
 
@@ -98,11 +99,12 @@ def _sample_detour_rhs(rng: random.Random, lhs: str, rhs_max: int) -> tuple[str,
     # Grow the rhs around the lhs symbol by displacement-cancelling pairs.
     rhs = [lhs]
     max_pairs = (rhs_max - 1) // 2
-    pairs = rng.randint(1, max_pairs)
+    getrandbits = rng.getrandbits
+    pairs = randint(getrandbits, 1, max_pairs)
     for _ in range(pairs):
-        first = rng.choice(_ALLO_ORDER)
+        first = pick(getrandbits, _ALLO_ORDER)
         second = _OPPOSITE_ALLO[first]
-        placement = rng.choice(("wrap", "before", "after"))
+        placement = pick(getrandbits, ("wrap", "before", "after"))
         if placement == "wrap":
             rhs = [first] + rhs + [second]
         elif placement == "before":
@@ -148,8 +150,8 @@ def sample_program(
         return AdverbProgram(name=name, rules=frozenset(rules), mode="egocentric")
 
     if adverb_type == DETOUR_TYPE:
-        count = rng.randint(1, len(_ALLO_ORDER))
-        lhs_set = rng.sample(_ALLO_ORDER, count)
+        count = randint(rng.getrandbits, 1, len(_ALLO_ORDER))
+        lhs_set = sample(rng.getrandbits, _ALLO_ORDER, count)
         rules = set()
         for lhs in lhs_set:
             rhs = _sample_detour_rhs(rng, lhs, cfg.detour_rhs_max)
@@ -225,11 +227,12 @@ def generate_name(
     """Pseudoword adverb surface: two tokens "while <stem>ing" for allocentric
     manners, one token "<stem>ly" for egocentric ones.  Passing a `used` set
     makes draws collision-free within a run."""
+    getrandbits = rng.getrandbits
     while True:
-        syllables = rng.randint(2, 3)
+        syllables = randint(getrandbits, 2, 3)
         stem = "".join(
-            rng.choice(_CONSONANTS) + rng.choice(_VOWELS) for _ in range(syllables)
-        ) + rng.choice(_CONSONANTS)
+            pick(getrandbits, _CONSONANTS) + pick(getrandbits, _VOWELS) for _ in range(syllables)
+        ) + pick(getrandbits, _CONSONANTS)
         if mode == "allocentric":
             name = ("while", stem + "ing")
         else:
@@ -265,6 +268,7 @@ def sample_registry(
     base = rng.getrandbits(64)
     builtins = builtin_adverbs()
     used_names = {p.surface for p in builtins}
+    seen = {program_key(p) for p in builtins}  # what programs_equal compares
     accepted: list[AdverbProgram] = []
     consecutive_rejects = 0
 
@@ -275,10 +279,8 @@ def sample_registry(
         adverb_type = _weighted_type(slot_rng, cfg.type_weights)
         while True:
             program = sample_program(slot_rng, adverb_type, cfg, used_names=used_names)
-            duplicate = any(programs_equal(program, p) for p in builtins) or any(
-                programs_equal(program, p) for p in accepted
-            )
-            if duplicate:
+            key = program_key(program)
+            if key in seen:
                 consecutive_rejects += 1
                 if consecutive_rejects > cfg.max_rejects:
                     raise RejectBudgetExceeded(
@@ -286,6 +288,7 @@ def sample_registry(
                     )
                 continue
             consecutive_rejects = 0
+            seen.add(key)
             accepted.append(program)
             break
     return accepted

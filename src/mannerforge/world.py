@@ -25,11 +25,13 @@ from .errors import (
     OutOfBounds,
     require,
 )
+from .seeding import pick, sample
 from .symbols import EGO_SYMBOLS, HEADINGS, STEP, require_heading
 
 SHAPES = ("circle", "square", "cylinder")
 COLORS = ("red", "blue", "green", "yellow")
 SIZES = (1, 2, 3, 4)
+SIZE_ADJECTIVES = ("small", "big")
 VERBS = ("walk", "push", "pull")
 
 # Objects of these sizes need two push (or pull) actions per cell moved.
@@ -118,7 +120,7 @@ class Command:
     def __post_init__(self):
         if self.verb not in VERBS:
             raise ConfigError(f"unknown verb: {self.verb!r}")
-        if self.size_adj not in (None, "small", "big"):
+        if self.size_adj not in (None, *SIZE_ADJECTIVES):
             raise ConfigError(f"unknown size adjective: {self.size_adj!r}")
 
     def tokens(self) -> tuple[str, ...]:
@@ -152,7 +154,7 @@ def parse_command(tokens) -> Command:
     if not toks or toks.pop(0) != "a":
         raise ConfigError("expected article 'a' before the noun phrase")
     size_adj = None
-    if toks and toks[0] in ("small", "big"):
+    if toks and toks[0] in SIZE_ADJECTIVES:
         size_adj = toks.pop(0)
     color = None
     if toks and toks[0] in COLORS:
@@ -317,24 +319,22 @@ def sample_situation(
         raise ConfigError(f"distractors must be [min, max] with 0 <= min <= max, not {distractors!r}")
     all_cells = _grid_cells(grid_size)
     counts = range(distractors[0], distractors[1] + 1)
-    # seq[randbelow(len(seq))] is what rng.choice and rng.randint draw, without their calls.
-    randbelow = rng._randbelow
-    n_shapes, n_colors, n_sizes = len(SHAPES), len(COLORS), len(SIZES)
+    getrandbits = rng.getrandbits
 
     for _ in range(SITUATION_ATTEMPTS):
-        agent_pos, target_pos = rng.sample(all_cells, 2)
-        heading = HEADINGS[randbelow(len(HEADINGS))]
+        agent_pos, target_pos = sample(getrandbits, all_cells, 2)
+        heading = pick(getrandbits, HEADINGS)
         r0, r1 = sorted((agent_pos.row, target_pos.row))
         c0, c1 = sorted((agent_pos.col, target_pos.col))
         free = _cells_outside(grid_size, r0, r1, c0, c1)
 
-        n_distractors = counts[randbelow(len(counts))]
+        n_distractors = pick(getrandbits, counts)
         if len(free) < n_distractors:
             continue
-        cells = rng.sample(free, n_distractors)
+        cells = sample(getrandbits, free, n_distractors)
 
         objects = [
-            _object(SHAPES[randbelow(n_shapes)], COLORS[randbelow(n_colors)], SIZES[randbelow(n_sizes)],
+            _object(pick(getrandbits, SHAPES), pick(getrandbits, COLORS), pick(getrandbits, SIZES),
                     cell.row, cell.col)
             for cell in (target_pos, *cells)
         ]

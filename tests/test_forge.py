@@ -65,7 +65,7 @@ from conftest import (
 # `mannerforge generate --config vocab_x150 --num-examples 2000` at schema 1.
 REFERENCE_MANIFEST_SHA256 = "e6104d903481b5ae8c5c291d94f471aa8ad4328ebc541cc0dc7c7cc3509da55c"
 
-# A 4x4 grid, whose 16 cells rng.sample draws from its pool branch, and a pinned
+# A 4x4 grid, whose 16 cells seeding.sample draws from its pool branch, and a pinned
 # 3-pass adverb; the same config and digest are checked in CI through the console script.
 SMALL_GRID_CONFIG = {
     "seed": 3, "grid_size": 4, "num_examples": 600, "extra_adverbs": 20,
@@ -754,6 +754,21 @@ class TestPersistence:
         digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
         assert digest == REFERENCE_MANIFEST_SHA256
 
+    @pytest.mark.parametrize("config, digest", [
+        (reference_config, REFERENCE_MANIFEST_SHA256),
+        (lambda: ForgeConfig.from_dict(SMALL_GRID_CONFIG), SMALL_GRID_MANIFEST_SHA256),
+    ], ids=["vocab_x150", "small_grid"])
+    def test_reference_manifests_draw_nothing_through_random_py(self, tmp_path, monkeypatch, config, digest):
+        # seeding's draws read only getrandbits and random(): random.py's own draws may
+        # change with the interpreter, and no digest rests on them.
+        def refused(*args, **kwargs):
+            raise AssertionError("a draw went through random.py")
+        for name in ("choice", "choices", "sample", "shuffle", "randint", "randrange",
+                     "_randbelow", "_randbelow_with_getrandbits"):
+            monkeypatch.setattr(random.Random, name, refused)
+        forge_dataset(config(), str(tmp_path), jobs=1)
+        assert hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("chunk", [1, 7, 100, 500])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reference_manifest_digest_for_any_chunk_size(self, tmp_path, monkeypatch, inline_pool, chunk, jobs):
@@ -960,6 +975,28 @@ class TestReadDataset:
         corrupt_line(tmp_path, k, lines[k - 1].replace(old, new, 1))  # the first match only
         dataset = read_dataset(str(tmp_path))
         with pytest.raises(MalformedRecord, match=message) as err:
+            dataset.example_by_index(k - 1)
+        assert err.value.line == k
+
+    @pytest.mark.parametrize("command, message", [
+        ("walk a small square", r"command \['walk', 'a', 'small', 'square'\] does not begin 'walk to a'$"),
+        ("walk to a purple zzz square", r"command has no shape noun: .* has \['purple'\] after 'walk to a'$"),
+        ("push the red big circle", r"command .* does not begin 'push a'$"),
+        ("pull a red red circle", r"command has no shape noun: .* has \['red'\] after 'pull a red'$"),
+    ])
+    def test_command_outside_the_grammar_names_its_line(self, small_corpus, tmp_path, command, message):
+        # Each has a verb, a shape noun and no adverb, as the record says, yet parse_command
+        # refuses it: the reader reads the lead, [size] [colour] shape as parse_command does.
+        tokens = command.split()
+        with pytest.raises(ConfigError):
+            parse_command(tokens)
+        write_corpus(small_corpus, tmp_path)
+        k = 7
+        record = json.loads((tmp_path / "examples.ndrec").read_text().splitlines()[k - 1])
+        record.update(command=tokens, verb=tokens[0], adverb=None)
+        corrupt_line(tmp_path, k, json.dumps(record, sort_keys=True, separators=(",", ":")))
+        dataset = read_dataset(str(tmp_path))
+        with pytest.raises(MalformedRecord, match=r"examples\.ndrec:7: " + message) as err:
             dataset.example_by_index(k - 1)
         assert err.value.line == k
 

@@ -37,6 +37,7 @@ from mannerforge.forge import (
     _serialize,
     _situation_json,
     _symbols,
+    example_from_record,
     forge_dataset,
 )
 from mannerforge.metagrammar import (
@@ -53,6 +54,7 @@ from mannerforge.symbols import ALL_SYMBOLS, EGO_SYMBOLS, STEP
 from mannerforge.world import (
     COLORS,
     SHAPES,
+    SIZE_ADJECTIVES,
     SIZES,
     VERBS,
     GridObject,
@@ -411,3 +413,35 @@ def test_grid_12_forge_lines_equal_the_reference(tmp_path, jobs, monkeypatch):
     expected = reference_lines(pairs, test)
     for name, filename in RECORD_FILES.items():
         assert (tmp_path / filename).read_text(encoding="utf-8").splitlines(keepends=True) == expected[name]
+
+
+def _words(*words):
+    return st.lists(st.sampled_from(words), max_size=3)
+
+
+# Commands built from the vocabulary, most of them near the grammar: a verb, then lead
+# words, modifiers, nouns and adverb words, each from its own list.
+near_commands = st.tuples(
+    st.sampled_from(VERBS), _words("to", "a", "the"), _words(*SIZE_ADJECTIVES, *COLORS, "purple"),
+    _words(*SHAPES, "zzz"), _words("while", "spinning", "cautiously", "red"),
+).map(lambda parts: [parts[0], *(word for words in parts[1:] for word in words)])
+
+
+@PROPERTY_SETTINGS
+@given(command=near_commands)
+def test_reader_accepts_the_commands_parse_command_accepts(command):
+    # The record's adverb is the command's tokens after its first shape noun, as the
+    # forge writes it, so only the grammar of the command can refuse the record.
+    shape_at = next((i for i, token in enumerate(command) if token in SHAPES), len(command))
+    surface = " ".join(command[shape_at + 1:])
+    record = {"index": 0, "split": "train", "command": command, "target": [], "verb": command[0],
+              "adverb": {"surface": surface, "type": CAUTIOUSLY_TYPE} if surface else None,
+              "situation": world_to_dict(WorldState(4, Position(0, 0), "north",
+                                                    (GridObject("circle", "red", 1, Position(1, 1)),), 0))}
+    try:
+        parse_command(command)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            example_from_record(record)
+    else:
+        assert example_from_record(record).command == tuple(command)
