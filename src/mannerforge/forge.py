@@ -51,11 +51,11 @@ from .symbols import HEADINGS
 from .world import (
     COLORS,
     SHAPES,
-    SIZE_ADJECTIVES,
     VERBS,
+    Command,
     WorldState,
+    command_fields,
     execute,
-    parse_command,
     sample_situation,
     world_from_dict,
 )
@@ -266,13 +266,11 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> t
     rng = derive_rng(cfg.seed, "example", index)
     verb = pick(rng.getrandbits, VERBS)
     surface = None if rng.random() < cfg.no_adverb_prob else pick(rng.getrandbits, surfaces)
-    lead = (verb, "to") if verb == "walk" else (verb,)
-    adverb = tuple(surface.split()) if surface else ()
+    adverb = tuple(surface.split()) if surface else None
 
     for _ in range(cfg.retry_limit):
-        world, phrase = sample_situation(rng, cfg.grid_size, cfg.distractors)
-        tokens = lead + phrase + adverb
-        command = parse_command(tokens)
+        world, (size_adj, color) = sample_situation(rng, cfg.grid_size, cfg.distractors)
+        command = Command(verb, world.target.shape, color, size_adj, adverb)
         try:
             trace = solve_trace(command, world, lexicon, cfg.max_depth)
             final = execute(world, trace.target)
@@ -284,7 +282,7 @@ def _generate_one(cfg: ForgeConfig, lexicon: Lexicon, surfaces, index: int) -> t
             continue
         example = Example(
             index=index,
-            command=tokens,  # what command.tokens() rebuilds from the parse
+            command=command.tokens(),
             world=world,
             target=trace.target,
             verb=verb,
@@ -399,16 +397,14 @@ def _strings_only(items: list) -> bool:
 _RECORD_KEYS = {"index", "split", "command", "target", "situation", "adverb", "verb"}
 _ADVERB_KEYS = {"surface", "type"}
 _RECORD_SPLITS = ("train", "test")  # an example record's "split"
-# The tokens before a command's noun phrase, by verb, as Command.tokens writes them.
-_LEADS = {verb: [verb, "to", "a"] if verb == "walk" else [verb, "a"] for verb in VERBS}
 
 
 def example_from_record(record) -> Example:
     """The example an examples.ndrec record describes.  Its checks run in one pass, in
     this order: keys, index, command, target, verb, split, adverb, the verb as the
-    command's first token, the command's lead and noun phrase as parse_command reads
-    them, the adverb as its tokens after the shape noun (none for null), then the
-    situation (world_from_dict); the first fault raises ConfigError naming its key."""
+    command's first token, the command's grammar (world.command_fields), the adverb as
+    its tokens after the shape noun (none for null), then the situation
+    (world_from_dict); the first fault raises ConfigError naming its key."""
     if type(record) is not dict:
         raise ConfigError(f"record must be an object, not {record!r}")
     if record.keys() != _RECORD_KEYS:
@@ -435,18 +431,9 @@ def example_from_record(record) -> Example:
             raise ConfigError(f"adverb.type must be one of {ADVERB_TYPES}, not {adverb_type!r}")
     if command[:1] != [verb]:
         raise ConfigError(f"verb {verb!r} does not begin the command {command!r}")
-    lead = _LEADS[verb]
-    at = len(lead)
-    if command[:at] != lead:
-        raise ConfigError(f"command {command!r} does not begin {' '.join(lead)!r}")
-    for words in (SIZE_ADJECTIVES, COLORS):  # at most one of each, in this order
-        if at < len(command) and command[at] in words:
-            at += 1
-    if at == len(command) or command[at] not in SHAPES:
-        raise ConfigError(f"command has no shape noun: {command!r} has {command[at:at + 1]} "
-                          f"after {' '.join(command[:at])!r}")
-    if " ".join(command[at + 1:]) != (surface or ""):
-        raise ConfigError(f"adverb {surface!r} is not the command's tokens after its shape noun, {command[at + 1:]}")
+    tail = command_fields(command)[4] or ()  # the tokens after the shape noun
+    if " ".join(tail) != (surface or ""):
+        raise ConfigError(f"adverb {surface!r} is not the command's tokens after its shape noun, {list(tail)}")
     return Example(
         index=index,
         command=tuple(command),
@@ -783,11 +770,16 @@ def forge_dataset(cfg: ForgeConfig, out_dir: str, jobs: int = 1) -> dict:
     Chunks of indices are generated and serialized here or by `jobs` workers
     (capped at the CPU count) and written in order, whatever `jobs` is.  A dataset
     already in `out_dir` stays whole until every new file is written to its `.part` twin;
-    the twins then move into place, the manifest last, or all go on a failure."""
+    the twins then move into place, the manifest last, or all go on a failure.  A split
+    that names an adverb surface the lexicon lacks raises ConfigError before any write."""
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
     jobs = min(jobs, os.cpu_count() or 1)
     lexicon = build_lexicon(cfg)
+    for spec in cfg.splits:  # a surface the lexicon lacks would select no example
+        for surface in (spec.surface, *(spec.surfaces or ())):
+            if surface is not None and surface not in lexicon.programs:
+                raise ConfigError(f"split {spec.name!r} names adverb {surface!r}, which the lexicon does not have")
     n = cfg.num_examples
     # Each record's "split" is its side of the first random split, which reads only
     # the indices; build_splits draws the same base.

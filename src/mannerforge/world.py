@@ -32,7 +32,10 @@ SHAPES = ("circle", "square", "cylinder")
 COLORS = ("red", "blue", "green", "yellow")
 SIZES = (1, 2, 3, 4)
 SIZE_ADJECTIVES = ("small", "big")
-VERBS = ("walk", "push", "pull")
+# Each verb and the tokens its commands begin with, before the noun phrase: what
+# Command.tokens writes and command_fields reads.  Lists, to compare with a list's slice.
+_LEADS = {"walk": ["walk", "to", "a"], "push": ["push", "a"], "pull": ["pull", "a"]}
+VERBS = tuple(_LEADS)
 
 # Objects of these sizes need two push (or pull) actions per cell moved.
 HEAVY_SIZES = frozenset({3, 4})
@@ -106,9 +109,9 @@ class WorldState:
 class Command:
     """A parsed instruction: verb, a noun phrase, and an optional adverb.
 
-    Surface form is "walk to a ..." for walk and "<verb> a ..." for push and
-    pull, with the noun phrase ordered [size adjective] [color] shape and the
-    adverb tokens trailing.
+    Its surface form is the verb's lead (_LEADS: "walk to a", "push a", "pull a"),
+    then the noun phrase ordered [size adjective] [color] shape, then the adverb
+    tokens.
     """
 
     verb: str
@@ -124,46 +127,37 @@ class Command:
             raise ConfigError(f"unknown size adjective: {self.size_adj!r}")
 
     def tokens(self) -> tuple[str, ...]:
-        toks = [self.verb]
-        if self.verb == "walk":
-            toks.append("to")
-        toks.append("a")
-        if self.size_adj:
-            toks.append(self.size_adj)
-        if self.color:
-            toks.append(self.color)
-        toks.append(self.shape)
-        if self.adverb:
-            toks.extend(self.adverb)
-        return tuple(toks)
+        modifiers = [word for word in (self.size_adj, self.color) if word]
+        return (*_LEADS[self.verb], *modifiers, self.shape, *(self.adverb or ()))
+
+
+def command_fields(command: list) -> tuple:
+    """The fields of the Command a list of tokens spells, in Command's order: the verb's
+    lead, at most one size adjective, at most one color, the shape noun, and any tokens
+    after it as the adverb (None for none).  Whether that adverb names a known program
+    is the solver's concern.  Tokens outside this grammar raise ConfigError."""
+    if not command or command[0] not in VERBS:  # `in` a tuple: no hash of the token
+        raise ConfigError(f"command must start with a verb: {command!r}")
+    lead = _LEADS[command[0]]
+    at = len(lead)
+    if command[:at] != lead:
+        raise ConfigError(f"command {command!r} does not begin {' '.join(lead)!r}")
+    size_adj = color = None
+    if at < len(command) and command[at] in SIZE_ADJECTIVES:
+        size_adj = command[at]
+        at += 1
+    if at < len(command) and command[at] in COLORS:
+        color = command[at]
+        at += 1
+    if at == len(command) or command[at] not in SHAPES:
+        raise ConfigError(f"command has no shape noun: {command!r} has {command[at:at + 1]} "
+                          f"after {' '.join(command[:at])!r}")
+    return command[0], command[at], color, size_adj, tuple(command[at + 1:]) or None
 
 
 def parse_command(tokens) -> Command:
-    """Parse a surface token sequence back into a Command.
-
-    Any tokens after the shape noun are taken as the adverb surface; whether
-    that surface names a known program is the solver's concern.
-    """
-    toks = list(tokens)
-    if not toks or toks[0] not in VERBS:
-        raise ConfigError(f"command must start with a verb: {toks!r}")
-    verb = toks.pop(0)
-    if verb == "walk":
-        if not toks or toks.pop(0) != "to":
-            raise ConfigError("walk commands read 'walk to a ...'")
-    if not toks or toks.pop(0) != "a":
-        raise ConfigError("expected article 'a' before the noun phrase")
-    size_adj = None
-    if toks and toks[0] in SIZE_ADJECTIVES:
-        size_adj = toks.pop(0)
-    color = None
-    if toks and toks[0] in COLORS:
-        color = toks.pop(0)
-    if not toks or toks[0] not in SHAPES:
-        raise ConfigError(f"expected a shape noun, got {toks[:1]!r}")
-    shape = toks.pop(0)
-    adverb = tuple(toks) if toks else None
-    return Command(verb=verb, shape=shape, color=color, size_adj=size_adj, adverb=adverb)
+    """The Command of a surface token sequence, as command_fields reads it."""
+    return Command(*command_fields(list(tokens)))
 
 
 # STEP of the egocentric actions, keyed by action, then heading: execute's lookup.
@@ -260,8 +254,9 @@ def resolve_target(command: Command, world: WorldState) -> int:
     return matches[0]
 
 
-def describe_target(world: WorldState) -> tuple[str, ...] | None:
-    """Shortest noun phrase (with article) uniquely denoting the target, or None.
+def describe_target(world: WorldState) -> tuple[str | None, str | None] | None:
+    """The (size adjective, color) of the shortest noun phrase uniquely denoting
+    the target, either None where the phrase has none; None if no phrase does.
 
     Tries shape; color shape; small/big shape; small/big color shape, as
     resolve_target reads them: a bare phrase is unique when one object has the
@@ -271,16 +266,16 @@ def describe_target(world: WorldState) -> tuple[str, ...] | None:
     target = world.target
     same_shape = [o for o in world.objects if o.shape == target.shape]
     groups = (
-        ((), [o.size for o in same_shape]),
-        ((target.color,), [o.size for o in same_shape if o.color == target.color]),
+        (None, [o.size for o in same_shape]),
+        (target.color, [o.size for o in same_shape if o.color == target.color]),
     )
     for color, sizes in groups:
         if len(sizes) == 1:
-            return ("a", *color, target.shape)
+            return None, color
     for color, sizes in groups:
         for size_adj, extreme in (("small", min(sizes)), ("big", max(sizes))):
             if target.size == extreme and sizes.count(extreme) == 1:
-                return ("a", size_adj, *color, target.shape)
+                return size_adj, color
     return None
 
 
@@ -305,8 +300,9 @@ def sample_situation(
     rng: random.Random,
     grid_size: int = 6,
     distractors: tuple[int, int] = (0, 3),
-) -> tuple[WorldState, tuple[str, ...]]:
-    """Sample a world plus a noun phrase that uniquely resolves to its target.
+) -> tuple[WorldState, tuple[str | None, str | None]]:
+    """Sample a world whose target a noun phrase uniquely denotes, and that phrase's
+    (size adjective, color), as describe_target gives them.
 
     The agent and target occupy distinct cells, and distractors are kept out
     of the rectangle spanned by agent and target so navigation paths stay
@@ -345,9 +341,9 @@ def sample_situation(
             objects=tuple(objects),
             target_index=0,
         )
-        phrase = describe_target(world)
-        if phrase is not None:
-            return world, phrase
+        modifiers = describe_target(world)
+        if modifiers is not None:
+            return world, modifiers
 
     raise ExhaustedRetries(
         f"no uniquely describable target after {SITUATION_ATTEMPTS} attempts"

@@ -88,6 +88,16 @@ def test_solve_rejects_bad_world_file(capsys, tmp_path):
     assert err.startswith("error[ConfigError]: objects[0].shape must be one of")
 
 
+def test_solve_refuses_a_command_outside_the_grammar(capsys, tmp_path):
+    world = WorldState(6, Position(2, 1), "north", (GridObject("circle", "red", 2, Position(1, 1)),), 0)
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(world_to_dict(world)))
+    code, out, err = run(capsys, "solve", "--world", str(path), "--command", "walk a circle")
+    assert code == 1
+    assert out == ""
+    assert err == "error[ConfigError]: command ['walk', 'a', 'circle'] does not begin 'walk to a'"
+
+
 def test_solve_refuses_a_command_naming_another_object(capsys, tmp_path):
     world = WorldState(
         grid_size=6,

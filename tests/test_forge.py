@@ -343,6 +343,21 @@ class TestGenerateExamples:
         assert not (tmp_path / "ds").exists()
         assert "deeply" in build_lexicon(ForgeConfig(max_depth=3, pinned_adverbs=(deep,))).programs
 
+    @pytest.mark.parametrize("spec, surface", [
+        ({"kind": "verb_adverb_holdout", "name": "pull_spin", "verb": "pull", "surface": "while spining"},
+         "while spining"),
+        ({"kind": "type_subset", "name": "two", "surfaces": ["while spinning", "cautiosly"]}, "cautiosly"),
+        ({"kind": "k_shot_adverb", "name": "k1", "surface": "hesitently", "k": 1}, "hesitently"),
+    ], ids=["verb_adverb_holdout", "type_subset", "k_shot_adverb"])
+    def test_split_naming_an_adverb_outside_the_lexicon_is_refused(self, tmp_path, spec, surface):
+        # Such a split selects no example: a holdout without a test side, a subset that
+        # keeps nothing of the name, or a k-shot split refused after every record is written.
+        cfg = ForgeConfig.from_dict({"seed": 3, "num_examples": 300, "splits": [spec]})
+        message = f"split {spec['name']!r} names adverb {surface!r}, which the lexicon does not have"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            forge_dataset(cfg, str(tmp_path / "ds"))
+        assert not (tmp_path / "ds").exists()
+
 
 class TestBuildSplits:
     def test_random_partition(self, small_corpus):
@@ -986,7 +1001,7 @@ class TestReadDataset:
     ])
     def test_command_outside_the_grammar_names_its_line(self, small_corpus, tmp_path, command, message):
         # Each has a verb, a shape noun and no adverb, as the record says, yet parse_command
-        # refuses it: the reader reads the lead, [size] [colour] shape as parse_command does.
+        # refuses it, and so does the record reader, which reads it through command_fields.
         tokens = command.split()
         with pytest.raises(ConfigError):
             parse_command(tokens)

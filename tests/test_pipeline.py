@@ -295,13 +295,10 @@ class TestSolve:
         attempts = 0
         while solved < 500 and attempts < 5000:
             attempts += 1
-            world, phrase = sample_situation(rng, 6, (0, 2))
+            world, (size_adj, color) = sample_situation(rng, 6, (0, 2))
             verb = rng.choice(("walk", "push", "pull"))
             surface = rng.choice(surfaces) if rng.random() > 0.2 else None
-            noun = list(phrase[1:])
-            size_adj = noun.pop(0) if noun[0] in ("small", "big") else None
-            color = noun.pop(0) if len(noun) == 2 else None
-            cmd = Command(verb, noun[0], color=color, size_adj=size_adj,
+            cmd = Command(verb, world.target.shape, color=color, size_adj=size_adj,
                           adverb=tuple(surface.split()) if surface else None)
             try:
                 out = solve(cmd, world, lexicon)
@@ -326,14 +323,11 @@ class TestMannerConservativity:
         rng, programs = self.within_cell_cases(builtins)
         checked = 0
         while checked < 300:
-            world, phrase = sample_situation(rng, 6, (0, 1))
+            world, (size_adj, color) = sample_situation(rng, 6, (0, 1))
             verb = rng.choice(("walk", "push", "pull"))
             program = rng.choice(programs)
-            noun = list(phrase[1:])
-            size_adj = noun.pop(0) if noun[0] in ("small", "big") else None
-            color = noun.pop(0) if len(noun) == 2 else None
-            plain_cmd = Command(verb, noun[0], color=color, size_adj=size_adj)
-            manner_cmd = Command(verb, noun[0], color=color, size_adj=size_adj,
+            plain_cmd = Command(verb, world.target.shape, color=color, size_adj=size_adj)
+            manner_cmd = Command(verb, world.target.shape, color=color, size_adj=size_adj,
                                  adverb=program.name)
             lexicon = Lexicon.build([program]) if program.surface not in (
                 "while spinning", "cautiously", "hesitantly", "while zigzagging"

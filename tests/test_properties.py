@@ -57,6 +57,7 @@ from mannerforge.world import (
     SIZE_ADJECTIVES,
     SIZES,
     VERBS,
+    Command,
     GridObject,
     Position,
     WorldState,
@@ -289,9 +290,8 @@ def test_executed_oracle_target_satisfies_the_goal(seed, grid_size, surface, ver
     """The oracle declines (a MannerforgeError from solve_trace), a detour
     leaves the grid (OutOfBounds from execute, and the forge re-samples), or
     its target, executed, reaches the verb's goal."""
-    world, phrase = sample_situation(random.Random(seed), grid_size, (0, 3))
-    lead = (verb, "to") if verb == "walk" else (verb,)
-    command = parse_command(lead + phrase + (tuple(surface.split()) if surface else ()))
+    world, (size_adj, color) = sample_situation(random.Random(seed), grid_size, (0, 3))
+    command = Command(verb, world.target.shape, color, size_adj, tuple(surface.split()) if surface else None)
     try:
         trace = solve_trace(command, world, LEXICON)
     except MannerforgeError:

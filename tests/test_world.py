@@ -16,6 +16,10 @@ from mannerforge.errors import (
     OutOfBounds,
 )
 from mannerforge.world import (
+    COLORS,
+    SHAPES,
+    SIZE_ADJECTIVES,
+    VERBS,
     Command,
     GridObject,
     Position,
@@ -196,15 +200,15 @@ class TestSampleSituation:
 
     def test_phrase_resolves_to_target(self):
         for seed in range(300):
-            world, phrase = sample_situation(random.Random(seed), 6, (0, 3))
-            command = parse_command(("walk", "to") + tuple(phrase))
+            world, (size_adj, color) = sample_situation(random.Random(seed), 6, (0, 3))
+            command = Command("walk", world.target.shape, color, size_adj)
             assert resolve_target(command, world) == world.target_index
             assert world.agent_position != world.target.position
 
     def test_no_distractors_yields_bare_shape_phrase(self):
-        world, phrase = sample_situation(random.Random(1), 6, (0, 0))
+        world, modifiers = sample_situation(random.Random(1), 6, (0, 0))
         assert len(world.objects) == 1
-        assert phrase == ("a", world.target.shape)
+        assert modifiers == (None, None)
 
     def test_exhausted_retries(self):
         with pytest.raises(ExhaustedRetries):
@@ -256,6 +260,24 @@ class TestCommandSurface:
         ):
             assert parse_command(cmd.tokens()) == cmd
 
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_every_command_round_trips(self, verb):
+        # Every verb, size adjective, color and shape, each optional modifier absent or
+        # present, and no adverb or one of one or two tokens.
+        for size_adj in (None, *SIZE_ADJECTIVES):
+            for color in (None, *COLORS):
+                for shape in SHAPES:
+                    for adverb in (None, ("cautiously",), ("while", "spinning")):
+                        cmd = Command(verb, shape, color, size_adj, adverb)
+                        assert parse_command(cmd.tokens()) == cmd
+
+    @pytest.mark.parametrize("tokens", [[], [None], [["walk"], "to", "a", "circle"], ("walk", "to", "a")],
+                             ids=["empty", "None", "list verb", "no noun"])
+    def test_parse_refuses_with_config_error(self, tokens):
+        # Never a TypeError, though a list as the first token cannot be hashed.
+        with pytest.raises(ConfigError):
+            parse_command(tokens)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_command(("jump", "a", "circle"))
@@ -270,7 +292,7 @@ class TestCommandSurface:
     (lambda: make_world(target=1), "target_index 1 out of range"),
     (lambda: Command("jump", "circle"), "unknown verb: 'jump'"),
     (lambda: Command("walk", "circle", size_adj="huge"), "unknown size adjective: 'huge'"),
-    (lambda: parse_command(("push", "circle")), "expected article 'a' before the noun phrase"),
+    (lambda: parse_command(("push", "circle")), "command ['push', 'circle'] does not begin 'push a'"),
     (lambda: sample_situation(random.Random(0), 1), "grid_size must be at least 2"),
 ], ids=["world grid_size", "target_index", "verb", "size_adj", "article", "sampled grid_size"])
 def test_constructors_name_the_fault(build, message):
