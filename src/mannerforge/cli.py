@@ -18,7 +18,7 @@ from importlib import resources
 
 from .dsl import builtin_adverbs, decode_text, ground, parse_program, serialize_registry
 from .errors import ConfigError, MannerforgeError, require
-from .forge import ForgeConfig, forge_dataset, load_json, read_dataset, read_registry
+from .forge import ForgeConfig, forge_dataset, load_json, part_twins, read_dataset, read_registry
 from .harness import dataset_stats, evaluate, read_predictions
 from .metagrammar import ADVERB_TYPES, MetaGrammarConfig, sample_registry
 from .pipeline import solve, transform
@@ -124,7 +124,7 @@ def _cmd_sample_adverbs(args) -> int:
     seed = args.seed if args.seed is not None else (_fallback_seed() or 0)
     cfg = MetaGrammarConfig(type_weights=_parse_weights(args.weights)) if args.weights else MetaGrammarConfig()
     programs = sample_registry(derive_rng(seed, "registry"), args.n, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with part_twins([args.out]) as (twin,), open(twin, "w", encoding="utf-8") as fh:
         fh.write(serialize_registry(programs))
     print(f"wrote {len(programs)} adverb programs to {args.out}")
     return 0
@@ -161,7 +161,7 @@ def _cmd_evaluate(args) -> int:
     report = evaluate(dataset, predictions, split_names=names)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with part_twins([args.report]) as (twin,), open(twin, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     print(payload)
     return 0

@@ -30,7 +30,7 @@ _TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a l
 
 def require(key: str, value, kind):
     """`value` if it is of `kind`, else ConfigError("<key> must be <kind's name>, not <value!r>").
-    A kind is one of int, str, dict and list, of exactly that type (so True is no integer);
+    A kind is a class, such as int, str, dict or list, of exactly that type (so True is no integer);
     a tuple of the allowed values, all of one type (so True is no size); NUMBER, an int a
     float can hold or a finite float (NaN passes no comparison, and a sum with a float
     overflows at a larger int); or STRINGS or INT_PAIR, a list or tuple of strings or of two
@@ -53,7 +53,8 @@ def require(key: str, value, kind):
             return tuple(value)
     elif type(value) is kind:
         return value
-    raise ConfigError(f"{key} must be {_TYPE_NAMES.get(kind, kind)}, not {value!r}")
+    name = _TYPE_NAMES.get(kind) or (f"a {kind.__name__}" if isinstance(kind, type) else kind)
+    raise ConfigError(f"{key} must be {name}, not {value!r}")
 
 
 # --- gridworld ---------------------------------------------------------------

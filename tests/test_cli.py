@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import mannerforge
+from mannerforge import cli as cli_module
 from mannerforge import forge as forge_module
 from mannerforge.cli import build_parser, main
 from mannerforge.dsl import parse_program
@@ -651,6 +653,92 @@ def test_every_boundary_refuses_bad_input_as_a_domain_error(capsys, tmp_path, sm
     assert err.startswith(start)
     assert "\n" not in err  # one error line, no traceback
     assert not (tmp_path / "out").exists()
+
+
+def _repeated_key_manifest(tmp_path, dataset) -> str:
+    """A copy of `dataset` whose manifest names schema_version 7 before its own 1."""
+    data = (dataset / "manifest").read_bytes()
+    return _dataset_with(tmp_path, dataset, "manifest", b'{"schema_version": 7,' + data[1:])
+
+
+# Each input whose bytes no digest holds, with a key repeated, and the key: with the last
+# value taken, each would be read as if the first were not there.
+REPEATED_KEYS = {
+    "config": (
+        lambda t, ds: ["generate", "--config", _file(t, "c.json", b'{"seed": 1, "num_examples": 5, "seed": 2}'),
+                       "--out", str(t / "out")],
+        "error[ConfigError]: config file ", "seed"),
+    "split spec in a config": (
+        lambda t, ds: ["generate", "--config", _file(t, "c.json", b'{"num_examples": 5, "splits": [{"kind": '
+                                                                b'"random", "name": "a", "name": "b", '
+                                                                b'"test_fraction": 0.5}]}'),
+                       "--out", str(t / "out")],
+        "error[ConfigError]: config file ", "name"),
+    "manifest": (
+        lambda t, ds: ["stats", "--dataset", _repeated_key_manifest(t, ds)],
+        "error[SchemaMismatch]: manifest is not UTF-8 JSON: ", "schema_version"),
+    "prediction line": (
+        lambda t, ds: _evaluate(t, ds, b'{"index": 0, "index": 1, "prediction": ["walk"]}'),
+        "error[MalformedRecord]: ", "index"),
+}
+
+
+@pytest.mark.parametrize("argv, start, key", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys())
+def test_a_repeated_key_is_refused_where_no_digest_holds_the_bytes(capsys, tmp_path, small_dataset,
+                                                                    argv, start, key):
+    code, out, err = run(capsys, *argv(tmp_path, small_dataset))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(start) and err.endswith(f": key {key!r} is repeated")
+    assert not (tmp_path / "out").exists()
+
+
+class _FullDisk:
+    """A text file opened for writing whose every write fails as a full disk does."""
+
+    def __init__(self, path):
+        self.fh = open(path, "w", encoding="utf-8")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _full_disk_open(path, mode="r", **kwargs):
+    return _FullDisk(path) if "w" in mode else open(path, mode, **kwargs)
+
+
+def _oracle_lines(dataset) -> bytes:
+    """A prediction line of each example's own target, the last without its newline."""
+    records = map(json.loads, (dataset / "examples.ndrec").read_bytes().splitlines())
+    return "\n".join(json.dumps({"index": r["index"], "prediction": r["target"]}) for r in records).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t, ds: ["sample-adverbs", "--n", "3", "--seed", "1", "--out", str(t / "old.txt")],
+    lambda t, ds: _evaluate(t, ds, _oracle_lines(ds)) + ["--report", str(t / "old.txt")],
+], ids=["sample-adverbs --out", "evaluate --report"])
+def test_a_failed_write_leaves_the_old_file(capsys, tmp_path, small_dataset, monkeypatch, argv):
+    # Each command writes a `.part` twin and moves it into place: a write that fails
+    # leaves the file that was there, and no twin.
+    (tmp_path / "old.txt").write_text("old\n")
+    argv = argv(tmp_path, small_dataset)
+    monkeypatch.setattr(cli_module, "open", _full_disk_open, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error[OSError]: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (tmp_path / "old.txt").read_text() == "old\n"
+    assert not (tmp_path / "old.txt.part").exists()
+    monkeypatch.undo()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert (tmp_path / "old.txt").read_text() != "old\n"
+    assert not (tmp_path / "old.txt.part").exists()
 
 
 def test_cli_import_loads_no_pool_or_logging_module():

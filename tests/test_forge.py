@@ -75,6 +75,21 @@ SMALL_GRID_CONFIG = {
 }
 SMALL_GRID_MANIFEST_SHA256 = "f41d51b554691ec63102cc260999e13ae257dd252f93701584967258a3380df6"
 
+# One split of each kind, the only config whose manifest covers the predicate and
+# type_subset kinds together; the same config and digest are checked in CI.
+ALL_KINDS_CONFIG = {
+    "seed": 12, "num_examples": 600, "extra_adverbs": 10,
+    "splits": [
+        {"kind": "random", "name": "random", "test_fraction": 0.2},
+        {"kind": "k_shot_adverb", "name": "cautiously_k5", "surface": "cautiously", "k": 5},
+        {"kind": "verb_adverb_holdout", "name": "pull_spin", "verb": "pull", "surface": "while spinning"},
+        {"kind": "type_subset", "name": "no_cautiously",
+         "allowed_types": ["spinning_type", "zigzag_type", "detour_type"]},
+        {"kind": "predicate", "name": "adverbless", "predicate": "no_adverb"},
+    ],
+}
+ALL_KINDS_MANIFEST_SHA256 = "3e5f05406a0f693e8284e8b50f9b4d3107257ddf7d634b14674b96982c9a3c90"
+
 BASE_SPLITS = (
     SplitSpec(kind="random", name="random", test_fraction=0.2),
     SplitSpec(kind="k_shot_adverb", name="cautiously_k5", surface="cautiously", k=5),
@@ -107,7 +122,7 @@ def write_corpus(corpus, path):
     examples; their splits."""
     cfg, _, examples = corpus
     forge_dataset(cfg, str(path))
-    return build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+    return build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits").getrandbits(64))
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +377,7 @@ class TestGenerateExamples:
 class TestBuildSplits:
     def test_random_partition(self, small_corpus):
         cfg, _, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits").getrandbits(64))
         random_split = splits["random"]
         assert not set(random_split.train) & set(random_split.test)
         assert len(random_split.train) + len(random_split.test) == len(examples)
@@ -370,7 +385,7 @@ class TestBuildSplits:
 
     def test_k_shot_exact_k(self, small_corpus):
         cfg, _, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits").getrandbits(64))
         by_index = {ex.index: ex for ex in examples}
         k5 = splits["cautiously_k5"]
         train_matches = [i for i in k5.train if by_index[i].adverb_surface == "cautiously"]
@@ -382,11 +397,11 @@ class TestBuildSplits:
         cfg, _, examples = small_corpus
         spec = SplitSpec(kind="k_shot_adverb", name="k_huge", surface="cautiously", k=10 ** 6)
         with pytest.raises(InsufficientExamples):
-            build_splits(examples, (spec,), random.Random(0))
+            build_splits(examples, (spec,), random.Random(0).getrandbits(64))
 
     def test_holdout_has_no_train_contamination(self, small_corpus):
         cfg, _, examples = small_corpus
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits").getrandbits(64))
         by_index = {ex.index: ex for ex in examples}
         hold = splits["pull_spin"]
         for i in hold.train:
@@ -402,7 +417,7 @@ class TestBuildSplits:
             kind="type_subset", name="no_caut",
             allowed_types=("spinning_type", "zigzag_type", "detour_type"),
         )
-        splits = build_splits(examples, (spec,), random.Random(0))
+        splits = build_splits(examples, (spec,), random.Random(0).getrandbits(64))
         by_index = {ex.index: ex for ex in examples}
         assignment = splits["no_caut"]
         assert assignment.test == ()
@@ -420,7 +435,7 @@ class TestBuildSplits:
         cfg, lexicon, examples = small_corpus
         keep = lexicon.registry[0].surface
         spec = SplitSpec(kind="type_subset", name="one", surfaces=(keep,))
-        assignment = build_splits(examples, (spec,), random.Random(0))["one"]
+        assignment = build_splits(examples, (spec,), random.Random(0).getrandbits(64))["one"]
         by_index = {ex.index: ex for ex in examples}
         for i in assignment.dropped:
             assert by_index[i].adverb_surface not in BUILTIN_SURFACES + (keep,)
@@ -428,18 +443,16 @@ class TestBuildSplits:
     def test_predicate_split(self, small_corpus):
         cfg, _, examples = small_corpus
         spec = SplitSpec(kind="predicate", name="held", predicate="has_adverb")
-        assignment = build_splits(examples, (spec,), random.Random(0))["held"]
+        assignment = build_splits(examples, (spec,), random.Random(0).getrandbits(64))["held"]
         by_index = {ex.index: ex for ex in examples}
         assert all(by_index[i].adverb_surface for i in assignment.test)
         assert all(by_index[i].adverb_surface is None for i in assignment.train)
 
     def test_unknown_predicate_rejected(self):
-        # The predicates are a fixed table: a spec naming any other is refused when made.
+        # The predicates are two named filters: a spec naming any other is refused when made.
         for name in ("walks", "", None):
             with pytest.raises(ValueError, match=r"^predicate must be one of \('has_adverb', 'no_adverb'\)"):
                 SplitSpec(kind="predicate", name="x", predicate=name)
-        with pytest.raises(TypeError):
-            forge_module.PREDICATES["walks"] = lambda ex: ex.verb == "walk"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -710,7 +723,7 @@ class TestPersistence:
     def test_write_read_round_trip(self, small_corpus, tmp_path):
         cfg, lexicon, examples = small_corpus
         manifest = forge_dataset(cfg, str(tmp_path))
-        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits"))
+        splits = build_splits(examples, cfg.splits, derive_rng(cfg.seed, "splits").getrandbits(64))
         ds = read_dataset(str(tmp_path))
         assert list(ds.examples) == examples
         assert ds.splits == splits
@@ -799,6 +812,12 @@ class TestPersistence:
         forge_dataset(ForgeConfig.from_dict(SMALL_GRID_CONFIG), str(tmp_path), jobs=jobs)
         digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
         assert digest == SMALL_GRID_MANIFEST_SHA256
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_kinds_manifest_digest(self, tmp_path, jobs):
+        forge_dataset(ForgeConfig.from_dict(ALL_KINDS_CONFIG), str(tmp_path), jobs=jobs)
+        digest = hashlib.sha256((tmp_path / "manifest").read_bytes()).hexdigest()
+        assert digest == ALL_KINDS_MANIFEST_SHA256
 
     def test_forge_heap_peak_is_bounded(self, tmp_path):
         # The forge holds one chunk's examples at a time, besides the rows, lexicon and
@@ -1517,6 +1536,20 @@ class TestForgeConfig:
     def test_split_spec_takes_only_the_keys_its_kind_reads(self, spec, message):
         with pytest.raises(ValueError) as err:
             ForgeConfig.from_dict({"splits": [spec]})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"meta": {}}, "meta must be a MetaGrammarConfig, not {}"),
+        ({"meta": None}, "meta must be a MetaGrammarConfig, not None"),
+        ({"splits": ["x"]}, "splits[0] must be a SplitSpec, not 'x'"),
+        ({"splits": [BASE_SPLITS[0], {"kind": "predicate", "name": "p", "predicate": "no_adverb"}]},
+         "splits[1] must be a SplitSpec, not {'kind': 'predicate', 'name': 'p', 'predicate': 'no_adverb'}"),
+    ], ids=["meta-dict", "meta-none", "splits-str", "splits-dict"])
+    def test_nested_values_must_be_their_dataclasses(self, kwargs, message):
+        # from_dict builds both from config objects; a Python caller's dict would be echoed
+        # into the manifest as it is, and re-forge with other values than it forged.
+        with pytest.raises(ConfigError) as err:
+            ForgeConfig(**kwargs)
         assert str(err.value) == message
 
     def test_split_names_must_be_unique(self):
